@@ -53,6 +53,26 @@ class FaultInjector(Protocol):
         ...
 
 
+class NoFaults:
+    """A :class:`FaultInjector` that never fails.
+
+    Installing one changes no simulated result, but every fast path
+    declines under a fault injector (:meth:`FlashChip.copy_pages`,
+    :meth:`FlashChip.program_run`, the hybrid log appends and the
+    closed-form kernels), so a device built with it runs the scalar
+    per-page reference loops — the oracle that differential tests and
+    the hot-path benchmark's ``/oracle`` twins compare against.
+    """
+
+    def program_fails(self, block: int, page_offset: int) -> bool:
+        """Never fail a program."""
+        return False
+
+    def erase_fails(self, block: int) -> bool:
+        """Never fail an erase."""
+        return False
+
+
 @dataclass
 class ChipStats:
     """Cumulative operation counters for one chip."""
@@ -245,6 +265,50 @@ class FlashChip:
         self._tokens[base : base + n] = tokens
         self._write_point[block] = write_point + n
         self.stats.page_programs += n
+
+    def copy_pages(
+        self, sources: np.ndarray, target: int, start: int, filler: int
+    ) -> int:
+        """Copy physical pages into consecutive pages of ``target``.
+
+        ``sources`` holds one global physical page index per target page
+        (``target`` pages ``start, start+1, ...``); a negative entry
+        means "no source": that page is programmed with ``filler``
+        without a read, and so is any source that reads back ERASED.
+        Returns the number of page reads.
+
+        Behaves exactly like the interleaved per-page loop (read the
+        source, program the target) that merges and block copies used to
+        run: one :meth:`read_many` gather plus one :meth:`program_run`.
+        When the chip has a fault injector or any bad block, or the copy
+        would raise (target not writable at ``start``, a page out of
+        range), it runs that scalar loop instead, so exceptions surface
+        at the same page with the same counters.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        n = int(sources.size)
+        if n == 0:
+            return 0
+        ppb = self.geometry.pages_per_block
+        has = sources >= 0
+        if (
+            self.fault_injector is None
+            and not self._bad.any()
+            and 0 <= target < self.geometry.physical_blocks
+            and int(self._write_point[target]) == start
+            and start + n <= ppb
+            and int(sources.max()) < self.geometry.physical_pages
+        ):
+            picked = sources[has]
+            tokens = np.full(n, filler, dtype=np.int64)
+            read = self.read_many(picked)
+            tokens[has] = np.where(read == ERASED, filler, read)
+            self.program_run(target, start, tokens)
+            return int(picked.size)
+        for i, source in enumerate(sources.tolist()):
+            token = self.read(*divmod(source, ppb)) if source >= 0 else ERASED
+            self.program(target, start + i, filler if token == ERASED else token)
+        return int(has.sum())
 
     def erase(self, block: int) -> None:
         """Erase a whole block, resetting all its pages to ERASED."""

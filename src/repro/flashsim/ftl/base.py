@@ -44,6 +44,9 @@ from repro.flashsim.chip import ERASED, FlashChip
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
+#: token programmed into pages that exist only to pad a copied block
+FILLER_TOKEN = 0
+
 #: immutable leaf types the snapshot fast copy passes through unchanged
 _SCALAR_TYPES = (int, float, complex, bool, str, bytes, frozenset, type(None))
 
@@ -303,6 +306,32 @@ class BaseFTL(ABC):
         block conservation and map consistency.
         """
 
+    def _copy_pages(
+        self, sources: np.ndarray, target: int, start: int, cost: CostAccumulator
+    ) -> None:
+        """Copy physical pages into ``target`` from page ``start`` with
+        :meth:`FlashChip.copy_pages` (negative sources pad with
+        :data:`FILLER_TOKEN`), charging copy reads and programs to
+        ``cost`` and to :meth:`_count_copies`.
+
+        The charge is the chip's own counter delta, taken even when the
+        copy raises part-way, so a failed copy charges exactly the pages
+        it got through — as the per-page merge loops did.
+        """
+        stats = self.chip.stats
+        reads, programs = stats.page_reads, stats.page_programs
+        try:
+            self.chip.copy_pages(sources, target, start, FILLER_TOKEN)
+        finally:
+            reads = stats.page_reads - reads
+            programs = stats.page_programs - programs
+            cost.copy_reads += reads
+            cost.copy_programs += programs
+            self._count_copies(reads, programs)
+
+    def _count_copies(self, reads: int, programs: int) -> None:
+        """Hook for families that keep their own copy-volume counters."""
+
     # convenience used by tests and the device shadow check
 
     def read_token_quiet(self, lpage: int) -> int:
@@ -311,4 +340,4 @@ class BaseFTL(ABC):
         return self.read_page(lpage, scratch)
 
 
-__all__ = ["BaseFTL", "ERASED"]
+__all__ = ["BaseFTL", "ERASED", "FILLER_TOKEN"]

@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
-from repro.flashsim.ftl.hybrid import FILLER_TOKEN
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -246,17 +245,11 @@ class BlockMapFTL(BaseFTL):
         physical block into the replacement (filling gaps with filler)."""
         old = int(self._data_map[rep.lblock])
         old_end = self.chip.write_point(old) if old >= 0 else 0
+        ppb = self.geometry.pages_per_block
+        sources = np.arange(old * ppb + start, old * ppb + end)
+        sources[max(old_end - start, 0) :] = -1
         sub = cost.begin_scope()
-        for offset in range(start, end):
-            if offset < old_end:
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-            else:
-                token = ERASED
-            self.chip.program(
-                rep.pblock, offset, token if token != ERASED else FILLER_TOKEN
-            )
-            sub.copy_programs += 1
+        self._copy_pages(sources, rep.pblock, start, sub)
         cost.end_scope("merge", sub)
 
     def _finalize(self, lblock: int, cost: CostAccumulator) -> None:
@@ -289,13 +282,13 @@ class BlockMapFTL(BaseFTL):
     def _copy_range_tail(
         self, rep: _Replacement, tail_end: int, old: int, cost: CostAccumulator
     ) -> None:
-        for offset in range(rep.next_offset, tail_end):
-            token = self.chip.read(old, offset)
-            cost.copy_reads += 1
-            self.chip.program(
-                rep.pblock, offset, token if token != ERASED else FILLER_TOKEN
-            )
-            cost.copy_programs += 1
+        ppb = self.geometry.pages_per_block
+        self._copy_pages(
+            np.arange(old * ppb + rep.next_offset, old * ppb + tail_end),
+            rep.pblock,
+            rep.next_offset,
+            cost,
+        )
         rep.next_offset = tail_end
 
     def quiesce(self) -> CostAccumulator:

@@ -28,9 +28,8 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
-from repro.flashsim.ftl.hybrid import FILLER_TOKEN
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -294,33 +293,26 @@ class FastFTL(BaseFTL):
         target = self._take_free(sub)
         old = int(self._data_map[lblock])
         base = lblock * ppb
-        highest = -1
-        for offset in range(ppb):
-            if (base + offset) in self._shared_map:
-                highest = offset
-            elif seq_log is not None and offset < seq_log.next_pos:
-                highest = offset
-            elif old >= 0 and offset < self.chip.write_point(old):
-                highest = offset
-        for offset in range(highest + 1):
-            lpage = base + offset
-            entry = self._shared_map.get(lpage)
-            if entry is not None:
-                log, position = entry
-                token = self.chip.read(log.pblock, position)
-                sub.copy_reads += 1
-            elif seq_log is not None and offset < seq_log.next_pos:
-                token = self.chip.read(seq_log.pblock, offset)
-                sub.copy_reads += 1
-            elif old >= 0 and offset < self.chip.write_point(old):
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-            else:
-                token = ERASED
-            self.chip.program(
-                target, offset, token if token != ERASED else FILLER_TOKEN
-            )
-            sub.copy_programs += 1
+        # newest copy of each offset: a shared-log entry, else the
+        # partial seq log, else the old data block, else filler — up to
+        # the highest offset any of them holds
+        sources = np.full(ppb, -1, dtype=np.int64)
+        if old >= 0:
+            old_end = self.chip.write_point(old)
+            sources[:old_end] = np.arange(old * ppb, old * ppb + old_end)
+        if seq_log is not None:
+            first = seq_log.pblock * ppb
+            sources[: seq_log.next_pos] = np.arange(first, first + seq_log.next_pos)
+        shared = [
+            lpage for lpage in range(base, base + ppb) if lpage in self._shared_map
+        ]
+        for lpage in shared:
+            log, position = self._shared_map[lpage]
+            sources[lpage - base] = log.pblock * ppb + position
+        live = np.flatnonzero(sources >= 0)
+        highest = int(live[-1]) if live.size else -1
+        self._copy_pages(sources[: highest + 1], target, 0, sub)
+        for lpage in shared:
             self._drop_shared_entry(lpage)
         self._data_map[lblock] = target
         if old >= 0:

@@ -51,13 +51,10 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
-
-#: token programmed into pages that exist only to pad a merged block
-FILLER_TOKEN = 0
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,16 @@ class HybridLogFTL(BaseFTL):
 
     def write_pages(self, items, cost: CostAccumulator) -> None:
         """Write a batch, classifying each consecutive run as sequential
-        stream traffic or random traffic (LAST-style routing)."""
+        stream traffic or random traffic (LAST-style routing).
+
+        The first page of each logical-block segment of a run goes
+        through :meth:`write_page` (routing, promotion, stream restart,
+        log open and eviction); the rest of the segment lands in that
+        log as one program run (:meth:`_append`).  Under a fault
+        injector every page takes :meth:`write_page` — the scalar
+        reference path.
+        """
+        scalar = self.chip.fault_injector is not None
         run_start = 0
         for position in range(1, len(items) + 1):
             is_break = position == len(items) or (
@@ -228,8 +234,60 @@ class HybridLogFTL(BaseFTL):
             run = items[run_start:position]
             run_start = position
             seq = self._classify_run(run[0][0], run[-1][0])
-            for lpage, token in run:
+            i = 0
+            while i < len(run):
+                lpage, token = run[i]
                 self.write_page(lpage, token, cost, seq_hint=seq)
+                i += 1
+                if not scalar:
+                    i += self._append(run, i, cost)
+
+    def _append(self, run, i: int, cost: CostAccumulator) -> int:
+        """Append ``run[i:]`` to the log that just took ``run[i - 1]``.
+
+        Takes the pages that stay in that logical block, up to the log's
+        free positions (in-order-only logs: only when ``run[i]`` is the
+        log's next position), as one :meth:`FlashChip.program_run` plus
+        slice updates of the log's page map — exactly what
+        :meth:`write_page` does page by page once routing is settled:
+        later pages of a segment never promote, restart a stream or open
+        a log.  Returns the number of pages taken (0 when the segment
+        ended, the log closed or it would close on ``run[i]``).
+        """
+        if i == len(run):
+            return 0
+        ppb = self.geometry.pages_per_block
+        lblock, offset = divmod(run[i][0], ppb)
+        pool = self._pool_of(lblock) if offset else None
+        if pool is None:
+            return 0
+        log = pool[lblock]
+        start = log.next_pos
+        if not self.config.page_mapped_logs and offset != start:
+            return 0
+        n = min(len(run) - i, ppb - offset, ppb - start)
+        tokens = np.fromiter(
+            (token for _, token in run[i : i + n]), dtype=np.int64, count=n
+        )
+        invalid = tokens <= FILLER_TOKEN
+        if invalid.any():
+            # write_page raises on the first invalid token
+            n = int(np.argmax(invalid))
+            tokens = tokens[:n]
+        if n == 0:
+            return 0
+        self.chip.program_run(log.pblock, start, tokens)
+        cost.page_programs += n
+        # an in-order log maps offsets 0..start-1 to themselves, so the
+        # run keeps it in order exactly when it starts at ``start``
+        if offset != start:
+            log.in_order = False
+        log.pos_of[offset : offset + n] = np.arange(start, start + n)
+        log.next_pos = start + n
+        pool.move_to_end(lblock)
+        if log.next_pos == ppb:
+            self._close_log(lblock, cost)
+        return n
 
     def _classify_run(self, first_lpage: int, last_lpage: int) -> bool:
         """Sequential-class: the run *continues* a tracked stream tail.
@@ -479,26 +537,15 @@ class HybridLogFTL(BaseFTL):
             raise OutOfSpaceError("no merge reserve block available")
         sub = cost.begin_scope()
         target = self._free_pop()
-        written = 0
+        # newest copy of each offset: the log's, else the old block's,
+        # else filler — up to the highest offset either holds
         logged = np.flatnonzero(log.pos_of >= 0)
-        highest = int(logged[-1]) if logged.size else -1
-        if old >= 0:
-            highest = max(highest, self.chip.write_point(old) - 1)
-        for offset in range(highest + 1):
-            if log.pos_of[offset] >= 0:
-                token = self.chip.read(log.pblock, int(log.pos_of[offset]))
-                sub.copy_reads += 1
-                self.merge_copy_reads += 1
-            elif old >= 0 and offset < self.chip.write_point(old):
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-                self.merge_copy_reads += 1
-            else:
-                token = ERASED
-            self.chip.program(target, offset, token if token != ERASED else FILLER_TOKEN)
-            sub.copy_programs += 1
-            self.merge_copy_programs += 1
-            written += 1
+        old_end = self.chip.write_point(old) if old >= 0 else 0
+        highest = max(int(logged[-1]) if logged.size else -1, old_end - 1)
+        sources = np.full(highest + 1, -1, dtype=np.int64)
+        sources[:old_end] = np.arange(old * ppb, old * ppb + old_end)
+        sources[logged] = log.pos_of[logged].astype(np.int64) + log.pblock * ppb
+        self._copy_pages(sources, target, 0, sub)
         self._data_map[log.lblock] = target
         self.chip.erase(log.pblock)
         sub.block_erases += 1
@@ -517,15 +564,12 @@ class HybridLogFTL(BaseFTL):
         sub = cost.begin_scope()
         if old >= 0:
             tail_end = self.chip.write_point(old)
-            for offset in range(log.next_pos, tail_end):
-                token = self.chip.read(old, offset)
-                sub.copy_reads += 1
-                self.merge_copy_reads += 1
-                self.chip.program(
-                    log.pblock, offset, token if token != ERASED else FILLER_TOKEN
-                )
-                sub.copy_programs += 1
-                self.merge_copy_programs += 1
+            self._copy_pages(
+                np.arange(old * ppb + log.next_pos, old * ppb + tail_end),
+                log.pblock,
+                log.next_pos,
+                sub,
+            )
         self._data_map[log.lblock] = log.pblock
         if old >= 0:
             self.chip.erase(old)
@@ -538,6 +582,10 @@ class HybridLogFTL(BaseFTL):
     # ------------------------------------------------------------------
     # background reclamation
     # ------------------------------------------------------------------
+
+    def _count_copies(self, reads: int, programs: int) -> None:
+        self.merge_copy_reads += reads
+        self.merge_copy_programs += programs
 
     def background_work_pending(self) -> bool:
         """Whether deferred merges exist (only when bg_enabled)."""
