@@ -18,7 +18,6 @@ from repro.core import (
     build_microbenchmark,
     detect_phases,
     execute,
-    execute_mix,
     rest_device,
     run_experiment,
 )
@@ -70,7 +69,7 @@ def test_mix_is_cost_additive(once):
                 bench = build_microbenchmark("mix", ctx, ratios=(ratio,))
                 experiment = bench.experiments[experiment_index]
                 mix = experiment.spec_for(ratio)
-                result = execute_mix(device, mix)
+                result = execute(device, mix)
                 rest_device(device, 30 * SEC)
                 expected = (
                     ratio * base_cost[primary_label] + base_cost[secondary_label]
@@ -119,7 +118,7 @@ def test_short_read_mostly_mix_pitfall(once):
             ratio=8,
             io_count=512,
         )
-        return execute_mix(device, mix)
+        return execute(device, mix)
 
     result = once(run_short_mix)
     rest_device(device, 60 * SEC)

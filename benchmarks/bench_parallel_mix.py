@@ -14,7 +14,6 @@ import numpy as np
 from repro.core import baselines, detect_phases, execute, rest_device
 from repro.core.patterns import ParallelMixSpec
 from repro.core.report import format_table
-from repro.core.runner import execute_parallel_mix
 from repro.units import KIB, SEC
 
 from conftest import ready_device, report
@@ -50,7 +49,7 @@ def test_heterogeneous_parallel_composition(once):
             b = specs[second].with_(target_offset=half, seed=14)
             span_a = solo_span(a)
             span_b = solo_span(b)
-            mix = execute_parallel_mix(device, ParallelMixSpec((a, b)))
+            mix = execute(device, ParallelMixSpec((a, b)))
             span_mix = max(
                 run.trace[-1].completed_at for run in mix.runs
             ) - min(run.trace[0].submitted_at for run in mix.runs)

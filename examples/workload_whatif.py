@@ -42,9 +42,9 @@ def main() -> None:
     print(f"  {report.summary()}")
 
     # serialise the captured trace exactly as the paper publishes runs
-    from repro.core.runner import execute_mix
+    from repro.core.engine import execute
 
-    run = execute_mix(source, workload)
+    run = execute(source, workload)
     rows = IOTrace.parse_csv(run.trace.to_csv())
     original_span = rows[-1].completed_at - rows[0].submitted_at
 

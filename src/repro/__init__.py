@@ -36,8 +36,6 @@ from repro.core import (
     enforce_random_state,
     enforce_sequential_state,
     execute,
-    execute_mix,
-    execute_parallel,
     measure_phases,
     rest_device,
     run_control_for,
@@ -67,8 +65,6 @@ __all__ = [
     "enforce_random_state",
     "enforce_sequential_state",
     "execute",
-    "execute_mix",
-    "execute_parallel",
     "get_profile",
     "measure_phases",
     "profile_names",

@@ -23,7 +23,7 @@ from repro.core.patterns import (
     PatternSpec,
     baselines,
 )
-from repro.core.runner import execute, execute_mix, execute_parallel, rest_device
+from repro.core.engine import execute, rest_device
 from repro.flashsim.device import FlashDevice
 from repro.iotypes import Mode
 from repro.units import KIB, MIB, SEC
@@ -240,7 +240,7 @@ def check_hint6_mix(device: FlashDevice, io_count: int = 192) -> HintResult:
     rr = _mean(device, specs["RR"].with_(target_offset=half))
     from repro.core.patterns import MixSpec
 
-    mixed = execute_mix(
+    mixed = execute(
         device,
         MixSpec(
             primary=specs["SR"],
@@ -276,7 +276,7 @@ def check_hint7_concurrency(device: FlashDevice, io_count: int = 128) -> HintRes
     solo = execute(device, base)
     solo_total = solo.stats.total_usec
     rest_device(device, 5 * SEC)
-    par = execute_parallel(device, ParallelSpec(base=base, parallel_degree=4))
+    par = execute(device, ParallelSpec(base=base, parallel_degree=4))
     par_total = max(run.trace[-1].completed_at for run in par.runs) - min(
         run.trace[0].submitted_at for run in par.runs
     )

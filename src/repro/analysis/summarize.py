@@ -27,7 +27,7 @@ from repro.core.patterns import PatternSpec, TimingKind, baselines
 from repro.core.phases import detect_phases
 from repro.core.plan import TargetAllocator
 from repro.core.report import format_table
-from repro.core.runner import execute, rest_device
+from repro.core.engine import execute, rest_device
 from repro.flashsim.device import FlashDevice
 from repro.paperdata import TABLE3, Table3Row
 from repro.units import KIB, MIB, SEC

@@ -343,16 +343,12 @@ def _run_campaign(args: argparse.Namespace) -> int:
 
     profiles = [name.strip() for name in args.device.split(",") if name.strip()]
     capacity = parse_size(args.capacity) if args.capacity else None
-    legacy = getattr(args, "dispatch", "warm") == "legacy"
     executor = CampaignExecutor(
         jobs=args.jobs,
         cache=args.cache or None,
         enforce=not args.skip_state,
         enforce_seed=97,
         attribution=args.attribution,
-        share_snapshots=not legacy,
-        warm_workers=not legacy,
-        pipeline_prepare=not legacy,
     )
     registry = obs_metrics.install() if args.metrics else None
     tracer = obs_tracing.install() if args.trace else None
@@ -645,14 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes for campaign cells (1 = run inline; "
              "results are identical either way)",
-    )
-    campaign_parser.add_argument(
-        "--dispatch", choices=("warm", "legacy"), default="warm",
-        help="parallel dispatch mode: 'warm' (default) shares enforced "
-             "snapshots through shared memory, keeps worker devices "
-             "resident and pipelines state enforcement; 'legacy' ships a "
-             "pickled snapshot per cell to cold workers (results are "
-             "identical either way)",
     )
     campaign_parser.add_argument(
         "--cache", default="",

@@ -5,7 +5,7 @@ captured sufficiently well to guarantee given bounds for the confidence
 interval, while minimizing the IOs issued*.
 
 :func:`autotune_run` executes a pattern incrementally against a device
-— one generator, pulled in chunks — re-detecting the two phases after
+— one precomputed program, run in chunks — re-detecting the two phases after
 each chunk and stopping as soon as the running-phase mean's confidence
 interval is tight enough (or a hard IO budget is hit).  It returns the
 tuned ``(io_ignore, io_count)`` with the measurements, so a benchmark
@@ -24,6 +24,7 @@ from repro.core.phases import PhaseAnalysis, detect_phases
 from repro.core.stats import RunStats, summarize
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
+from repro.flashsim.host import SyncHost
 
 #: z-score for the default 95% confidence level
 _Z95 = 1.96
@@ -115,21 +116,21 @@ def autotune_run(
     available = device.capacity - spec.target_offset - spec.io_shift
     span = min(span, (available // spec.io_size) * spec.io_size)
     long_spec = spec.with_(io_count=max_ios, io_ignore=0, target_size=span)
-    start = device.busy_until
-    generator = PatternGenerator(long_spec, start_at=start)
+    program = PatternGenerator(long_spec).program()
+    host = SyncHost(device)
+    clock = device.busy_until
 
     responses: list[float] = []
     chunks = 0
-    previous = None
-    exhausted = False
-    while len(responses) < max_ios and not exhausted:
-        for __ in range(min(chunk, max_ios - len(responses))):
-            request = generator(previous)
-            if request is None:
-                exhausted = True
-                break
-            previous = device.submit(request, max(request.scheduled_at, start))
-            responses.append(previous.response_usec)
+    while len(responses) < max_ios:
+        first = len(responses)
+        last = min(first + chunk, max_ios)
+        # IO i is scheduled at the previous completion plus its gap
+        # (Table 1), so a chunk starts where the previous one ended
+        start_at = clock + float(program.gaps[first]) if first else clock
+        trace = host.run_program(program.slice(first, last), start_at=start_at)
+        responses.extend(trace.response_times().tolist())
+        clock = float(trace.column("completed_at")[-1])
         chunks += 1
 
         values = np.asarray(responses)

@@ -1,20 +1,15 @@
 """Unified spec-polymorphic execution engine.
 
-Historically each pattern-spec kind had its own front-end (``execute``,
-``execute_mix``, ``execute_parallel``, ``execute_parallel_mix`` in
-:mod:`repro.core.runner`) plus matching ``isinstance`` ladders in
-:mod:`repro.core.experiment` — five call sites to touch for every new
-spec kind, and the ladders drifted out of sync (``ParallelMixSpec``
-could be built and run directly but not dispatched or reseeded).
-
-The engine replaces all of that with two registries keyed by spec type:
-an *executor* (how to drive the spec against a device) and a *reseeder*
-(how to shift its random seeds for a repetition).  ``Engine.run(spec)``
-and :func:`reseed` look handlers up through the spec's MRO, so a new
-spec kind — even one defined outside this package — registers itself
-once with :meth:`Engine.executor` / :meth:`Engine.reseeder` and every
-caller (experiments, plans, the campaign executor, the CLI) picks it
-up unchanged.
+A *run* is one execution of a reference pattern against a device
+(Section 3.2, design principle 1).  The engine keeps two registries
+keyed by spec type: an *executor* (how to drive the spec against a
+device) and a *reseeder* (how to shift its random seeds for a
+repetition).  ``Engine.run(spec)`` and :func:`reseed` look handlers up
+through the spec's MRO, so a new spec kind — even one defined outside
+this package — registers itself once with :meth:`Engine.executor` /
+:meth:`Engine.reseeder` and every caller (experiments, plans, the
+campaign executor, the CLI) picks it up unchanged.  :func:`execute` is
+the one-call front: ``Engine(device, ...).run(spec, start_at)``.
 """
 
 from __future__ import annotations
@@ -114,28 +109,18 @@ class Engine:
 
     One engine wraps one :class:`~repro.flashsim.device.FlashDevice`
     plus the per-IO OS overhead; :meth:`run` dispatches on the spec's
-    type through the executor registry.
-
-    ``columnar`` selects the recording pipeline: the default drives the
-    hosts' program runners, which record scalars straight into columnar
-    traces; ``columnar=False`` forces the legacy per-request feed path
-    (object construction per IO).  Both produce bit-identical traces
-    and statistics — the flag exists for the equivalence suite and the
-    hot-path benchmark.
+    type through the executor registry.  Every executor compiles its
+    spec into :class:`~repro.core.generator.IOProgram` columns and
+    drives them through a host's program runner, which records each IO
+    straight into a columnar trace.
     """
 
     _executors: dict[type, ExecutorFn] = {}
     _reseeders: dict[type, ReseederFn] = {}
 
-    def __init__(
-        self,
-        device: FlashDevice,
-        os_overhead_usec: float = 0.0,
-        columnar: bool = True,
-    ) -> None:
+    def __init__(self, device: FlashDevice, os_overhead_usec: float = 0.0) -> None:
         self.device = device
         self.os_overhead_usec = os_overhead_usec
-        self.columnar = columnar
 
     # -- registry ------------------------------------------------------
 
@@ -195,12 +180,10 @@ class Engine:
     # -- shared plumbing for the built-in executors --------------------
 
     def _trace_sync(self, generator, at: float) -> IOTrace:
-        """Drive one generator through a host.
+        """Drive one generator's program through a host.
 
         Specs with ``queue_depth > 1`` run through the async queued
-        host regardless of the ``columnar`` flag (queued submission is
-        columnar-only — there is no per-request-object async path);
-        everything else takes the synchronous reference host.
+        host; everything else takes the synchronous reference host.
         """
         depth = getattr(generator.spec, "queue_depth", 1)
         if depth > 1:
@@ -209,29 +192,17 @@ class Engine:
                 generator.program(), start_at=at, queue_depth=depth
             )
         host = SyncHost(self.device, os_overhead_usec=self.os_overhead_usec)
-        if self.columnar:
-            return host.run_program(generator.program(), start_at=at)
-        completions = host.run(generator, start_at=at)
-        trace = IOTrace(capacity=len(completions))
-        trace.extend(completions)
-        return trace
+        return host.run_program(generator.program(), start_at=at)
 
     def _merge_processes(self, result: ParallelRun, process_specs, at: float):
         """Drive one generator per process and merge the per-process
         traces into ``result`` (stats cover every process past its own
         warm-up — the measurement a synchronous host thread observes)."""
         host = ParallelHost(self.device, os_overhead_usec=self.os_overhead_usec)
-        generators = [PatternGenerator(spec, start_at=at) for spec in process_specs]
-        if self.columnar:
-            traces = host.run_programs(
-                [generator.program() for generator in generators], start_at=at
-            )
-        else:
-            traces = []
-            for completions in host.run(generators, start_at=at):
-                trace = IOTrace(capacity=len(completions))
-                trace.extend(completions)
-                traces.append(trace)
+        traces = host.run_programs(
+            [PatternGenerator(spec).program() for spec in process_specs],
+            start_at=at,
+        )
         measured_chunks = []
         for process_spec, trace in zip(process_specs, traces):
             responses = trace.response_times()
@@ -270,6 +241,22 @@ def _sample_queue_metrics(registry, delta: dict[str, float]) -> None:
         histogram.observe_many(float(name.rsplit("_", 1)[1]), int(value))
 
 
+def execute(
+    device: FlashDevice,
+    spec: Any,
+    start_at: float | None = None,
+    os_overhead_usec: float = 0.0,
+) -> BaseRun:
+    """Execute any registered spec kind against ``device``.
+
+    ``start_at`` defaults to the device's current busy horizon so
+    successive runs follow each other in simulated time (use
+    :func:`rest_device` or ``device.idle`` to model the methodology's
+    inter-run pause).
+    """
+    return Engine(device, os_overhead_usec=os_overhead_usec).run(spec, start_at)
+
+
 def reseed(spec: Any, bump: int) -> Any:
     """A copy of ``spec`` with random seeds shifted by ``bump``.
 
@@ -288,17 +275,17 @@ def reseed(spec: Any, bump: int) -> Any:
 # ----------------------------------------------------------------------
 
 @Engine.executor(PatternSpec)
-def _execute_pattern(engine: Engine, spec: PatternSpec, at: float) -> Run:
-    trace = engine._trace_sync(PatternGenerator(spec, start_at=at), at)
+def _run_pattern(engine: Engine, spec: PatternSpec, at: float) -> Run:
+    trace = engine._trace_sync(PatternGenerator(spec), at)
     stats = summarize(trace.response_times(), spec.io_ignore)
     return Run(spec=spec, trace=trace, stats=stats)
 
 
 @Engine.executor(MixSpec)
-def _execute_mix(engine: Engine, spec: MixSpec, at: float) -> MixRun:
+def _run_mix(engine: Engine, spec: MixSpec, at: float) -> MixRun:
     # the warm-up cut (io_ignore) is applied on the mix-level index, as
     # the FlashIO tool scales it for mixed workloads (Section 5.1)
-    generator = MixGenerator(spec, start_at=at)
+    generator = MixGenerator(spec)
     trace = engine._trace_sync(generator, at)
     responses = np.asarray(trace.response_times())
     stats = summarize(responses, spec.io_ignore)
@@ -319,12 +306,12 @@ def _execute_mix(engine: Engine, spec: MixSpec, at: float) -> MixRun:
 
 
 @Engine.executor(ParallelSpec)
-def _execute_parallel(engine: Engine, spec: ParallelSpec, at: float) -> ParallelRun:
+def _run_parallel(engine: Engine, spec: ParallelSpec, at: float) -> ParallelRun:
     return engine._merge_processes(ParallelRun(spec=spec), spec.process_specs(), at)
 
 
 @Engine.executor(ParallelMixSpec)
-def _execute_parallel_mix(
+def _run_parallel_mix(
     engine: Engine, spec: ParallelMixSpec, at: float
 ) -> ParallelMixRun:
     # Section 3.1's second form of parallel pattern: one process per
@@ -402,6 +389,7 @@ __all__ = [
     "ParallelRun",
     "QUEUE_DEPTH_BUCKETS",
     "Run",
+    "execute",
     "reseed",
     "rest_device",
 ]

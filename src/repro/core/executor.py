@@ -25,12 +25,13 @@ as the archive's JSON payloads, which round-trip floats exactly.
 Campaign throughput (see DESIGN.md §14)
 ---------------------------------------
 
-uFLIP makes device state the dominant campaign cost, and the naive
+uFLIP makes device state the dominant campaign cost, and a naive
 parallel dispatch re-pays it constantly: the parent enforces state
 serially before any cell runs, every submitted cell ships a full
 pickled snapshot through the pool pipe, and every worker rebuilds a
-device from scratch and restores cold.  Three mechanisms remove that
-serial tax while keeping results bit-identical to ``jobs=1``:
+device from scratch and restores cold.  The parallel dispatch
+(``jobs > 1``) removes that serial tax with three mechanisms while
+keeping results bit-identical to ``jobs=1``:
 
 * **zero-copy snapshot distribution** — enforced snapshots are packed
   once into a content-addressed shared-memory
@@ -44,18 +45,16 @@ serial tax while keeping results bit-identical to ``jobs=1``:
   a group's cells contiguously so consecutive cells on a worker reuse
   the resident (no rebuild), and a worker whose resident still sits at
   the cell's base state skips the restore outright;
-* **pipelined state preparation** — with more than one profile in
-  flight, enforcement itself moves into the workers: independent
-  profiles enforce concurrently (publishing into the snapshot store)
-  while cells of already-prepared profiles execute.
+* **pipelined state preparation** — enforcement itself moves into the
+  workers: independent profiles enforce concurrently (publishing into
+  the snapshot store) while cells of already-prepared profiles execute.
 
 Scheduling effects are visible in :attr:`CampaignExecutor.sched`
 (a :class:`SchedulerStats`) and, when metrics are installed, as
 ``core.executor.warm_hits`` / ``cold_builds`` / ``restores_skipped`` /
 ``snapshot_bytes_shipped`` / ``snapshot_bytes_saved`` counters.
 ``tools/bench_campaign.py`` measures the end-to-end effect against the
-legacy dispatch (kept available via ``share_snapshots=False,
-warm_workers=False, pipeline_prepare=False``).
+sequential ``jobs=1`` reference.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from collections import OrderedDict
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from dataclasses import dataclass
@@ -240,9 +238,8 @@ def _run_cell_body(
 
     The single per-cell code path: the sequential executor calls it
     inline (under the parent's installed tracer/registry, if any),
-    worker processes call it via :func:`_execute_cell_fast` (or the
-    legacy :func:`_execute_cell_remote`) under their own.  Determinism
-    makes all executions bit-identical.
+    worker processes call it via :func:`_execute_cell_fast` under their
+    own.  Determinism makes all executions bit-identical.
 
     ``device`` lets a warm worker pass its resident built device instead
     of paying a rebuild; ``skip_restore`` additionally skips the initial
@@ -321,39 +318,6 @@ def run_cell(cell: CampaignCell, snapshot: DeviceSnapshot) -> dict:
     return _run_cell_body(cell, snapshot)["payload"]
 
 
-def _execute_cell_remote(
-    cell: CampaignCell, snapshot: DeviceSnapshot, observe: Observe
-) -> dict:
-    """Legacy worker-process entry point: one cell, snapshot shipped in.
-
-    Always shadows the process-global tracer/registry: under the
-    ``fork`` start method the worker inherits the parent's installed
-    objects, and spans or counts recorded into those copies would be
-    lost.  Fresh instances are installed when the parent observes the
-    matching channel; their contents travel home in the envelope
-    (``spans`` as picklable payload tuples, ``registry`` as a
-    :class:`MetricsSnapshot`) for the parent to absorb.
-
-    Kept as the ``legacy`` dispatch (cold rebuild + full pickled
-    snapshot per cell) — the baseline ``tools/bench_campaign.py``
-    measures the warm dispatch against.
-    """
-    tracer = obs_tracing.Tracer() if observe.tracing else None
-    registry = obs_metrics.MetricsRegistry() if observe.metrics else None
-    with obs_tracing.installed(tracer), obs_metrics.installed(registry):
-        envelope = _run_cell_body(
-            cell,
-            snapshot,
-            keep_traces=observe.traces,
-            attribution=observe.attribution,
-        )
-    envelope["spans"] = (
-        [span.to_payload() for span in tracer.spans] if tracer is not None else []
-    )
-    envelope["registry"] = registry.snapshot() if registry is not None else None
-    return envelope
-
-
 # ----------------------------------------------------------------------
 # warm workers: resident devices + shared-memory snapshot views
 # ----------------------------------------------------------------------
@@ -367,34 +331,32 @@ class _CellTask:
     (a full pickled snapshot, the fallback when shared memory is
     unavailable) is set.  ``fingerprint`` identifies the base state, so
     a warm worker whose resident device already sits there can skip the
-    restore; ``warm`` gates resident-device reuse entirely.
+    restore.
     """
 
     cell: CampaignCell
     fingerprint: str
     segment: str | None = None
     snapshot: DeviceSnapshot | None = None
-    warm: bool = True
 
 
 @dataclass(frozen=True)
 class _PrepareTask:
     """One profile's state enforcement, moved into a worker process.
 
-    ``token`` names the parent's :class:`SnapshotStore`; when set, the
-    worker publishes the enforced snapshot into shared memory and the
-    envelope carries only the segment name.  ``warm`` additionally
-    installs the freshly enforced device as the worker's resident for
-    the group — sitting exactly at the published state, so the first
-    cell dispatched to this worker skips its restore.
+    ``token`` names the parent's :class:`SnapshotStore`; the worker
+    publishes the enforced snapshot into shared memory and the envelope
+    carries only the segment name.  The freshly enforced device becomes
+    the worker's resident for the group — sitting exactly at the
+    published state, so the first cell dispatched to this worker skips
+    its restore.
     """
 
     profile: str
     capacity: int | None
     enforce: bool
     seed: int
-    token: str | None = None
-    warm: bool = True
+    token: str
 
 
 #: resident built devices per (profile, capacity), newest last
@@ -456,27 +418,31 @@ def _task_snapshot(task: _CellTask) -> DeviceSnapshot:
 
 
 def _execute_cell_fast(task: _CellTask, observe: Observe) -> dict:
-    """Warm worker-process entry point for one cell.
+    """Worker-process entry point for one cell.
 
-    Same observability shadowing as :func:`_execute_cell_remote`; the
-    difference is state handling — the device comes from the worker's
-    resident LRU (rebuilt only on a cold miss), the snapshot from the
-    shared-memory store (zero-copy views), and the restore is skipped
-    when the resident is known to sit at the cell's base fingerprint
-    (i.e. enforcement just ran here).  Running a cell dirties the
-    resident, so the skip is claimed at most once per enforcement.
-    The envelope's ``sched`` entry reports what happened.
+    Always shadows the process-global tracer/registry: under the
+    ``fork`` start method the worker inherits the parent's installed
+    objects, and spans or counts recorded into those copies would be
+    lost.  Fresh instances are installed when the parent observes the
+    matching channel; their contents travel home in the envelope
+    (``spans`` as picklable payload tuples, ``registry`` as a
+    :class:`MetricsSnapshot`) for the parent to absorb.
+
+    The device comes from the worker's resident LRU (rebuilt only on a
+    cold miss), the snapshot from the shared-memory store (zero-copy
+    views), and the restore is skipped when the resident is known to
+    sit at the cell's base fingerprint (i.e. enforcement just ran
+    here).  Running a cell dirties the resident, so the skip is claimed
+    at most once per enforcement.  The envelope's ``sched`` entry
+    reports what happened.
     """
     tracer = obs_tracing.Tracer() if observe.tracing else None
     registry = obs_metrics.MetricsRegistry() if observe.metrics else None
     with obs_tracing.installed(tracer), obs_metrics.installed(registry):
         key = (task.cell.profile, task.cell.capacity)
-        if task.warm:
-            device, warm = _worker_device(task.cell)
-            skip = warm and _WORKER_AT.get(key) == task.fingerprint
-            _WORKER_AT[key] = None  # the run below dirties the device
-        else:
-            device, warm, skip = None, False, False
+        device, warm = _worker_device(task.cell)
+        skip = warm and _WORKER_AT.get(key) == task.fingerprint
+        _WORKER_AT[key] = None  # the run below dirties the device
         snapshot = _task_snapshot(task)
         envelope = _run_cell_body(
             task.cell,
@@ -498,11 +464,10 @@ def _prepare_remote(task: _PrepareTask, observe: Observe) -> dict:
     """Worker-process entry point for one profile's state enforcement.
 
     Builds the device, enforces the random state, publishes the snapshot
-    into the parent's shared-memory store (when a ``token`` names one)
-    and installs the device — sitting exactly at the enforced state — as
-    this worker's resident.  The envelope ships the segment name plus
-    bookkeeping sizes home; only when publishing was impossible does it
-    carry the full snapshot.
+    into the parent's shared-memory store and installs the device —
+    sitting exactly at the enforced state — as this worker's resident.
+    The envelope ships the segment name plus bookkeeping sizes home;
+    only when publishing was impossible does it carry the full snapshot.
     """
     tracer = obs_tracing.Tracer() if observe.tracing else None
     registry = obs_metrics.MetricsRegistry() if observe.metrics else None
@@ -521,16 +486,14 @@ def _prepare_remote(task: _PrepareTask, observe: Observe) -> dict:
             analytic.publish_stats(registry, analytic_baseline)
         segment = None
         packed_bytes = 0
-        if task.token is not None:
-            try:
-                shm, snapshot, segment, packed_bytes = publish_from_worker(
-                    task.token, fingerprint, snapshot
-                )
-                _WORKER_ATTACHED[segment] = (shm, snapshot)
-            except (OSError, ValueError):  # no shared memory: ship inline
-                segment = None
-        if task.warm:
-            _install_resident((task.profile, task.capacity), device, fingerprint)
+        try:
+            shm, snapshot, segment, packed_bytes = publish_from_worker(
+                task.token, fingerprint, snapshot
+            )
+            _WORKER_ATTACHED[segment] = (shm, snapshot)
+        except (OSError, ValueError):  # no shared memory: ship inline
+            segment = None
+        _install_resident((task.profile, task.capacity), device, fingerprint)
     envelope = {
         "profile": task.profile,
         "capacity": device.capacity,
@@ -574,9 +537,6 @@ class RunCache:
         self.misses = 0
         #: simulated IO volume the hits avoided re-measuring
         self.bytes_saved = 0
-        #: pickle bytes the columnar trace format saved over the legacy
-        #: object-graph format, summed over entries stored with traces
-        self.trace_bytes_saved = 0
         #: serialized payload bytes written by :meth:`put` this session
         self.payload_bytes = 0
         #: per-profile account: hits, misses, bytes_saved, payload_bytes
@@ -684,11 +644,7 @@ class RunCache:
 
         The entry records its serialized payload size (``payload_bytes``
         — what a future hit reads instead of re-simulating), accumulated
-        globally in :attr:`payload_bytes` and per profile.  When the
-        payload carries per-IO traces, the entry additionally records
-        how many pickle bytes the columnar format saved over the legacy
-        object-graph format (``trace_bytes``), and the cache accumulates
-        the total in :attr:`trace_bytes_saved`.
+        globally in :attr:`payload_bytes` and per profile.
         """
         payload_size = len(json.dumps(payload))
         entry = {
@@ -701,24 +657,6 @@ class RunCache:
         }
         self.payload_bytes += payload_size
         self._profile_stats(cell.profile)["payload_bytes"] += payload_size
-        if payload_has_traces(payload):
-            from repro.flashsim.trace import IOTrace, pickled_sizes
-
-            columnar_total = 0
-            object_total = 0
-            for row in payload["rows"]:
-                for trace_payload in row.get("traces", ()):
-                    columnar, object_graph = pickled_sizes(
-                        IOTrace.from_payload(trace_payload)
-                    )
-                    columnar_total += columnar
-                    object_total += object_graph
-            entry["trace_bytes"] = {
-                "columnar": columnar_total,
-                "object_graph": object_total,
-                "saved": object_total - columnar_total,
-            }
-            self.trace_bytes_saved += object_total - columnar_total
         path = self._path(key)
         path.write_text(json.dumps(entry, indent=2))
         return path
@@ -799,14 +737,10 @@ class CampaignExecutor:
     restored snapshot and runs the same code path, so the two modes
     produce identical results.
 
-    The parallel dispatch defaults to the throughput architecture of
-    DESIGN.md §14 — ``share_snapshots`` (zero-copy shared-memory
-    snapshot distribution), ``warm_workers`` (resident devices +
-    restore skipping) and ``pipeline_prepare`` (state enforcement in
-    workers, concurrent across profiles).  Setting all three False
-    selects the legacy dispatch: serial parent-side enforcement and one
-    pickled snapshot through the pipe per cell.  Results are
-    bit-identical across all modes; :attr:`sched` reports what the
+    The parallel dispatch is the throughput architecture of DESIGN.md
+    §14: zero-copy shared-memory snapshot distribution, resident worker
+    devices with restore skipping, and state enforcement in workers,
+    concurrent across profiles.  :attr:`sched` reports what the
     dispatcher did.  Executors that shared snapshots own shared-memory
     segments — release them with :meth:`close` (or use the executor as
     a context manager); a finalizer and the resource tracker back the
@@ -833,9 +767,6 @@ class CampaignExecutor:
         state_pool: StatePool | None = None,
         keep_traces: bool = False,
         attribution: bool = False,
-        share_snapshots: bool = True,
-        warm_workers: bool = True,
-        pipeline_prepare: bool = True,
         max_states: int | None = None,
     ) -> None:
         if jobs < 1:
@@ -846,11 +777,11 @@ class CampaignExecutor:
         self.enforce_seed = enforce_seed
         self.attribution = attribution
         self.keep_traces = keep_traces or attribution
-        self.share_snapshots = share_snapshots
-        self.warm_workers = warm_workers
-        self.pipeline_prepare = pipeline_prepare
         self.max_states = max_states
-        self._pool = state_pool or StatePool(max_states=max_states)
+        # an empty pool is falsy (StatePool defines __len__): test None
+        self._pool = (
+            state_pool if state_pool is not None else StatePool(max_states=max_states)
+        )
         self._store: SnapshotStore | None = None
         self._prepared: "OrderedDict[tuple, _PreparedGroup]" = OrderedDict()
         #: what the dispatcher did, accumulated across execute() calls
@@ -900,10 +831,10 @@ class CampaignExecutor:
     def _prepared_group(self, cell: CampaignCell, report) -> _PreparedGroup:
         """The cell's group with an in-process snapshot, preparing on miss.
 
-        Serves the sequential and legacy paths, which restore from a
-        parent-held snapshot: a memoized segment-only group (left by a
-        previous pipelined execute) fetches a copy out of the store
-        rather than re-enforcing.
+        Serves the sequential path, which restores from a parent-held
+        snapshot: a memoized segment-only group (left by a previous
+        parallel execute) fetches a copy out of the store rather than
+        re-enforcing.
         """
         group = (cell.profile, cell.capacity)
         prep = self._prepared.get(group)
@@ -931,10 +862,8 @@ class CampaignExecutor:
         Failure (no shared memory on this platform) is not an error —
         the group's cells fall back to inline snapshots.
         """
-        if not self.share_snapshots or prep.segment is not None:
+        if prep.segment is not None:
             return
-        if self._store is None:
-            self._store = SnapshotStore()
         try:
             name, nbytes = self._store.publish(prep.fingerprint, prep.snapshot)
         except (OSError, ValueError):
@@ -1040,12 +969,6 @@ class CampaignExecutor:
         with obs_tracing.span("campaign", cat="executor", cells=total):
             if self.jobs == 1 or total <= 1:
                 self._run_sequential(cells, report, try_cache, serve_cached, finish)
-            elif not (
-                self.share_snapshots or self.warm_workers or self.pipeline_prepare
-            ):
-                self._run_legacy(
-                    cells, observe, report, try_cache, serve_cached, finish, absorb
-                )
             else:
                 self._run_warm(
                     cells, observe, report, try_cache, serve_cached, finish, absorb
@@ -1084,68 +1007,14 @@ class CampaignExecutor:
                 ),
             )
 
-    def _run_legacy(
-        self, cells, observe, report, try_cache, serve_cached, finish, absorb
-    ) -> None:
-        """The pre-throughput dispatch: serial parent-side enforcement,
-        then one pickled snapshot through the pool pipe per cell and a
-        cold device rebuild in the worker.  Kept both as the benchmark
-        baseline and as the fallback the CLI exposes via
-        ``--dispatch legacy``."""
-        pending = []
-        for index, cell in enumerate(cells):
-            prep = self._prepared_group(cell, report)
-            key, entry = try_cache(cell, prep)
-            if entry is not None:
-                serve_cached(index, cell, entry)
-                continue
-            pending.append((index, cell, prep, key))
-        if pending:
-            report(f"running {len(pending)} cell(s) with jobs={self.jobs}")
-        if len(pending) <= 1:
-            for index, cell, prep, key in pending:
-                finish(
-                    index,
-                    cell,
-                    key,
-                    _run_cell_body(
-                        cell,
-                        prep.snapshot,
-                        keep_traces=self.keep_traces,
-                        attribution=self.attribution,
-                    ),
-                )
-            return
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
-        ) as pool:
-            futures = {}
-            for index, cell, prep, key in pending:
-                if prep.pickled_bytes == 0:
-                    prep.pickled_bytes = len(
-                        pickle.dumps(prep.snapshot, pickle.HIGHEST_PROTOCOL)
-                    )
-                self.sched.bytes_shipped += prep.pickled_bytes
-                self.sched.cold_builds += 1
-                futures[
-                    pool.submit(_execute_cell_remote, cell, prep.snapshot, observe)
-                ] = (index, cell, key)
-            for future in as_completed(futures):
-                index, cell, key = futures[future]
-                envelope = future.result()
-                absorb(envelope)
-                finish(index, cell, key, envelope)
-
     def _run_warm(
         self, cells, observe, report, try_cache, serve_cached, finish, absorb
     ) -> None:
         """The throughput dispatch (DESIGN.md §14).
 
         Groups cells by (profile, capacity) and, for groups without a
-        prepared state, enforces in the workers (``pipeline_prepare``)
-        or serially in the parent — publishing into the shared-memory
-        store either way.  As each group's state lands, its cells are
+        prepared state, enforces in the workers, which publish into the
+        shared-memory store.  As each group's state lands, its cells are
         cache-checked and dispatched *contiguously*: the pool's FIFO
         task queue then keeps consecutive same-group cells on the same
         workers, which is what makes resident devices hit.  A single
@@ -1156,9 +1025,9 @@ class CampaignExecutor:
         groups: "OrderedDict[tuple, list]" = OrderedDict()
         for index, cell in enumerate(cells):
             groups.setdefault((cell.profile, cell.capacity), []).append((index, cell))
-        if self.share_snapshots and self._store is None:
+        if self._store is None:
             self._store = SnapshotStore()
-        token = self._store.token if self._store is not None else None
+        token = self._store.token
         protect = frozenset(groups)
         workers = min(self.jobs, len(cells))
         with ProcessPoolExecutor(
@@ -1188,7 +1057,6 @@ class CampaignExecutor:
                         fingerprint=prep.fingerprint,
                         segment=prep.segment,
                         snapshot=None if prep.segment is not None else prep.snapshot,
-                        warm=self.warm_workers,
                     )
                     cell_futures[pool.submit(_execute_cell_fast, task, observe)] = (
                         index,
@@ -1202,7 +1070,7 @@ class CampaignExecutor:
                         f"with jobs={self.jobs}"
                     )
 
-            for group, members in groups.items():
+            for group in groups:
                 prep = self._prepared.get(group)
                 if prep is not None and (
                     prep.segment is not None or prep.snapshot is not None
@@ -1210,7 +1078,7 @@ class CampaignExecutor:
                     self._prepared.move_to_end(group)
                     self._publish_group(prep)
                     dispatch_group(group)
-                elif self.pipeline_prepare:
+                else:
                     report(f"preparing enforced state for {group[0]} ...")
                     task = _PrepareTask(
                         profile=group[0],
@@ -1218,13 +1086,8 @@ class CampaignExecutor:
                         enforce=self.enforce,
                         seed=self.enforce_seed,
                         token=token,
-                        warm=self.warm_workers,
                     )
                     prepare_futures[pool.submit(_prepare_remote, task, observe)] = group
-                else:
-                    prep = self._prepared_group(members[0][1], report)
-                    self._publish_group(prep)
-                    dispatch_group(group)
 
             while prepare_futures or cell_futures:
                 ready, _ = wait(
@@ -1244,7 +1107,7 @@ class CampaignExecutor:
                             packed_bytes=envelope["packed_bytes"],
                             pickled_bytes=envelope["pickled_bytes"],
                         )
-                        if prep.segment is not None and self._store is not None:
+                        if prep.segment is not None:
                             self._store.adopt(
                                 prep.fingerprint, prep.segment, prep.packed_bytes
                             )
@@ -1255,12 +1118,12 @@ class CampaignExecutor:
                         index, cell, key = cell_futures.pop(future)
                         envelope = future.result()
                         absorb(envelope)
-                        sched = envelope.get("sched") or {}
-                        if sched.get("warm"):
+                        sched = envelope["sched"]
+                        if sched["warm"]:
                             self.sched.warm_hits += 1
                         else:
                             self.sched.cold_builds += 1
-                        if sched.get("skipped_restore"):
+                        if sched["skipped_restore"]:
                             self.sched.restores_skipped += 1
                         finish(index, cell, key, envelope)
 

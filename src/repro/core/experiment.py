@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Union
 
-from repro.core.engine import Engine, reseed, rest_device
+from repro.core.engine import execute, reseed, rest_device
 from repro.core.patterns import MixSpec, ParallelMixSpec, ParallelSpec, PatternSpec
 from repro.core.stats import RunStats, relative_difference
 from repro.errors import ExperimentError
@@ -126,17 +126,6 @@ def _reseed(spec: SpecLike, bump: int) -> SpecLike:
     return reseed(spec, bump)
 
 
-def execute_spec(device: FlashDevice, spec: SpecLike):
-    """Dispatch a spec to the right executor; returns the run object.
-
-    A thin front over :meth:`Engine.run`: dispatch is by the engine's
-    executor registry, so every registered spec kind — including
-    :class:`ParallelMixSpec` — executes without this module knowing
-    about it.
-    """
-    return Engine(device).run(spec)
-
-
 def _trace_iops(trace: IOTrace) -> float:
     """Simulated IOPS of one run: IO count over the trace makespan.
 
@@ -184,7 +173,7 @@ def run_experiment(
             spec = _reseed(base_spec, repetition)
             if allocate is not None:
                 spec = allocate(spec)
-            run = execute_spec(device, spec)
+            run = execute(device, spec)
             row.stats.append(run.stats)
             trace = getattr(run, "trace", None)
             if trace is not None:

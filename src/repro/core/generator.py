@@ -1,19 +1,15 @@
-"""Pattern generators: specs -> feedback-driven IO request streams.
+"""Pattern generators: specs -> precomputed IO programs.
 
 The submit time of IO ``i`` depends on the *response time* of IO
 ``i-1`` (Table 1: ``t(IOi) = t(IOi-1) + rt(IOi-1) [+ pauses]``), so a
 pattern cannot be fully materialised up front — the feedback step is
-irreducibly per-IO.  Everything *else* is not: the random slot draws,
-the LBA formula and the inter-IO gaps depend only on the index, so the
-generators pre-draw the whole run in one batch at construction and
-expose the result as an :class:`IOProgram` of columns.  The hosts'
-program runners consume those columns directly; the legacy per-request
-protocol (:data:`~repro.flashsim.host.RequestFeed`) keeps working on
-top of the same precomputed values, so both paths see identical IOs.
+irreducibly per-IO and lives in the hosts' program runners
+(:mod:`repro.flashsim.host`).  Everything *else* is not: the random
+slot draws, the LBA formula and the inter-IO gaps depend only on the
+index, so the generators pre-draw the whole run in one batch at
+construction and expose the result as an :class:`IOProgram` of columns.
 
-The RNG is ``random.Random(seed)`` exactly as before — pre-drawing
-consumes the same stream in the same order, so every simulated
-measurement is unchanged.
+The RNG is ``random.Random(seed)``, drawn once per IO in index order.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.patterns import LocationKind, MixSpec, PatternSpec
-from repro.iotypes import CompletedIO, IORequest, Mode
+from repro.iotypes import Mode
 
 
 @dataclass(frozen=True)
@@ -50,6 +46,18 @@ class IOProgram:
     def __len__(self) -> int:
         return len(self.lbas)
 
+    def slice(self, start: int, stop: int) -> "IOProgram":
+        """IOs ``start`` up to ``stop`` as a program of their own."""
+        components = self.components
+        return IOProgram(
+            lbas=self.lbas[start:stop],
+            sizes=self.sizes[start:stop],
+            writes=self.writes[start:stop],
+            gaps=self.gaps[start:stop],
+            components=None if components is None else components[start:stop],
+            queue_depth=self.queue_depth,
+        )
+
 
 def _pre_draw(seed: int, slots: int, count: int) -> list[int]:
     """The first ``count`` values of the spec's random-slot stream."""
@@ -58,15 +66,10 @@ def _pre_draw(seed: int, slots: int, count: int) -> list[int]:
 
 
 class PatternGenerator:
-    """Generates the requests of one basic pattern.
+    """Compiles one basic pattern into its :class:`IOProgram`."""
 
-    Instances are single-use: one generator drives one run.
-    """
-
-    def __init__(self, spec: PatternSpec, start_at: float = 0.0) -> None:
+    def __init__(self, spec: PatternSpec) -> None:
         self.spec = spec
-        self.start_at = start_at
-        self._index = 0
         count = spec.io_count
         draws = None
         if spec.location is LocationKind.RANDOM:
@@ -81,35 +84,10 @@ class PatternGenerator:
             gaps=spec.gap_array(count),
             queue_depth=spec.queue_depth,
         )
-        self._lbas = lbas.tolist()
-        self._gaps = self._program.gaps.tolist()
 
     def program(self) -> IOProgram:
         """The precomputed columns of the whole run."""
         return self._program
-
-    def __call__(self, previous: CompletedIO | None) -> IORequest | None:
-        spec = self.spec
-        if self._index >= spec.io_count:
-            return None
-        index = self._index
-        self._index += 1
-        if previous is None:
-            scheduled = self.start_at
-        else:
-            scheduled = previous.completed_at + self._gaps[index]
-        return IORequest(
-            index=index,
-            lba=self._lbas[index],
-            size=spec.io_size,
-            mode=spec.mode,
-            scheduled_at=scheduled,
-        )
-
-    @property
-    def issued(self) -> int:
-        """Requests produced so far."""
-        return self._index
 
 
 class MixGenerator:
@@ -121,10 +99,8 @@ class MixGenerator:
     would make the Ratio parameter no longer the single varying factor).
     """
 
-    def __init__(self, spec: MixSpec, start_at: float = 0.0) -> None:
+    def __init__(self, spec: MixSpec) -> None:
         self.spec = spec
-        self.start_at = start_at
-        self._index = 0
         count = spec.io_count
         indexes = np.arange(count, dtype=np.int64)
         which = (indexes % (spec.ratio + 1) == spec.ratio).astype(np.int8)
@@ -139,8 +115,8 @@ class MixGenerator:
             )
             draws = None
             if component.location is LocationKind.RANDOM:
-                # one draw per occurrence, wrap or not — exactly the
-                # stream the per-request path consumed lazily
+                # one draw per occurrence, whether or not the
+                # component's inner index wrapped
                 draws = np.array(
                     _pre_draw(component.seed, component.slots, occurrences),
                     dtype=np.int64,
@@ -156,15 +132,6 @@ class MixGenerator:
             components=which,
             queue_depth=spec.queue_depth,
         )
-        self._lbas = lbas.tolist()
-        self._sizes = sizes.tolist()
-        self._modes = [
-            Mode.WRITE if write else Mode.READ for write in writes.tolist()
-        ]
-        self._which = which.tolist()
-        #: which component produced each issued IO, in order (the runner
-        #: splits statistics per component with this)
-        self.component_log: list[int] = []
 
     def program(self) -> IOProgram:
         """The precomputed columns of the whole mix run."""
@@ -172,23 +139,6 @@ class MixGenerator:
 
     @property
     def components_array(self) -> np.ndarray:
-        """Issuing component per mix index (0=primary, 1=secondary),
-        for the entire run regardless of how many IOs were issued."""
+        """Issuing component per mix index (0=primary, 1=secondary)."""
         assert self._program.components is not None
         return self._program.components
-
-    def __call__(self, previous: CompletedIO | None) -> IORequest | None:
-        if self._index >= self.spec.io_count:
-            return None
-        index = self._index
-        self._index += 1
-        scheduled = self.start_at if previous is None else previous.completed_at
-        request = IORequest(
-            index=index,
-            lba=self._lbas[index],
-            size=self._sizes[index],
-            mode=self._modes[index],
-            scheduled_at=scheduled,
-        )
-        self.component_log.append(self._which[index])
-        return request

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.patterns import LocationKind, PatternSpec
-from repro.core.runner import execute
+from repro.core.engine import execute
 from repro.flashsim.device import FlashDevice
 from repro.iotypes import Mode
 from repro.units import KIB, SEC

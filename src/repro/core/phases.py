@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.patterns import PatternSpec
-from repro.core.runner import execute
+from repro.core.engine import execute
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
 

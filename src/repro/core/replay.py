@@ -22,7 +22,7 @@ from repro.core.stats import RunStats, summarize
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
 from repro.flashsim.trace import IOTrace, TraceRow
-from repro.iotypes import IORequest, Mode
+from repro.iotypes import Mode
 
 
 class ReplayMode(enum.Enum):
@@ -54,22 +54,6 @@ class ReplayResult:
         return self.original_span_usec / self.replay_span_usec
 
 
-def _requests_from_rows(rows: Sequence[TraceRow]) -> list[IORequest]:
-    if not rows:
-        raise AnalysisError("cannot replay an empty trace")
-    origin = rows[0].submitted_at
-    return [
-        IORequest(
-            index=position,
-            lba=row.lba,
-            size=row.size,
-            mode=row.mode,
-            scheduled_at=row.submitted_at - origin,
-        )
-        for position, row in enumerate(rows)
-    ]
-
-
 def replay(
     device: FlashDevice,
     rows: Sequence[TraceRow],
@@ -80,26 +64,30 @@ def replay(
 
     Every replayed extent must fit the target device; replaying a trace
     captured on a bigger device onto a smaller one raises (remap the
-    LBAs first if that is what you want).
+    LBAs first if that is what you want).  Each IO is recorded with its
+    recorded arrival offset (submit time relative to the first row) as
+    its scheduled time.
     """
-    requests = _requests_from_rows(rows)
-    for request in requests:
-        if request.lba + request.size > device.capacity:
+    if not rows:
+        raise AnalysisError("cannot replay an empty trace")
+    for row in rows:
+        if row.size <= 0 or row.lba < 0 or row.lba + row.size > device.capacity:
             raise AnalysisError(
-                f"trace extent [{request.lba}, +{request.size}) exceeds the "
+                f"trace extent [{row.lba}, +{row.size}) does not fit the "
                 f"target device's capacity {device.capacity}"
             )
+    origin = rows[0].submitted_at
     start = device.busy_until
-    out = IOTrace()
+    timed = mode is ReplayMode.TIMED
+    out = IOTrace(capacity=len(rows))
     now = start
-    for request in requests:
-        if mode is ReplayMode.TIMED:
-            submit_at = max(start + request.scheduled_at, start)
-        else:
-            submit_at = now
-        completed = device.submit(request, submit_at)
-        out.append(completed)
-        now = completed.completed_at
+    for position, row in enumerate(rows):
+        offset = row.submitted_at - origin
+        submit_at = max(start + offset, start) if timed else now
+        now = device.submit_into(
+            out, position, row.lba, row.size, row.mode is Mode.WRITE,
+            submit_at, offset,
+        )
     stats = summarize(out.response_times(), io_ignore)
     original_span = rows[-1].completed_at - rows[0].submitted_at
     replay_span = out[-1].completed_at - out[0].submitted_at

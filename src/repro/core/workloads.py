@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.patterns import LocationKind, MixSpec, PatternSpec
-from repro.core.runner import execute, execute_mix
+from repro.core.engine import execute
 from repro.errors import PatternError
 from repro.flashsim.device import FlashDevice
 from repro.iotypes import Mode
@@ -263,14 +263,9 @@ def evaluate_workload(
     device: FlashDevice, name: str, spec: PatternSpec | MixSpec
 ) -> WorkloadReport:
     """Run a workload and condense the outcome."""
-    if isinstance(spec, MixSpec):
-        run = execute_mix(device, spec)
-        trace = run.trace
-        stats = run.stats
-    else:
-        run = execute(device, spec)
-        trace = run.trace
-        stats = run.stats
+    run = execute(device, spec)
+    trace = run.trace
+    stats = run.stats
     writes = trace.column("write")
     bytes_written = int(trace.column("size")[writes].sum())
     programs = int(

@@ -40,7 +40,7 @@ from repro.flashsim.power import (
     PowerSpec,
     measure_run_energy,
 )
-from repro.flashsim.host import AsyncHost, ParallelHost, SyncHost, feed_from_iterable
+from repro.flashsim.host import AsyncHost, ParallelHost, SyncHost
 from repro.flashsim.profiles import (
     ALL_PROFILES,
     TABLE3_PROFILES,
@@ -58,7 +58,7 @@ from repro.flashsim.recorder import (
     summarize_components,
 )
 from repro.flashsim.timing import MLC_TIMING, SLC_TIMING, CostAccumulator, TimingSpec
-from repro.flashsim.trace import ATTRIBUTION_COLUMNS, IOTrace, TraceRow, pickled_sizes
+from repro.flashsim.trace import ATTRIBUTION_COLUMNS, IOTrace, TraceRow
 from repro.flashsim.wear import (
     LifetimeProjection,
     WearReport,
@@ -112,14 +112,12 @@ __all__ = [
     "WriteBackCache",
     "build_device",
     "events_from_trace",
-    "feed_from_iterable",
     "get_profile",
     "mask_from_indices",
     "pack_bits",
     "pack_snapshot",
     "profile_names",
     "measure_run_energy",
-    "pickled_sizes",
     "project_lifetime",
     "scaled_profile",
     "summarize_components",

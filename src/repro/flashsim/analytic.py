@@ -79,6 +79,14 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: master switch; tests flip it off to force the reference path
 ENABLED = True
 
+#: shortest read/write stretch of a synchronous program worth a kernel
+#: window: a window's setup (column expansion, token resolution, state
+#: write-back) costs more than the per-IO path saves on shorter runs,
+#: so :func:`run_program_into` sends them straight to the per-IO path.
+#: Set from a sweep of stretch lengths on the page-map and block-map
+#: families (docs/performance.md); not a tuning knob.
+MIN_KERNEL_STRETCH = 16
+
 
 @dataclass
 class KernelStats:
@@ -1133,12 +1141,14 @@ def run_program_into(
 
     Returns False — with *no* state touched — when the program shape
     itself disqualifies (paced gaps, host overhead, queue-misaligned
-    start, or a device-level decline); the synchronous host then runs
-    its reference loop.  Returns True when the program completed: every
-    IO was simulated either inside a closed-form window or, at window
-    boundaries (GC about to fire, verification about to fail), through
-    the ordinary :meth:`~repro.flashsim.device.FlashDevice.submit_into`
-    path — which also re-raises exactly the reference errors.
+    start, no read/write stretch of ``MIN_KERNEL_STRETCH`` IOs, or a
+    device-level decline); the synchronous host then runs its reference
+    loop.  Returns True when the program completed: every IO was
+    simulated either inside a closed-form window or through the
+    ordinary :meth:`~repro.flashsim.device.FlashDevice.submit_into`
+    path — for the IOs of stretches too short for a window, and at
+    window boundaries (GC about to fire, verification about to fail),
+    where it also re-raises exactly the reference errors.
     """
     if not ENABLED:
         STATS.decline("program:disabled")
@@ -1166,25 +1176,35 @@ def run_program_into(
     bounds = np.empty(flips.size + 1, dtype=np.int64)
     bounds[: flips.size] = flips
     bounds[-1] = count
+    lengths = np.diff(bounds, prepend=0)
+    if int(lengths.max()) < MIN_KERNEL_STRETCH:
+        STATS.decline("program:short-stretch")
+        return False
 
     clock = start_at
     i = 0
     end_i = 0
+    short = False
     while i < count:
         if i >= end_i:
             end_i = int(bounds[np.searchsorted(bounds, i, side="right")])
-        kernel = write_window if writes[i] else read_window
+            short = end_i - i < MIN_KERNEL_STRETCH
+            if short:
+                STATS.decline("program:short-stretch")
         sched0 = start_at if i == 0 else clock
-        done, clock_after = kernel(
-            device, lbas[i:end_i], sizes[i:end_i], clock,
-            trace=trace, row0=i, sched0=sched0,
-        )
+        done = 0
+        if not short:
+            kernel = write_window if writes[i] else read_window
+            done, clock_after = kernel(
+                device, lbas[i:end_i], sizes[i:end_i], clock,
+                trace=trace, row0=i, sched0=sched0,
+            )
         if done:
             i += done
             clock = clock_after
         else:
-            # reference path for the one IO the kernel refused (GC
-            # fires, verification raises, ...) — then try again
+            # reference path for a short stretch's IOs and for the one
+            # IO a kernel refused (GC fires, verification raises, ...)
             clock = device.submit_into(
                 trace, i, int(lbas[i]), int(sizes[i]), bool(writes[i]),
                 sched0, sched0,

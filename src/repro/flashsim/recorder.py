@@ -38,8 +38,8 @@ integer microseconds by largest-remainder apportionment against
 
     ``sum(components) == round(completed_at - submitted_at)``
 
-for every IO, in every pipeline (sync/async, columnar/legacy,
-scalar/batch).  Provenance comes from the
+for every IO, in every pipeline (sync/async, columnar trace or
+per-IO ``submit``, scalar/batch).  Provenance comes from the
 :meth:`~repro.flashsim.timing.CostAccumulator.begin_scope` ledger the
 FTLs, controller and cache populate; work no scope claims falls into
 the host-level components, so the invariant is structural — mislabeled

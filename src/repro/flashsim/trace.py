@@ -393,7 +393,8 @@ class IOTrace:
         self._attr[row] = attribution
 
     def append(self, completed: CompletedIO) -> None:
-        """Record one completed IO (legacy object-based protocol)."""
+        """Record one :class:`~repro.iotypes.CompletedIO` (what
+        :meth:`~repro.flashsim.device.FlashDevice.submit` returns)."""
         request = completed.request
         self.record(
             request.index,
@@ -794,20 +795,3 @@ def _trace_from_packed(
             )
     trace._n = n
     return trace
-
-
-def pickled_sizes(trace: IOTrace) -> tuple[int, int]:
-    """Pickle sizes of ``trace``: ``(columnar, object_graph)`` bytes.
-
-    The first is the trace as pickled today (packed column buffers via
-    ``__reduce__``); the second is the legacy object-graph format (a
-    list of :class:`~repro.iotypes.CompletedIO`).  The run cache and
-    the hot-path benchmark report the difference as the IPC saving.
-    """
-    import pickle
-
-    columnar = len(pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL))
-    object_graph = len(
-        pickle.dumps(list(trace), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    return columnar, object_graph

@@ -25,7 +25,13 @@ import pytest
 
 from repro.core import enforce_random_state
 from repro.core.engine import Engine
-from repro.core.patterns import LocationKind, PatternSpec, TimingKind, baselines
+from repro.core.patterns import (
+    LocationKind,
+    MixSpec,
+    PatternSpec,
+    TimingKind,
+    baselines,
+)
 from repro.flashsim import analytic
 from repro.flashsim.profiles import build_device
 from repro.iotypes import Mode
@@ -406,5 +412,46 @@ def test_paced_program_declines_but_matches_reference():
     with kernels_disabled():
         reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
+    assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
+    assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
+
+
+@pytest.mark.parametrize("ratio", (3, 63))
+def test_short_stretches_go_per_io_long_ones_take_windows(ratio):
+    """A mix's read/write stretches shorter than
+    ``MIN_KERNEL_STRETCH`` run per IO (a window's setup would cost more
+    than it saves); long read stretches still take read windows.  Both
+    match the reference bit for bit."""
+    primary = PatternSpec(
+        mode=Mode.READ,
+        location=LocationKind.RANDOM,
+        io_size=16 * KIB,
+        io_count=256,
+        target_size=2 * MIB,
+    )
+    secondary = PatternSpec(
+        mode=Mode.WRITE,
+        location=LocationKind.SEQUENTIAL,
+        io_size=16 * KIB,
+        io_count=256,
+        target_offset=2 * MIB,
+        target_size=2 * MIB,
+    )
+    spec = MixSpec(primary=primary, secondary=secondary, ratio=ratio, io_count=256)
+    kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    reference_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    kernel_run = kernel_engine.run(spec)
+    if ratio < analytic.MIN_KERNEL_STRETCH:
+        assert analytic.STATS.read_windows == 0
+        assert analytic.STATS.write_windows == 0
+        assert analytic.STATS.declines["program:short-stretch"] > 0
+    else:
+        assert analytic.STATS.read_windows > 0
+        assert analytic.STATS.read_ios >= 3 * ratio
+    with kernels_disabled():
+        reference_run = reference_engine.run(spec)
+    assert kernel_run.stats == reference_run.stats
+    assert kernel_run.primary_stats == reference_run.primary_stats
+    assert kernel_run.secondary_stats == reference_run.secondary_stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.autotune import autotune_run, confidence_halfwidth
-from repro.core.patterns import LocationKind, PatternSpec
+from repro.core.generator import PatternGenerator
+from repro.core.patterns import LocationKind, PatternSpec, TimingKind
+from repro.core.phases import detect_phases
+from repro.core.stats import summarize
 from repro.errors import AnalysisError
-from repro.iotypes import Mode
-from repro.units import KIB
+from repro.flashsim.profiles import build_device
+from repro.iotypes import IORequest, Mode
+from repro.units import KIB, MIB
 
 from tests.conftest import make_device
 
@@ -142,3 +146,69 @@ def test_autotune_beats_fixed_iocount_budget(enforced_mtron):
     assert write_result.converged
     # the tuned mean is in the steady regime (far above the cheap phase)
     assert write_result.stats.mean_usec > 2_000.0
+
+
+def _submit_loop_responses(device, spec, count):
+    """Reference: the first ``count`` IOs of ``spec`` as one continuous
+    per-IO :meth:`FlashDevice.submit` loop (Table 1's recurrence)."""
+    program = PatternGenerator(spec).program()
+    clock = device.busy_until
+    responses = []
+    for index in range(count):
+        if index:
+            clock += float(program.gaps[index])
+        request = IORequest(
+            index,
+            int(program.lbas[index]),
+            int(program.sizes[index]),
+            Mode.WRITE if program.writes[index] else Mode.READ,
+            clock,
+        )
+        completed = device.submit(request, clock)
+        responses.append(completed.response_usec)
+        clock = completed.completed_at
+    return responses
+
+
+@pytest.mark.parametrize(
+    ("profile", "timing", "relative_ci"),
+    [
+        ("ideal_pagemap", TimingKind.CONSECUTIVE, 0.10),
+        ("ideal_pagemap", TimingKind.CONSECUTIVE, 0.0001),
+        ("kingston_dti", TimingKind.PAUSE, 0.10),
+        ("memoright", TimingKind.BURST, 0.0001),
+    ],
+)
+def test_autotune_matches_a_per_io_submit_loop(profile, timing, relative_ci):
+    """Chunked program runs reproduce a continuous per-IO loop: same
+    response stream, device state and every result field."""
+    device = build_device(profile, logical_bytes=4 * MIB)
+    twin = build_device(profile, logical_bytes=4 * MIB)
+    spec = rw_spec(device).with_(
+        timing=timing,
+        pause_usec=0.0 if timing is TimingKind.CONSECUTIVE else 300.0,
+        burst=4 if timing is TimingKind.BURST else 0,
+    )
+    chunk, min_running = 32, 32
+    result = autotune_run(
+        device, spec, relative_ci=relative_ci, chunk=chunk,
+        min_ios=64, max_ios=256, min_running=min_running,
+    )
+    long_spec = spec.with_(io_count=256, io_ignore=0)
+    expected = _submit_loop_responses(twin, long_spec, result.io_count)
+    assert result.responses == tuple(expected)
+    assert device.fingerprint() == twin.fingerprint()
+
+    values = np.asarray(expected)
+    phases = detect_phases(values)
+    io_ignore = int(phases.startup * 1.25) if phases.startup else 0
+    if not result.converged:
+        assert result.io_count == 256
+        io_ignore = max(0, min(io_ignore, len(expected) - min_running))
+    half, rel = confidence_halfwidth(values[io_ignore:])
+    assert result.converged is (relative_ci > 0.001)
+    assert result.chunks == -(-result.io_count // chunk)
+    assert result.phases == phases
+    assert result.io_ignore == io_ignore
+    assert result.stats == summarize(expected, io_ignore)
+    assert (result.ci_halfwidth_usec, result.relative_ci) == (half, rel)

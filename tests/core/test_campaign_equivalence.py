@@ -1,12 +1,12 @@
-"""Equivalence suite: the throughput dispatch changes nothing but time.
+"""Equivalence suite: the parallel dispatch changes nothing but time.
 
 DESIGN.md §14's contract — warm-worker scheduling, shared-memory
 snapshot restore and pipelined worker-side enforcement must leave
 campaign outcomes **bit-identical** to the sequential executor: same
 payloads, same state fingerprints, same per-IO trace columns.  These
-tests pin that contract at ``--jobs 4`` against ``jobs=1`` and against
-the legacy parallel dispatch, with the scheduling machinery verifiably
-active (warm hits observed, zero snapshot bytes through the pipe).
+tests pin that contract at ``--jobs 4`` against ``jobs=1``, with the
+scheduling machinery verifiably active (warm hits observed, zero
+snapshot bytes through the pipe).
 """
 
 import pytest
@@ -75,25 +75,6 @@ def test_jobs4_warm_dispatch_bit_identical_to_sequential():
     assert [o.cell for o in fast] == [o.cell for o in base]
     for key, outcome in by_experiment(base).items():
         assert by_experiment(fast)[key].payload == outcome.payload
-
-
-def test_jobs4_warm_dispatch_matches_legacy_dispatch():
-    cells = campaign_cells()
-
-    legacy = CampaignExecutor(
-        jobs=4, share_snapshots=False, warm_workers=False, pipeline_prepare=False
-    )
-    warm = CampaignExecutor(jobs=4)
-    try:
-        old = legacy.execute(cells)
-        new = warm.execute(cells)
-    finally:
-        legacy.close()
-        warm.close()
-    assert legacy.sched.warm_hits == 0
-    assert legacy.sched.bytes_shipped > 0
-    for key, outcome in by_experiment(old).items():
-        assert by_experiment(new)[key].payload == outcome.payload
 
 
 def test_trace_columns_identical_across_dispatch_modes():

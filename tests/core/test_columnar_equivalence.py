@@ -1,17 +1,23 @@
-"""Columnar/legacy equivalence: the columnar pipeline must be invisible.
+"""Fast-path equivalence: the default engine against the reference.
 
-The engine's default recording pipeline (``Engine(columnar=True)``)
-drives the hosts' program runners, which record scalars straight into
-column-backed :class:`~repro.flashsim.trace.IOTrace` storage; the
-legacy path (``columnar=False``) builds one :class:`IORequest` and one
-:class:`CompletedIO` per IO through the request-feed protocol.  The
-columnar path is a pure performance optimisation: for every registered
-spec kind it must produce bit-identical run statistics, byte-identical
-trace CSV, identical per-row views and identical final device state
+The engine's default path drives each spec's precomputed
+:class:`~repro.core.generator.IOProgram` through a host's program
+runner, which records into column-backed
+:class:`~repro.flashsim.trace.IOTrace` storage and hands qualifying
+stretches to the closed-form kernels (:mod:`repro.flashsim.analytic`)
+and the batch controller/FTL paths.  The reference oracle is the same
+engine with the kernels switched off (``analytic.ENABLED = False``)
+and the batch paths off (``batch_enabled = False``), so every IO takes
+the scalar per-IO path.  For every registered spec kind the two must
+produce bit-identical run statistics, byte-identical trace CSV,
+identical per-row views and identical final device state
 (``fingerprint``) on every profile.
 
 Each case builds two fresh devices of the same profile, runs the same
-spec through both engines and pins all four equivalences.
+spec through the default engine and through the reference, and pins
+all four equivalences.  (The test names keep their historical
+``columnar_legacy`` wording: "columnar" is the default engine,
+"legacy" the scalar reference.)
 """
 
 from __future__ import annotations
@@ -29,19 +35,39 @@ from repro.core.patterns import (
     TimingKind,
     baselines,
 )
+from repro.flashsim import analytic
 from repro.flashsim.profiles import build_device
 from repro.iotypes import Mode
 from repro.units import KIB, MIB
 
-PROFILES = ("memoright", "kingston_dti")
+#: page-map (kernels serve), hybrid (kernels decline) and block-map
+#: (kernels serve with reference replay at merge edges)
+PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
 
 BASELINE_KINDS = ("SR", "RR", "SW", "RW")
 
 
+class _ReferenceEngine(Engine):
+    """The engine with every fast path off: the scalar per-IO oracle."""
+
+    def __init__(self, device) -> None:
+        device.controller.batch_enabled = False
+        device.ftl.batch_enabled = False
+        super().__init__(device)
+
+    def run(self, spec, start_at=None):
+        previous = analytic.ENABLED
+        analytic.ENABLED = False
+        try:
+            return super().run(spec, start_at)
+        finally:
+            analytic.ENABLED = previous
+
+
 def _engine_pair(profile: str) -> tuple[Engine, Engine]:
-    """Two engines over identical fresh devices: columnar and legacy."""
-    columnar = Engine(build_device(profile, logical_bytes=4 * MIB), columnar=True)
-    legacy = Engine(build_device(profile, logical_bytes=4 * MIB), columnar=False)
+    """Two engines over identical fresh devices: default and reference."""
+    columnar = Engine(build_device(profile, logical_bytes=4 * MIB))
+    legacy = _ReferenceEngine(build_device(profile, logical_bytes=4 * MIB))
     return columnar, legacy
 
 

@@ -8,9 +8,9 @@ from repro.core.engine import (
     ParallelMixRun,
     ParallelRun,
     Run,
+    execute,
     reseed,
 )
-from repro.core.experiment import execute_spec
 from repro.core.patterns import (
     LocationKind,
     MixSpec,
@@ -73,7 +73,7 @@ def test_engine_dispatches_every_spec_kind():
 def test_execute_spec_dispatches_parallel_mix():
     # regression: the old isinstance ladder never reached ParallelMixSpec
     device = make_device()
-    result = execute_spec(device, parallel_mix_spec())
+    result = execute(device, parallel_mix_spec())
     assert isinstance(result, ParallelMixRun)
     assert len(result.runs) == 2
     assert result.stats.count == 24
@@ -163,7 +163,7 @@ def test_new_spec_kinds_register_once_for_every_caller():
 
         spec = NullSpec()
         assert isinstance(Engine(make_device()).run(spec), NullRun)
-        assert execute_spec(make_device(), spec).spec is spec
+        assert execute(make_device(), spec).spec is spec
         assert reseed(spec, 5).seed == 5
     finally:
         Engine._executors.pop(NullSpec)

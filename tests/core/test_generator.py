@@ -1,4 +1,5 @@
-"""Generators: feedback-driven scheduling, determinism, mix interleave."""
+"""Generators: precomputed programs, feedback-driven scheduling,
+determinism, mix interleave."""
 
 from repro.core.generator import MixGenerator, PatternGenerator
 from repro.core.patterns import (
@@ -7,48 +8,37 @@ from repro.core.patterns import (
     PatternSpec,
     TimingKind,
 )
-from repro.flashsim.timing import CostAccumulator
-from repro.iotypes import CompletedIO, IORequest, Mode
+from repro.flashsim.host import SyncHost
+from repro.iotypes import Mode
 from repro.units import KIB, MIB
 
+from tests.conftest import make_device
 
-def completed(request, finished_at):
-    return CompletedIO(
-        request=request,
-        submitted_at=request.scheduled_at,
-        started_at=request.scheduled_at,
-        completed_at=finished_at,
-        cost=CostAccumulator(),
+
+def drive(generator, start_at=0.0):
+    """Run a generator's program through the synchronous host."""
+    return SyncHost(make_device()).run_program(
+        generator.program(), start_at=start_at
     )
-
-
-def drive(generator, service_usec=100.0):
-    """Run a generator to exhaustion with a fixed simulated service time."""
-    out = []
-    previous = None
-    while True:
-        request = generator(previous)
-        if request is None:
-            return out
-        out.append(request)
-        previous = completed(request, request.scheduled_at + service_usec)
 
 
 def test_generator_produces_io_count_requests():
     spec = PatternSpec(
         mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, io_count=7, io_size=32 * KIB
     )
-    requests = drive(PatternGenerator(spec))
-    assert len(requests) == 7
-    assert [r.index for r in requests] == list(range(7))
+    generator = PatternGenerator(spec)
+    assert len(generator.program()) == 7
+    assert drive(generator).column("index").tolist() == list(range(7))
 
 
 def test_consecutive_schedules_at_previous_completion():
     spec = PatternSpec(
         mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, io_count=4, io_size=32 * KIB
     )
-    requests = drive(PatternGenerator(spec, start_at=50.0), service_usec=100.0)
-    assert [r.scheduled_at for r in requests] == [50.0, 150.0, 250.0, 350.0]
+    trace = drive(PatternGenerator(spec), start_at=50.0)
+    scheduled = trace.column("scheduled_at").tolist()
+    completed = trace.column("completed_at").tolist()
+    assert scheduled == [50.0] + completed[:-1]
 
 
 def test_pause_adds_gap():
@@ -60,8 +50,12 @@ def test_pause_adds_gap():
         timing=TimingKind.PAUSE,
         pause_usec=40.0,
     )
-    requests = drive(PatternGenerator(spec), service_usec=100.0)
-    assert [r.scheduled_at for r in requests] == [0.0, 140.0, 280.0]
+    generator = PatternGenerator(spec)
+    assert generator.program().gaps.tolist() == [0.0, 40.0, 40.0]
+    trace = drive(generator)
+    scheduled = trace.column("scheduled_at").tolist()
+    completed = trace.column("completed_at").tolist()
+    assert scheduled == [0.0, completed[0] + 40.0, completed[1] + 40.0]
 
 
 def test_burst_gaps_between_groups():
@@ -74,11 +68,10 @@ def test_burst_gaps_between_groups():
         pause_usec=1000.0,
         burst=2,
     )
-    requests = drive(PatternGenerator(spec), service_usec=100.0)
-    gaps = [
-        later.scheduled_at - (earlier.scheduled_at + 100.0)
-        for earlier, later in zip(requests, requests[1:])
-    ]
+    trace = drive(PatternGenerator(spec))
+    scheduled = trace.column("scheduled_at").tolist()
+    completed = trace.column("completed_at").tolist()
+    gaps = [later - earlier for earlier, later in zip(completed, scheduled[1:])]
     assert gaps == [0.0, 1000.0, 0.0, 1000.0]
 
 
@@ -91,10 +84,10 @@ def test_random_location_deterministic_per_seed():
         target_size=2 * MIB,
         seed=7,
     )
-    first = [r.lba for r in drive(PatternGenerator(spec))]
-    second = [r.lba for r in drive(PatternGenerator(spec))]
+    first = PatternGenerator(spec).program().lbas.tolist()
+    second = PatternGenerator(spec).program().lbas.tolist()
     assert first == second
-    different = [r.lba for r in drive(PatternGenerator(spec.with_(seed=8)))]
+    different = PatternGenerator(spec.with_(seed=8)).program().lbas.tolist()
     assert first != different
 
 
@@ -106,9 +99,9 @@ def test_random_lbas_inside_target_and_aligned():
         io_size=32 * KIB,
         target_size=2 * MIB,
     )
-    for request in drive(PatternGenerator(spec)):
-        assert 0 <= request.lba < 2 * MIB
-        assert request.lba % (32 * KIB) == 0
+    for lba in PatternGenerator(spec).program().lbas.tolist():
+        assert 0 <= lba < 2 * MIB
+        assert lba % (32 * KIB) == 0
 
 
 def test_mix_generator_interleaves_by_ratio():
@@ -124,11 +117,10 @@ def test_mix_generator_interleaves_by_ratio():
     )
     spec = MixSpec(primary=primary, secondary=secondary, ratio=3, io_count=12)
     generator = MixGenerator(spec)
-    requests = drive(generator)
-    assert len(requests) == 12
-    modes = [r.mode for r in requests]
-    assert modes.count(Mode.WRITE) == 3  # one per group of four
-    assert generator.component_log == [0, 0, 0, 1] * 3
+    program = generator.program()
+    assert len(program) == 12
+    assert int(program.writes.sum()) == 3  # one per group of four
+    assert generator.components_array.tolist() == [0, 0, 0, 1] * 3
 
 
 def test_mix_components_advance_independently():
@@ -143,18 +135,10 @@ def test_mix_components_advance_independently():
         target_offset=4 * MIB,
     )
     spec = MixSpec(primary=primary, secondary=secondary, ratio=1, io_count=8)
-    requests = drive(MixGenerator(spec))
-    reads = [r.lba for r in requests if r.mode is Mode.READ]
-    writes = [r.lba for r in requests if r.mode is Mode.WRITE]
+    program = MixGenerator(spec).program()
+    lbas = program.lbas.tolist()
+    writes = program.writes.tolist()
+    reads = [lba for lba, write in zip(lbas, writes) if not write]
+    written = [lba for lba, write in zip(lbas, writes) if write]
     assert reads == [0, 32 * KIB, 64 * KIB, 96 * KIB]
-    assert writes == [4 * MIB + i * 32 * KIB for i in range(4)]
-
-
-def test_issued_counter():
-    spec = PatternSpec(
-        mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, io_count=3, io_size=32 * KIB
-    )
-    generator = PatternGenerator(spec)
-    assert generator.issued == 0
-    drive(generator)
-    assert generator.issued == 3
+    assert written == [4 * MIB + i * 32 * KIB for i in range(4)]

@@ -9,11 +9,12 @@ from repro.core.replay import (
     replay,
     replay_csv,
 )
-from repro.core.runner import execute
+from repro.core.engine import execute
+from repro.core.stats import summarize
 from repro.errors import AnalysisError
 from repro.flashsim.timing import TimingSpec
 from repro.flashsim.trace import IOTrace
-from repro.iotypes import Mode
+from repro.iotypes import IORequest, Mode
 from repro.units import KIB, MIB
 
 from tests.conftest import make_device
@@ -127,3 +128,41 @@ def test_replay_io_ignore():
     result = replay(make_device(), rows, io_ignore=8)
     assert result.stats.ignored == 8
     assert result.stats.count == len(rows) - 8
+
+
+def _submit_loop_replay(device, rows, timed):
+    """Reference: replay as a per-IO :meth:`FlashDevice.submit` loop
+    appending :class:`CompletedIO` objects to a trace."""
+    origin = rows[0].submitted_at
+    start = device.busy_until
+    out = IOTrace()
+    now = start
+    for position, row in enumerate(rows):
+        offset = row.submitted_at - origin
+        request = IORequest(position, row.lba, row.size, row.mode, offset)
+        completed = device.submit(
+            request, max(start + offset, start) if timed else now
+        )
+        out.append(completed)
+        now = completed.completed_at
+    return out
+
+
+@pytest.mark.parametrize("mode", list(ReplayMode))
+def test_replay_matches_a_per_io_submit_loop(mode):
+    rows = capture_trace(io_count=32)
+    # think time between arrivals, so timed replay differs from closed
+    rows = [
+        type(row)(**{**row.__dict__, "submitted_at": row.submitted_at + i * 700.0})
+        for i, row in enumerate(rows)
+    ]
+    target, twin = make_device(), make_device()
+    result = replay(target, rows, mode=mode, io_ignore=4)
+    reference = _submit_loop_replay(twin, rows, mode is ReplayMode.TIMED)
+    assert result.trace.to_csv() == reference.to_csv()
+    assert list(result.trace) == list(reference)
+    assert result.stats == summarize(reference.response_times(), 4)
+    assert result.replay_span_usec == (
+        reference[-1].completed_at - reference[0].submitted_at
+    )
+    assert target.fingerprint() == twin.fingerprint()

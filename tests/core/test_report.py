@@ -87,7 +87,7 @@ def test_json_export_round_trips():
 def test_render_mix_run_marks_component_without_stats():
     from repro.core.patterns import MixSpec
     from repro.core.report import render_mix_run
-    from repro.core.runner import execute_mix
+    from repro.core.engine import execute
 
     device = make_device()
     primary = PatternSpec(
@@ -101,7 +101,7 @@ def test_render_mix_run_marks_component_without_stats():
     mix = MixSpec(
         primary=primary, secondary=secondary, ratio=7, io_count=15, io_ignore=8
     )
-    run = execute_mix(device, mix)
+    run = execute(device, mix)
     text = render_mix_run(run)
     assert "overall" in text and "primary" in text and "secondary" in text
     assert "n/a" in text
@@ -111,7 +111,7 @@ def test_render_mix_run_marks_component_without_stats():
 def test_render_mix_run_full_components_have_no_footnote():
     from repro.core.patterns import MixSpec
     from repro.core.report import render_mix_run
-    from repro.core.runner import execute_mix
+    from repro.core.engine import execute
 
     device = make_device()
     primary = PatternSpec(
@@ -122,7 +122,7 @@ def test_render_mix_run_full_components_have_no_footnote():
         mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, io_size=4 * KIB,
         io_count=16, target_offset=512 * KIB,
     )
-    run = execute_mix(
+    run = execute(
         device, MixSpec(primary=primary, secondary=secondary, ratio=3, io_count=32)
     )
     text = render_mix_run(run)

@@ -1,4 +1,4 @@
-"""Runner: execution of basic, mixed and parallel patterns on a device."""
+"""Execution of basic, mixed and parallel patterns through ``execute``."""
 
 import pytest
 
@@ -8,12 +8,7 @@ from repro.core.patterns import (
     ParallelSpec,
     PatternSpec,
 )
-from repro.core.runner import (
-    execute,
-    execute_mix,
-    execute_parallel,
-    rest_device,
-)
+from repro.core.engine import execute, rest_device
 from repro.iotypes import Mode
 from repro.units import KIB, MIB
 
@@ -79,7 +74,7 @@ def test_execute_mix_splits_component_stats():
     )
     secondary = sw_spec(io_count=16, target_offset=512 * KIB)
     mix = MixSpec(primary=primary, secondary=secondary, ratio=3, io_count=32)
-    result = execute_mix(device, mix)
+    result = execute(device, mix)
     assert result.stats.count == 32
     assert result.primary_stats.count == 24
     assert result.secondary_stats.count == 8
@@ -96,7 +91,7 @@ def test_execute_mix_respects_ignore():
     mix = MixSpec(
         primary=primary, secondary=secondary, ratio=1, io_count=16, io_ignore=8
     )
-    result = execute_mix(device, mix)
+    result = execute(device, mix)
     assert result.stats.ignored == 8
     assert result.primary_stats.count + result.secondary_stats.count == 8
 
@@ -104,7 +99,7 @@ def test_execute_mix_respects_ignore():
 def test_execute_parallel_runs_all_processes():
     device = make_device()
     base = sw_spec(io_count=16, target_size=16 * 16 * KIB)
-    result = execute_parallel(device, ParallelSpec(base=base, parallel_degree=4))
+    result = execute(device, ParallelSpec(base=base, parallel_degree=4))
     assert len(result.runs) == 4
     assert all(len(run.trace) == 4 for run in result.runs)
     assert result.stats is not None
@@ -115,7 +110,7 @@ def test_execute_parallel_runs_all_processes():
 def test_parallel_degree_one_equals_sync():
     parallel_device = make_device()
     base = sw_spec(io_count=16)
-    parallel = execute_parallel(
+    parallel = execute(
         parallel_device, ParallelSpec(base=base, parallel_degree=1)
     )
     sync_device = make_device()
@@ -125,7 +120,6 @@ def test_parallel_degree_one_equals_sync():
 
 def test_parallel_mix_runs_distinct_patterns_concurrently():
     from repro.core.patterns import ParallelMixSpec
-    from repro.core.runner import execute_parallel_mix
 
     device = make_device()
     reads = PatternSpec(
@@ -133,7 +127,7 @@ def test_parallel_mix_runs_distinct_patterns_concurrently():
         io_count=12,
     )
     writes = sw_spec(io_count=12, target_offset=512 * KIB)
-    result = execute_parallel_mix(device, ParallelMixSpec((reads, writes)))
+    result = execute(device, ParallelMixSpec((reads, writes)))
     assert len(result.runs) == 2
     assert result.runs[0].spec.mode is Mode.READ
     assert result.runs[1].spec.mode is Mode.WRITE
@@ -173,7 +167,7 @@ def test_mix_component_without_measured_ios_has_none_stats():
     mix = MixSpec(
         primary=primary, secondary=secondary, ratio=7, io_count=15, io_ignore=8
     )
-    result = execute_mix(device, mix)
+    result = execute(device, mix)
     assert result.secondary_stats is None
     assert result.primary_stats is not None
     assert result.primary_stats.count == 7

@@ -34,6 +34,8 @@ from repro.flashsim.recorder import (
     unattributed_usec,
 )
 from repro.flashsim.timing import CostAccumulator, TimingSpec
+from repro.flashsim.trace import IOTrace
+from repro.iotypes import IORequest, Mode
 from repro.units import KIB, MIB
 
 from ..conftest import SMALL_GEOMETRY, make_device
@@ -212,17 +214,31 @@ def test_sync_async_depth1_attribution_identical(ftl_kind, kind):
 
 @pytest.mark.parametrize("profile", ("memoright", "kingston_dti"))
 def test_columnar_legacy_attribution_identical(profile):
+    """The engine's columnar recording carries the same attribution
+    columns as per-IO :meth:`FlashDevice.submit` objects appended to a
+    trace."""
     spec = baselines(io_size=16 * KIB, io_count=64)["RW"]
-    traces = []
-    for columnar in (True, False):
-        device = build_device(profile, logical_bytes=4 * MIB)
-        device.attach_recorder(FlightRecorder())
-        run = Engine(device, columnar=columnar).run(spec)
-        _assert_trace_balanced(run.trace)
-        traces.append(run.trace)
-    assert np.array_equal(
-        traces[0].attribution_matrix(), traces[1].attribution_matrix()
-    )
+    device = build_device(profile, logical_bytes=4 * MIB)
+    device.attach_recorder(FlightRecorder())
+    columnar = Engine(device).run(spec).trace
+
+    device = build_device(profile, logical_bytes=4 * MIB)
+    device.attach_recorder(FlightRecorder())
+    program = PatternGenerator(spec).program()
+    legacy = IOTrace()
+    clock = device.busy_until
+    for index, (lba, size) in enumerate(
+        zip(program.lbas.tolist(), program.sizes.tolist())
+    ):
+        request = IORequest(index, lba, size, Mode.WRITE, clock)
+        completed = device.submit(request, clock)
+        legacy.append(completed)
+        clock = completed.completed_at
+
+    for trace in (columnar, legacy):
+        _assert_trace_balanced(trace)
+    assert columnar.to_csv() == legacy.to_csv()
+    assert np.array_equal(columnar.attribution_matrix(), legacy.attribution_matrix())
 
 
 @pytest.mark.parametrize("ftl_kind", FTL_KINDS)
@@ -367,8 +383,6 @@ def test_recorder_off_trace_has_no_attribution():
 
 
 def test_trace_payload_round_trips_attribution():
-    from repro.flashsim.trace import IOTrace
-
     _, trace, _ = _traced_pair(_small_spec())
     payload = trace.to_payload()
     assert "attribution" in payload

@@ -87,7 +87,7 @@ def test_uj_per_mib_efficiency():
 
 def test_measure_run_energy_over_a_device_trace():
     from repro.core.patterns import LocationKind, PatternSpec
-    from repro.core.runner import execute
+    from repro.core.engine import execute
     from repro.iotypes import Mode
 
     device = make_device()

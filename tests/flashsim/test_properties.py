@@ -252,26 +252,10 @@ def test_random_pattern_lbas_always_in_bounds(seed, io_count, slots):
         target_size=slots * 2 * KIB,
         seed=seed,
     )
-    generator = PatternGenerator(spec)
-    previous = None
-    while True:
-        request = generator(previous)
-        if request is None:
-            break
-        assert spec.target_offset <= request.lba
-        assert request.lba + spec.io_size <= spec.target_offset + spec.target_size
-        assert (request.lba - spec.target_offset) % spec.io_size == 0
-        from repro.flashsim.timing import CostAccumulator as _CA
-
-        from repro.iotypes import CompletedIO
-
-        previous = CompletedIO(
-            request=request,
-            submitted_at=request.scheduled_at,
-            started_at=request.scheduled_at,
-            completed_at=request.scheduled_at + 10.0,
-            cost=_CA(),
-        )
+    for lba in PatternGenerator(spec).program().lbas.tolist():
+        assert spec.target_offset <= lba
+        assert lba + spec.io_size <= spec.target_offset + spec.target_size
+        assert (lba - spec.target_offset) % spec.io_size == 0
 
 
 @settings(max_examples=60, deadline=None)

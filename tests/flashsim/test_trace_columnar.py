@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.flashsim.trace import IOTrace, pickled_sizes
+from repro.flashsim.trace import IOTrace
 from repro.iotypes import IORequest, Mode
 from repro.units import KIB
 
@@ -134,5 +134,6 @@ def test_pickle_round_trip_and_size_reduction():
     rebuilt = pickle.loads(pickle.dumps(trace))
     assert list(rebuilt) == list(trace)
     assert np.array_equal(rebuilt.response_times(), trace.response_times())
-    columnar, object_graph = pickled_sizes(trace)
+    columnar = len(pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL))
+    object_graph = len(pickle.dumps(list(trace), protocol=pickle.HIGHEST_PROTOCOL))
     assert columnar * 2 <= object_graph

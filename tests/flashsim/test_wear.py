@@ -93,7 +93,7 @@ def test_projection_is_workload_sensitive():
     """Sequential overwrites erase less per byte than random writes —
     the projected life under a sequential workload is longer."""
     from repro.core.patterns import LocationKind, PatternSpec
-    from repro.core.runner import execute
+    from repro.core.engine import execute
     from repro.iotypes import Mode
 
     random_device = make_device()

@@ -9,8 +9,7 @@ hybrid and a block-mapped device.
 
 import pytest
 
-from repro.core import BenchContext, build_microbenchmark, rest_device
-from repro.core.experiment import execute_spec
+from repro.core import BenchContext, build_microbenchmark, execute, rest_device
 from repro.core.microbench import MICROBENCHMARKS
 from repro.units import KIB, MSEC, SEC
 
@@ -54,7 +53,7 @@ def test_microbenchmark_executes(name, kind, sweep_devices):
     for experiment in bench.experiments:
         for value in experiment.values:
             spec = experiment.spec_for(value)
-            run = execute_spec(device, spec)
+            run = execute(device, spec)
             stats = run.stats
             assert stats is not None and stats.count > 0, (name, value)
             assert stats.mean_usec > 0

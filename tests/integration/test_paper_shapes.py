@@ -13,8 +13,6 @@ from repro.core import (
     detect_phases,
     enforce_random_state,
     execute,
-    execute_mix,
-    execute_parallel,
     rest_device,
 )
 from repro.core.patterns import (
@@ -228,7 +226,7 @@ def test_mix_neutrality(mtron):
     )
     sr = steady_mean(mtron, specs["SR"])
     rr = steady_mean(mtron, specs["RR"].with_(target_offset=half))
-    mix = execute_mix(
+    mix = execute(
         mtron,
         MixSpec(
             primary=specs["SR"],
@@ -255,7 +253,7 @@ def test_parallelism_gains_nothing(mtron):
     solo = execute(mtron, base)
     solo_span = solo.trace[-1].completed_at - solo.trace[0].submitted_at
     rest_device(mtron, 30 * SEC)
-    par = execute_parallel(mtron, ParallelSpec(base=base, parallel_degree=4))
+    par = execute(mtron, ParallelSpec(base=base, parallel_degree=4))
     par_span = max(r.trace[-1].completed_at for r in par.runs) - min(
         r.trace[0].submitted_at for r in par.runs
     )

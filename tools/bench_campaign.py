@@ -1,14 +1,12 @@
 #!/usr/bin/env python
 """Wall-clock benchmark of multi-profile campaign dispatch.
 
-Times the same multi-profile campaign through the executor's three
-dispatch strategies (DESIGN.md §14):
+Times the same multi-profile campaign two ways (DESIGN.md §14):
 
 * **sequential**: ``jobs=1`` — the bit-identical reference;
-* **legacy**: parallel workers, parent-side serial enforcement, one
-  pickled snapshot shipped through the pool pipe per cell;
-* **warm**: zero-copy shared-memory snapshot distribution, warm-worker
-  scheduling and pipelined worker-side enforcement.
+* **warm**: the parallel dispatch — zero-copy shared-memory snapshot
+  distribution, warm-worker scheduling and pipelined worker-side
+  enforcement.
 
 The campaign is deliberately **distribution-bound**: a large
 page-mapped SSD state (multi-MiB snapshot, cheap closed-form
@@ -24,7 +22,7 @@ cost the dispatch machinery is meant to hide.  The warm pass records
 its scheduler counters (warm hits, skipped restores, snapshot bytes
 shipped vs saved) and the resulting **warm ratio** — the fraction of
 dispatched cells served by a resident warm device.  Payload equality
-across all three strategies is asserted on every run, so a dispatch bug
+between the two is asserted on every run, so a dispatch bug
 fails the benchmark rather than producing fast-but-wrong numbers.
 
 Usage::
@@ -116,9 +114,9 @@ def _payloads(outcomes) -> dict:
 
 
 def time_strategy(
-    cells: list, jobs: int, warm: bool, repeat: int
+    cells: list, jobs: int, repeat: int
 ) -> tuple[float, dict, dict]:
-    """Best-of-``repeat`` wall time for one dispatch strategy.
+    """Best-of-``repeat`` wall time at ``jobs`` workers (1 = sequential).
 
     Every repetition uses a fresh executor (fresh StatePool, no cache),
     so each one pays the full enforcement cost — exactly the cold
@@ -129,12 +127,7 @@ def time_strategy(
     sched: dict = {}
     payloads: dict = {}
     for _ in range(max(repeat, 1)):
-        executor = CampaignExecutor(
-            jobs=jobs,
-            share_snapshots=warm,
-            warm_workers=warm,
-            pipeline_prepare=warm,
-        )
+        executor = CampaignExecutor(jobs=jobs)
         try:
             start = time.perf_counter()
             outcomes = executor.execute(cells)
@@ -149,7 +142,7 @@ def time_strategy(
 
 
 def run_benchmark(quick: bool, jobs: int, repeat: int) -> dict:
-    """Time all three strategies and assemble the results document."""
+    """Time both strategies and assemble the results document."""
     cells = campaign_cells(quick)
     mix = QUICK_CAMPAIGN if quick else DEFAULT_CAMPAIGN
     print(
@@ -159,25 +152,16 @@ def run_benchmark(quick: bool, jobs: int, repeat: int) -> dict:
     )
 
     print("timing sequential (jobs=1) ...", flush=True)
-    seq_sec, _, seq_payloads = time_strategy(cells, 1, warm=False, repeat=repeat)
+    seq_sec, _, seq_payloads = time_strategy(cells, 1, repeat=repeat)
     print(f"  {seq_sec:.3f} s", flush=True)
 
-    print(f"timing legacy dispatch (jobs={jobs}) ...", flush=True)
-    legacy_sec, legacy_sched, legacy_payloads = time_strategy(
-        cells, jobs, warm=False, repeat=repeat
-    )
-    print(f"  {legacy_sec:.3f} s", flush=True)
-
     print(f"timing warm dispatch (jobs={jobs}) ...", flush=True)
-    warm_sec, warm_sched, warm_payloads = time_strategy(
-        cells, jobs, warm=True, repeat=repeat
-    )
+    warm_sec, warm_sched, warm_payloads = time_strategy(cells, jobs, repeat=repeat)
     print(f"  {warm_sec:.3f} s", flush=True)
 
-    # correctness before speed: all three strategies must agree
-    # bit-for-bit, else the timing numbers are meaningless
+    # correctness before speed: both strategies must agree bit-for-bit,
+    # else the timing numbers are meaningless
     assert warm_payloads == seq_payloads, "warm dispatch diverged from jobs=1"
-    assert legacy_payloads == seq_payloads, "legacy dispatch diverged from jobs=1"
 
     dispatched = warm_sched["warm_hits"] + warm_sched["cold_builds"]
     warm_ratio = warm_sched["warm_hits"] / max(dispatched, 1)
@@ -199,16 +183,11 @@ def run_benchmark(quick: bool, jobs: int, repeat: int) -> dict:
             "quick": quick,
         },
         "sequential": {"wall_sec": round(seq_sec, 4)},
-        "legacy": {
-            "wall_sec": round(legacy_sec, 4),
-            "bytes_shipped": legacy_sched["bytes_shipped"],
-        },
         "warm": {
             "wall_sec": round(warm_sec, 4),
             **warm_sched,
         },
         "warm_ratio": round(warm_ratio, 4),
-        "speedup_vs_legacy": round(legacy_sec / max(warm_sec, 1e-9), 2),
         "speedup_vs_sequential": round(seq_sec / max(warm_sec, 1e-9), 2),
     }
 
@@ -262,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     results = run_benchmark(args.quick, args.jobs, args.repeat)
     print(json.dumps(results, indent=2))
     print(
-        f"warm dispatch: {results['speedup_vs_legacy']}x vs legacy, "
-        f"{results['speedup_vs_sequential']}x vs jobs=1, "
+        f"warm dispatch: {results['speedup_vs_sequential']}x vs jobs=1, "
         f"warm ratio {results['warm_ratio']}"
     )
 

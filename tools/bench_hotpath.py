@@ -8,6 +8,10 @@ two phases that dominate real campaign time:
   covering the whole device, Section 4.1 methodology), the workload the
   vectorized run kernel targets;
 * **SR/RR/SW/RW**: the four baseline patterns of Section 3.1;
+* **run_{SR,RR,SW,RW,mix,parallel}**: measured runs through the
+  engine, each with a ``/fallback`` twin run with the closed-form
+  kernels switched off (``run_mix`` must stay within
+  ``MIX_FALLBACK_LIMIT`` of its twin);
 * **run_RR_qd{1,4,32}**: a random-read sweep over NCQ queue depths
   through the engine's queued host; each entry also carries the
   *simulated* ``device_iops``, which should scale with depth up to the
@@ -36,10 +40,12 @@ Usage::
 
 With ``--baseline``, the run fails (exit 1) if any shared workload's
 ``usec_per_io`` regresses more than 2x against the committed numbers,
-or if a profile's enforce, enforce-vs-oracle or GC-epoch *speedup* (the
+if a profile's enforce, enforce-vs-oracle or GC-epoch *speedup* (the
 slow-path/fast-path ratio, which is largely machine-independent) drops
-below its gate's share of the committed ratio (``SPEEDUP_GATES``) —
-the CI perf-smoke gate.
+below its gate's share of the committed ratio (``SPEEDUP_GATES``), or
+if a profile's ``run_mix`` is more than ``MIX_FALLBACK_LIMIT`` times
+slower than its ``/fallback`` twin (a fast path losing to its own
+fallback) — the CI perf-smoke gate.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.engine import Engine  # noqa: E402
+from repro.core.engine import Engine, execute  # noqa: E402
 from repro.flashsim import analytic  # noqa: E402
 from repro.flashsim.chip import NoFaults  # noqa: E402
 from repro.core.methodology import enforce_random_state  # noqa: E402
@@ -63,7 +69,6 @@ from repro.core.patterns import (  # noqa: E402
     PatternSpec,
     baselines,
 )
-from repro.core.runner import execute  # noqa: E402
 from repro.flashsim.ftl.pagemap import PageMapConfig  # noqa: E402
 from repro.flashsim.profiles import (  # noqa: E402
     build_device,
@@ -72,7 +77,6 @@ from repro.flashsim.profiles import (  # noqa: E402
     scaled_profile,
 )
 from repro.flashsim.recorder import FlightRecorder  # noqa: E402
-from repro.flashsim.trace import pickled_sizes  # noqa: E402
 from repro.iotypes import Mode  # noqa: E402
 from repro.units import KIB, MIB  # noqa: E402
 
@@ -102,6 +106,11 @@ SPEEDUP_GATES = (
     ("enforce", "oracle", 0.85),
     ("run_RW_gc", "fallback", SPEEDUP_RETENTION),
 )
+
+#: how much slower than its ``/fallback`` twin ``run_mix`` may run: a
+#: mix alternates short read/write stretches, the case where kernel
+#: window setup can cost more than it saves
+MIX_FALLBACK_LIMIT = 1.25
 
 DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
 
@@ -235,45 +244,32 @@ def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
 
 
 def bench_measured_runs(
-    profile: str, logical_bytes: int, io_count: int, columnar: bool, repeat: int
+    profile: str, logical_bytes: int, io_count: int, kernels: bool, repeat: int
 ) -> dict[str, dict[str, float]]:
-    """Best-of-``repeat`` timings of the engine's recording pipeline.
+    """Best-of-``repeat`` timings of the engine's measured runs.
 
-    The same six workloads run through ``Engine(columnar=True)`` (the
-    default columnar recording path, plain keys) and
-    ``Engine(columnar=False)`` (the legacy per-IO object path,
-    ``/object`` suffix — mirroring the batch/scalar convention of the
-    device-level workloads).  Both produce bit-identical traces, so the
-    ratio is pure recording overhead.
-
-    The columnar pass also reports the trace IPC sizes once per profile
-    (``{profile}/trace_pickle``): pickle bytes of one RW run's trace in
-    the packed columnar format vs the legacy object graph.
+    The same six workloads run with the closed-form kernels on (the
+    default, plain keys) and off (``analytic.ENABLED = False``,
+    ``/fallback`` suffix — the hosts' per-IO loops).  Both produce
+    bit-identical traces, so the ratio is pure fast-path gain or loss.
     """
-    suffix = "" if columnar else "/object"
+    suffix = "" if kernels else "/fallback"
     best_sec: dict[str, float] = {}
-    sizes: tuple[int, int] | None = None
     workloads = _run_specs(logical_bytes, io_count)
-    for _ in range(max(repeat, 1)):
-        device = build_device(profile, logical_bytes=logical_bytes)
-        engine = Engine(device, columnar=columnar)
-        for name, spec in workloads.items():
-            start = time.perf_counter()
-            run = engine.run(spec)
-            elapsed = time.perf_counter() - start
-            key = f"{profile}/{name}{suffix}"
-            best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
-            if columnar and name == "run_RW" and sizes is None:
-                sizes = pickled_sizes(run.trace)
-    results = {key: _entry(sec, io_count) for key, sec in best_sec.items()}
-    if sizes is not None:
-        columnar_bytes, object_bytes = sizes
-        results[f"{profile}/trace_pickle"] = {
-            "columnar_bytes": columnar_bytes,
-            "object_graph_bytes": object_bytes,
-            "reduction": round(object_bytes / max(columnar_bytes, 1), 2),
-        }
-    return results
+    saved = analytic.ENABLED
+    analytic.ENABLED = kernels
+    try:
+        for _ in range(max(repeat, 1)):
+            engine = Engine(build_device(profile, logical_bytes=logical_bytes))
+            for name, spec in workloads.items():
+                start = time.perf_counter()
+                engine.run(spec)
+                elapsed = time.perf_counter() - start
+                key = f"{profile}/{name}{suffix}"
+                best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
+    finally:
+        analytic.ENABLED = saved
+    return {key: _entry(sec, io_count) for key, sec in best_sec.items()}
 
 
 #: queue depths of the NCQ sweep (1 = the synchronous reference)
@@ -506,7 +502,7 @@ def check_baseline(
     regressions = []
     for workload, entry in results.items():
         old = baseline.get(workload)
-        # stat-only entries (e.g. trace_pickle sizes) carry no timing
+        # stat-only entries (e.g. snapshot_pack sizes) carry no timing
         if not old or "usec_per_io" not in old or "usec_per_io" not in entry:
             continue
         if entry["usec_per_io"] > REGRESSION_FACTOR * old["usec_per_io"]:
@@ -528,6 +524,12 @@ def check_baseline(
                     f"{profile}: {name}/{slow_suffix} speedup {new_ratio:.2f}x vs "
                     f"baseline {old_ratio:.2f}x (< {retention}x retention)"
                 )
+        mix_speedup = _workload_speedup(results, profile, "run_mix", "fallback")
+        if mix_speedup is not None and mix_speedup * MIX_FALLBACK_LIMIT < 1.0:
+            regressions.append(
+                f"{profile}: run_mix {1 / mix_speedup:.2f}x slower than "
+                f"run_mix/fallback (> {MIX_FALLBACK_LIMIT}x)"
+            )
     return regressions
 
 
@@ -590,12 +592,12 @@ def main(argv: list[str] | None = None) -> int:
         if not args.batch_only:
             print(f"benchmarking {profile} (oracle) ...", flush=True)
             results.update(bench_oracle(profile, logical, args.repeat))
-        for columnar in (True,) if args.batch_only else (True, False):
-            mode = "columnar" if columnar else "object"
+        for kernels in (True,) if args.batch_only else (True, False):
+            mode = "kernels" if kernels else "fallback"
             print(f"benchmarking {profile} runs ({mode}) ...", flush=True)
             results.update(
                 bench_measured_runs(
-                    profile, logical, io_count, columnar, args.repeat
+                    profile, logical, io_count, kernels, args.repeat
                 )
             )
         print(f"benchmarking {profile} queue depths ...", flush=True)
@@ -628,20 +630,9 @@ def main(argv: list[str] | None = None) -> int:
                     f"({slow_suffix}/fast)"
                 )
         for name in (*(f"run_{p}" for p in PATTERN_ORDER), "run_mix", "run_parallel"):
-            plain = f"{profile}/{name}"
-            legacy = f"{profile}/{name}/object"
-            if plain in results and legacy in results:
-                speedup = (
-                    results[legacy]["usec_per_io"]
-                    / max(results[plain]["usec_per_io"], 1e-9)
-                )
-                print(f"{profile}: {name} speedup {speedup:.2f}x (object/columnar)")
-        pickle_key = f"{profile}/trace_pickle"
-        if pickle_key in results:
-            print(
-                f"{profile}: trace pickle "
-                f"{results[pickle_key]['reduction']}x smaller (columnar)"
-            )
+            speedup = _workload_speedup(results, profile, name, "fallback")
+            if speedup is not None:
+                print(f"{profile}: {name} speedup {speedup:.2f}x (fallback/fast)")
         pack_key = f"{profile}/snapshot_pack"
         if pack_key in results:
             entry = results[pack_key]
