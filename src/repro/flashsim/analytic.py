@@ -12,9 +12,7 @@ that closed form on numpy columns — one vectorized pass for a whole
 window of IOs — then write chip / FTL / controller / device state to
 exactly the values the per-IO reference path would have produced.
 
-Discipline (the same provably-equivalent-or-fallback contract as the
-page-map GC-headroom fast path in
-:meth:`~repro.flashsim.ftl.pagemap.PageMapFTL.write_run`):
+Discipline:
 
 * a kernel either proves, *before touching any state*, that the window
   is transition-free and then reproduces the per-IO path **bit for
@@ -51,9 +49,13 @@ Current coverage:
   occupancy integrals, completion pops) runs as a tight scalar event
   loop instead of the full per-IO dispatch machinery.
 
-Everything else (hybrid/FAST FTL families, caches, fault injectors,
-wear levelling, measurement noise) declines up front and runs the
-reference path unchanged.
+Everything else (hybrid/FAST FTL families, caches, wear levelling,
+measurement noise) declines up front and runs the reference path
+unchanged.  So does a
+:attr:`~repro.flashsim.chip.FlashChip.reference` chip — one with a
+fault injector, including the never-failing
+:class:`~repro.flashsim.chip.NoFaults` that builds the scalar oracle
+(``write:fault-injector``).  There is no other switch.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.generator import IOProgram
     from repro.flashsim.device import FlashDevice
     from repro.flashsim.trace import IOTrace
-
-#: master switch; tests flip it off to force the reference path
-ENABLED = True
 
 #: shortest read/write stretch of a synchronous program worth a kernel
 #: window: a window's setup (column expansion, token resolution, state
@@ -184,21 +183,17 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
     """Why this device cannot take the analytic kernels (None = it can).
 
     These are *configuration* preconditions — properties that cannot
-    change mid-run: the FTL family and its batch mode, the RAM cache,
-    the flight recorder, measurement noise, fault injection, wear
+    change mid-run: the FTL family, the RAM cache, the flight recorder,
+    measurement noise, a reference chip (fault injection), wear
     levelling and block health.
 
     Covered families: the page-map FTL (whose kernels reproduce the
-    controller *batch* write path, hence the batch-mode requirement)
-    and the block-map FTL (whose write kernel replays the scalar
-    controller path — the only one that family ever takes — so it
-    works in either batch mode).
+    controller's batch write path) and the block-map FTL (whose write
+    kernel replays the scalar controller path — the only one that
+    family ever takes).
     """
     ftl = device.ftl
-    if isinstance(ftl, PageMapFTL):
-        if not (ftl.batch_enabled and device.controller.batch_enabled):
-            return "batch-disabled"
-    elif not isinstance(ftl, BlockMapFTL):
+    if not isinstance(ftl, (PageMapFTL, BlockMapFTL)):
         return "ftl-family"
     if device.controller.cache is not None:
         return "cache"
@@ -206,7 +201,7 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
         return "recorder"
     if device.noise.jitter:
         return "noise"
-    if device.chip.fault_injector is not None:
+    if device.chip.reference:
         return "fault-injector"
     if getattr(ftl.config, "wear_threshold", 0):
         return "wear-levelling"
@@ -469,9 +464,9 @@ def write_window(
     idle at ``end``.
 
     Page-map devices take the fully closed-form kernel for the longest
-    provably-GC-free prefix (bounded by the same GC-headroom condition
-    as the page-map write fast path, evaluated per IO against the free
-    pool after the allocations of all preceding IOs); once the window
+    provably-GC-free prefix (every IO's block-crossing margin must clear
+    the GC watermark, evaluated per IO against the free pool after the
+    allocations of all preceding IOs); once the window
     reaches the free-pool watermark the remainder runs through the
     GC-epoch kernel, which absorbs garbage collection itself.
     Block-map devices take :func:`the block-map kernel
@@ -482,8 +477,6 @@ def write_window(
     IO's scheduled time; later IOs are scheduled at the previous
     completion, i.e. a zero-gap program).
     """
-    if not ENABLED:
-        return _decline("write", "disabled", now)
     reason = device_decline_reason(device)
     if reason is not None:
         return _decline("write", reason, now)
@@ -511,7 +504,7 @@ def write_window(
     n_pg = e_pg - s_pg
 
     # -- GC headroom per IO: free pool after the preceding IOs' block
-    #    allocations must clear the write fast path's margin -----------
+    #    allocations must clear the IO's block-crossing margin ---------
     wp0 = int(chip._write_point[ftl._host_active])
     free0 = len(ftl._free)
     gc_low = ftl.config.gc_low_blocks
@@ -1023,8 +1016,6 @@ def read_window(
 
     Returns ``(count, end)`` like :func:`write_window`.
     """
-    if not ENABLED:
-        return _decline("read", "disabled", now)
     reason = device_decline_reason(device)
     if reason is not None:
         return _decline("read", reason, now)
@@ -1150,9 +1141,6 @@ def run_program_into(
     window boundaries (GC about to fire, verification about to fail),
     where it also re-raises exactly the reference errors.
     """
-    if not ENABLED:
-        STATS.decline("program:disabled")
-        return False
     if os_overhead != 0.0:
         STATS.decline("program:os-overhead")
         return False
@@ -1242,9 +1230,6 @@ def run_program_queued(
     land in submission order with final timings, identical to the
     reference's tag-sorted ``record_at`` rows.
     """
-    if not ENABLED:
-        STATS.decline("queued:disabled")
-        return False
     if os_overhead != 0.0:
         STATS.decline("queued:os-overhead")
         return False

@@ -56,12 +56,13 @@ class FaultInjector(Protocol):
 class NoFaults:
     """A :class:`FaultInjector` that never fails.
 
-    Installing one changes no simulated result, but every fast path
-    declines under a fault injector (:meth:`FlashChip.copy_pages`,
-    :meth:`FlashChip.program_run`, the hybrid log appends and the
-    closed-form kernels), so a device built with it runs the scalar
-    per-page reference loops — the oracle that differential tests and
-    the hot-path benchmark's ``/oracle`` twins compare against.
+    Installing one changes no simulated result, but it makes the chip a
+    :attr:`FlashChip.reference` chip, and every fast path in every layer
+    declines on one: the controller's batch reads and writes, the FTLs'
+    run paths, block copies, hybrid log appends and the closed-form
+    kernels.  A device built with it runs the scalar per-IO reference
+    path throughout — the oracle that the equivalence suites and the
+    hot-path benchmark's ``/oracle`` twins compare against.
     """
 
     def program_fails(self, block: int, page_offset: int) -> bool:
@@ -95,7 +96,8 @@ class FlashChip:
     endurance:
         Erase cycles per block before the block wears out.
     fault_injector:
-        Optional :class:`FaultInjector` for failure testing.
+        Optional :class:`FaultInjector` for failure testing.  Its
+        presence alone makes the chip a :attr:`reference` chip.
     """
 
     def __init__(
@@ -118,6 +120,18 @@ class FlashChip:
         self._write_point = np.zeros(nblocks, dtype=np.int32)
         self._erase_count = np.zeros(nblocks, dtype=np.int64)
         self._bad = np.zeros(nblocks, dtype=bool)
+
+    @property
+    def reference(self) -> bool:
+        """Whether every layer above must take its scalar reference path.
+
+        The one rule that selects the reference: a chip with a fault
+        injector.  Injected failures must surface at the exact page,
+        with the exact counters, of the per-page loop, so the batch
+        reads and writes, run programs, block copies, log appends and
+        closed-form kernels all decline on such a chip.
+        """
+        return self.fault_injector is not None
 
     # ------------------------------------------------------------------
     # validation helpers
@@ -229,7 +243,7 @@ class FlashChip:
 
         Enforces the same NAND constraints as scalar :meth:`program`
         (erased pages, strictly sequential program order) with one check
-        per run.  Under a fault injector the run decays to scalar
+        per run.  On a :attr:`reference` chip the run decays to scalar
         programs so injected failures keep their exact semantics.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -237,7 +251,7 @@ class FlashChip:
         if n == 0:
             self._check_block(block)
             return
-        if self.fault_injector is not None:
+        if self.reference:
             for i in range(n):
                 self.program(block, start + i, int(tokens[i]))
             return
@@ -280,10 +294,10 @@ class FlashChip:
         Behaves exactly like the interleaved per-page loop (read the
         source, program the target) that merges and block copies used to
         run: one :meth:`read_many` gather plus one :meth:`program_run`.
-        When the chip has a fault injector or any bad block, or the copy
-        would raise (target not writable at ``start``, a page out of
-        range), it runs that scalar loop instead, so exceptions surface
-        at the same page with the same counters.
+        On a :attr:`reference` chip or one with any bad block, or when
+        the copy would raise (target not writable at ``start``, a page
+        out of range), it runs that scalar loop instead, so exceptions
+        surface at the same page with the same counters.
         """
         sources = np.asarray(sources, dtype=np.int64)
         n = int(sources.size)
@@ -292,7 +306,7 @@ class FlashChip:
         ppb = self.geometry.pages_per_block
         has = sources >= 0
         if (
-            self.fault_injector is None
+            not self.reference
             and not self._bad.any()
             and 0 <= target < self.geometry.physical_blocks
             and int(self._write_point[target]) == start

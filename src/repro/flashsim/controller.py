@@ -13,6 +13,10 @@ Responsibilities:
   (Section 2.2: the map may not fit in controller RAM);
 * maintain the *verification shadow* — the expected token of every
   logical page — so every read checks read-your-writes for free.
+
+Multi-page IOs to a batch-capable FTL move as arrays; on a
+:attr:`~repro.flashsim.chip.FlashChip.reference` chip they take the
+per-page reference loop instead.
 """
 
 from __future__ import annotations
@@ -27,6 +31,13 @@ from repro.flashsim.chip import ERASED
 from repro.flashsim.ftl.base import BaseFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
+
+
+#: minimum span (pages) for the batch *read* path: the array gather has
+#: a flat ~13 us overhead while scalar reads cost ~1 us/page, so short
+#: reads are faster page by page (measured crossover ≈ 14 pages on the
+#: page-map FTL); not a tuning knob
+BATCH_READ_MIN_PAGES = 16
 
 
 @dataclass(frozen=True)
@@ -77,14 +88,6 @@ class Controller:
         self._shadow = np.full(geometry.logical_pages, ERASED, dtype=np.int64)
         self._next_token = 1
         self._last_end_page: int | None = None
-        #: when False, reads and writes take the scalar per-page reference
-        #: path regardless of the FTL's batch capability (equivalence suite).
-        self.batch_enabled = True
-        #: minimum span (pages) for the batch *read* path: the array
-        #: gather has a flat ~13 us overhead while scalar reads cost
-        #: ~1 us/page, so short reads are faster page by page (measured
-        #: crossover ≈ 14 pages on the page-map FTL)
-        self.batch_read_min_pages = 16
 
     # ------------------------------------------------------------------
     # helpers
@@ -137,10 +140,10 @@ class Controller:
         span = self.geometry.page_span(lba, size)
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         if (
-            self.batch_enabled
-            and self.ftl.batch_read_capable
+            self.ftl.batch_read_capable
             and self.cache is None
-            and span.stop - span.start >= self.batch_read_min_pages
+            and span.stop - span.start >= BATCH_READ_MIN_PAGES
+            and not self.ftl.chip.reference
         ):
             lpages = np.arange(span.start, span.stop, dtype=np.int64)
             tokens = self.ftl.read_pages(lpages, cost, ascending=True)
@@ -180,10 +183,10 @@ class Controller:
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         page_size = self.geometry.page_size
         if (
-            self.batch_enabled
-            and self.ftl.batch_write_capable
+            self.ftl.batch_write_capable
             and self.cache is None
             and span.stop - span.start > 1
+            and not self.ftl.chip.reference
         ):
             # Fully covered pages form one contiguous middle run: coverage
             # (lba <= page_start and page_end <= lba + size) is monotone in

@@ -96,6 +96,9 @@ class BaseFTL(ABC):
     #: with real array implementations set these; the controller only
     #: builds batch arrays for capable FTLs (for the rest, the default
     #: delegation would just add overhead on top of the scalar loop).
+    #: On a :attr:`~repro.flashsim.chip.FlashChip.reference` chip those
+    #: overrides take the scalar per-page loop — the behavioural
+    #: contract the equivalence suites pin.
     batch_read_capable = False
     batch_write_capable = False
 
@@ -110,10 +113,6 @@ class BaseFTL(ABC):
     def __init__(self, geometry: Geometry, chip: FlashChip) -> None:
         self.geometry = geometry
         self.chip = chip
-        #: when False, batch-capable subclasses route ``read_pages`` /
-        #: ``write_run`` through the scalar per-page reference path —
-        #: the behavioural contract the equivalence suite pins.
-        self.batch_enabled = True
 
     # ------------------------------------------------------------------
     # data path

@@ -133,13 +133,13 @@ class BlockMapFTL(BaseFTL):
         A contiguous ascending run decomposes, per logical block, into a
         replacement-block prefix, a data-block middle and an ERASED tail
         — three slice reads instead of a per-page loop.  Non-contiguous
-        batches fall back to the scalar reference path.
+        batches and reference chips take the scalar reference path.
         """
         lpages = np.asarray(lpages, dtype=np.int64)
         n = int(lpages.size)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        if not self.batch_enabled or n == 1 or bool((np.diff(lpages) != 1).any()):
+        if self.chip.reference or n == 1 or bool((np.diff(lpages) != 1).any()):
             return super().read_pages(lpages, cost)
         self._check_lpage(int(lpages[0]))
         self._check_lpage(int(lpages[-1]))

@@ -219,11 +219,11 @@ class HybridLogFTL(BaseFTL):
         The first page of each logical-block segment of a run goes
         through :meth:`write_page` (routing, promotion, stream restart,
         log open and eviction); the rest of the segment lands in that
-        log as one program run (:meth:`_append`).  Under a fault
-        injector every page takes :meth:`write_page` — the scalar
-        reference path.
+        log as one program run (:meth:`_append`).  On a
+        :attr:`~repro.flashsim.chip.FlashChip.reference` chip every page
+        takes :meth:`write_page` — the scalar reference path.
         """
-        scalar = self.chip.fault_injector is not None
+        scalar = self.chip.reference
         run_start = 0
         for position in range(1, len(items) + 1):
             is_break = position == len(items) or (

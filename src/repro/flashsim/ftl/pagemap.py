@@ -228,7 +228,7 @@ class PageMapFTL(BaseFTL):
     ) -> np.ndarray:
         """See :meth:`BaseFTL.read_pages`: one fancy-indexed map lookup
         plus one gather read for every mapped page."""
-        if not self.batch_enabled:
+        if self.chip.reference:
             return super().read_pages(lpages, cost)
         lpages = np.asarray(lpages, dtype=np.int64)
         if lpages.size == 0:
@@ -304,8 +304,12 @@ class PageMapFTL(BaseFTL):
         collections, the real :meth:`write_page` at each free-pool
         watermark — so changes to the chunking or the GC trigger here
         must be reflected there to preserve bit-identity.
+
+        On a :attr:`~repro.flashsim.chip.FlashChip.reference` chip every
+        page takes :meth:`write_page`, so an injected program failure
+        tears the run exactly where the scalar loop would.
         """
-        if not self.batch_enabled:
+        if self.chip.reference:
             for lpage, token in zip(lpages, tokens):
                 self.write_page(int(lpage), int(token), cost)
             return
@@ -337,35 +341,6 @@ class PageMapFTL(BaseFTL):
         ppb = self.geometry.pages_per_block
         wear = self.config.wear_threshold
         gc_low = self.config.gc_low_blocks
-        # Fast path: during pure appends the free pool only shrinks at
-        # block-crossing allocate events (at most 1 + n // ppb of them)
-        # and erase counts never change, so if the pool clears the GC
-        # watermark by that margin — and no wear move is already due —
-        # neither GC nor wear levelling can fire anywhere in the run.
-        # The whole run can then be invalidated in one pass and appended
-        # chunk by chunk with no per-chunk checks.  (Invalidating early
-        # is safe exactly because nothing in between reads _valid/_p2l:
-        # those are only consulted by the GC/wear machinery.)
-        if len(self._free) > gc_low + 1 + n // ppb and not (
-            wear and self._wear_pending()
-        ):
-            self._invalidate_run(lpages)
-            i = 0
-            while i < n:
-                active = self._host_active
-                write_point = self.chip.write_point(active)
-                if write_point == ppb:
-                    self._retire_active(active)
-                    active = self._allocate_active()
-                    self._host_active = active
-                    write_point = 0
-                take = min(ppb - write_point, n - i)
-                self._program_run(
-                    active, write_point, lpages[i : i + take], tokens[i : i + take]
-                )
-                i += take
-            cost.page_programs += n
-            return
         i = 0
         while i < n:
             active = self._host_active
@@ -394,7 +369,12 @@ class PageMapFTL(BaseFTL):
         """Invalidate + append one chunk that fits the active block
         (``offset`` is the block's current write point)."""
         self._invalidate_run(lpages)
-        self._program_run(active, offset, lpages, tokens)
+        self.chip.program_run(active, offset, tokens)
+        base = active * self.geometry.pages_per_block + offset
+        self._l2p[lpages] = np.arange(base, base + lpages.size, dtype=np.int64)
+        self._p2l[base : base + lpages.size] = lpages
+        self._valid_map[base : base + lpages.size] = True
+        self._valid[active] += lpages.size
 
     def _invalidate_run(self, lpages: np.ndarray) -> None:
         """Vectorized :meth:`_invalidate` over a batch of distinct lpages."""
@@ -414,17 +394,6 @@ class PageMapFTL(BaseFTL):
                 for block in np.flatnonzero(dec).tolist():
                     if self._bucket_of[block] >= 0:
                         self._bucket_dec(block, int(dec[block]))
-
-    def _program_run(
-        self, active: int, offset: int, lpages: np.ndarray, tokens: np.ndarray
-    ) -> None:
-        """Program one already-invalidated chunk and update both maps."""
-        self.chip.program_run(active, offset, tokens)
-        base = active * self.geometry.pages_per_block + offset
-        self._l2p[lpages] = np.arange(base, base + lpages.size, dtype=np.int64)
-        self._p2l[base : base + lpages.size] = lpages
-        self._valid_map[base : base + lpages.size] = True
-        self._valid[active] += lpages.size
 
     def _invalidate(self, lpage: int) -> None:
         old = int(self._l2p[lpage])
@@ -467,7 +436,7 @@ class PageMapFTL(BaseFTL):
         frees one block while its copies consume one), so GC refuses it —
         there is simply no reclaimable space right now.
         """
-        if self._use_buckets and self.batch_enabled:
+        if self._use_buckets and not self.chip.reference:
             return self._pick_greedy_bucketed()
         candidates = self._state == _DATA
         if not candidates.any():
@@ -530,7 +499,7 @@ class PageMapFTL(BaseFTL):
         """Copy a block's valid pages to the GC active block, then erase."""
         if self._use_buckets:
             self._bucket_remove(victim)
-        if not self.batch_enabled:
+        if self.chip.reference:
             self._relocate_block_scalar(victim, cost)
             return
         ppb = self.geometry.pages_per_block

@@ -12,12 +12,14 @@ import pytest
 
 from repro.core import enforce_random_state, rest_device
 from repro.flashsim import FlashChip, Geometry, build_device
+from repro.flashsim.chip import FaultInjector, NoFaults
 from repro.flashsim.controller import Controller, ControllerConfig
 from repro.flashsim.device import FlashDevice
 from repro.flashsim.ftl.blockmap import BlockMapConfig, BlockMapFTL
 from repro.flashsim.ftl.fast import FastConfig, FastFTL
 from repro.flashsim.ftl.hybrid import HybridConfig, HybridLogFTL
 from repro.flashsim.ftl.pagemap import PageMapConfig, PageMapFTL
+from repro.flashsim.profiles import DeviceProfile, get_profile
 from repro.flashsim.timing import TimingSpec
 from repro.units import KIB, MIB, SEC
 
@@ -65,10 +67,11 @@ def make_device(
     mapping_unit: int = 0,
     bg: bool = False,
     timing: TimingSpec | None = None,
+    fault_injector: FaultInjector | None = None,
 ) -> FlashDevice:
     """Assemble a bespoke small device for unit tests."""
     geometry = geometry or SMALL_GEOMETRY
-    chip = FlashChip(geometry)
+    chip = FlashChip(geometry, fault_injector=fault_injector)
     if ftl_kind == "hybrid":
         config = HybridConfig(
             seq_log_blocks=2,
@@ -100,6 +103,26 @@ def make_device(
         ftl=ftl,
         controller=controller,
     )
+
+
+def oracle_device(
+    profile_or_kwargs: str | DeviceProfile | dict, logical_bytes: int = 4 * MIB
+) -> FlashDevice:
+    """The scalar reference twin of a test device.
+
+    ``profile_or_kwargs`` names a built-in profile, is a
+    :class:`~repro.flashsim.profiles.DeviceProfile` (both built at
+    ``logical_bytes``), or holds :func:`make_device` keyword arguments.
+    The twin carries a never-failing fault injector
+    (:class:`~repro.flashsim.chip.NoFaults`), which sends every layer —
+    controller batch paths, FTL runs, block copies, closed-form kernels
+    — down its per-IO reference path without changing any result.
+    """
+    if isinstance(profile_or_kwargs, dict):
+        return make_device(**profile_or_kwargs, fault_injector=NoFaults())
+    if isinstance(profile_or_kwargs, str):
+        profile_or_kwargs = get_profile(profile_or_kwargs)
+    return profile_or_kwargs.build(logical_bytes, NoFaults())
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ provably-transition-free windows of a homogeneous run in one vectorized
 pass and decline — back to the per-IO reference path — the moment
 garbage collection, background interference or a verification failure
 could occur.  Like the batch and columnar layers they are a pure
-performance optimisation: with the kernels enabled and disabled, state
-enforcement and engine pattern runs must produce bit-identical device
-state (``fingerprint``), identical metrics, identical run statistics
-and byte-identical traces.
+performance optimisation: on a default device and on its ``NoFaults``
+oracle twin (:func:`~tests.conftest.oracle_device`, every layer on its
+scalar reference path), state enforcement and engine pattern runs must
+produce bit-identical device state (``fingerprint``), identical
+metrics, identical run statistics and byte-identical traces.
 
 The second half pins the *bail-out exactness* contract: each decline
 reason fires exactly when its state transition could occur, the window
@@ -17,8 +18,6 @@ reproduces the reference behaviour (including raised errors).
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from repro.flashsim.profiles import build_device
 from repro.iotypes import Mode
 from repro.units import KIB, MIB
 
-from ..conftest import make_device
+from ..conftest import make_device, oracle_device
 
 #: one profile per kernel disposition: full coverage (page-map, GC
 #: epochs included), full decline (hybrid + cache), full coverage
@@ -50,17 +49,6 @@ def _isolated_stats():
     analytic.STATS.reset()
     yield
     analytic.STATS.reset()
-
-
-@contextlib.contextmanager
-def kernels_disabled():
-    """Force the per-IO reference path for the enclosed block."""
-    previous = analytic.ENABLED
-    analytic.ENABLED = False
-    try:
-        yield
-    finally:
-        analytic.ENABLED = previous
 
 
 def _report_tuple(report):
@@ -82,10 +70,9 @@ def _report_tuple(report):
 def test_enforce_analytic_reference_identical(profile):
     """State enforcement: same report, fingerprint and metrics."""
     kernel_dev = build_device(profile, logical_bytes=4 * MIB)
-    reference_dev = build_device(profile, logical_bytes=4 * MIB)
+    reference_dev = oracle_device(profile)
     kernel_report = enforce_random_state(kernel_dev, seed=5)
-    with kernels_disabled():
-        reference_report = enforce_random_state(reference_dev, seed=5)
+    reference_report = enforce_random_state(reference_dev, seed=5)
     assert _report_tuple(kernel_report) == _report_tuple(reference_report)
     assert kernel_dev.fingerprint() == reference_dev.fingerprint()
     assert kernel_dev.metrics() == reference_dev.metrics()
@@ -105,10 +92,9 @@ def test_engine_baselines_analytic_reference_identical(kind):
     """SR/RR/SW/RW through the engine: stats, CSV and state agree."""
     spec = baselines(io_size=16 * KIB, io_count=64)[kind]
     kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
-    reference_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device("ideal_pagemap"))
     kernel_run = kernel_engine.run(spec)
-    with kernels_disabled():
-        reference_run = reference_engine.run(spec)
+    reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
@@ -119,10 +105,9 @@ def test_gc_crossing_run_analytic_reference_identical():
     steady-state tail (no per-IO fallback), every collection still
     happens, and the final state is bit-identical."""
     kernel_dev = make_device(ftl_kind="pagemap")
-    reference_dev = make_device(ftl_kind="pagemap")
+    reference_dev = oracle_device({"ftl_kind": "pagemap"})
     kernel_report = enforce_random_state(kernel_dev, seed=3, coverage=3.0)
-    with kernels_disabled():
-        reference_report = enforce_random_state(reference_dev, seed=3, coverage=3.0)
+    reference_report = enforce_random_state(reference_dev, seed=3, coverage=3.0)
     assert _report_tuple(kernel_report) == _report_tuple(reference_report)
     assert kernel_dev.fingerprint() == reference_dev.fingerprint()
     assert kernel_dev.metrics() == reference_dev.metrics()
@@ -156,13 +141,10 @@ def test_gc_epoch_across_capacities_and_overprovisioning(
         pagemap=PageMapConfig(gc_low_blocks=4, bg_enabled=False),
     )
     kernel_dev = profile.build(logical_mib * MIB)
-    reference_dev = profile.build(logical_mib * MIB)
+    reference_dev = oracle_device(profile, logical_mib * MIB)
     kernel_report = enforce_random_state(kernel_dev, seed=11, coverage=2.5)
     epoch_windows = analytic.STATS.epoch_windows
-    with kernels_disabled():
-        reference_report = enforce_random_state(
-            reference_dev, seed=11, coverage=2.5
-        )
+    reference_report = enforce_random_state(reference_dev, seed=11, coverage=2.5)
     assert _report_tuple(kernel_report) == _report_tuple(reference_report)
     assert kernel_dev.fingerprint() == reference_dev.fingerprint()
     assert kernel_dev.metrics() == reference_dev.metrics()
@@ -190,14 +172,11 @@ def test_write_window_declines_wear_levelling_exactly():
         ),
     )
     kernel_dev = profile.build(4 * MIB)
-    reference_dev = profile.build(4 * MIB)
+    reference_dev = oracle_device(profile)
     kernel_report = enforce_random_state(kernel_dev, seed=3, coverage=2.0)
     assert analytic.STATS.declines.get("write:wear-levelling", 0) > 0
     assert analytic.STATS.write_windows == 0
-    with kernels_disabled():
-        reference_report = enforce_random_state(
-            reference_dev, seed=3, coverage=2.0
-        )
+    reference_report = enforce_random_state(reference_dev, seed=3, coverage=2.0)
     assert _report_tuple(kernel_report) == _report_tuple(reference_report)
     assert kernel_dev.fingerprint() == reference_dev.fingerprint()
     assert kernel_dev.metrics() == reference_dev.metrics()
@@ -210,10 +189,9 @@ def test_engine_baselines_blockmap_analytic_reference_identical(kind):
     reference controller — stats, CSV and state must agree."""
     spec = baselines(io_size=16 * KIB, io_count=64)[kind]
     kernel_engine = Engine(build_device("kingston_dti", logical_bytes=4 * MIB))
-    reference_engine = Engine(build_device("kingston_dti", logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device("kingston_dti"))
     kernel_run = kernel_engine.run(spec)
-    with kernels_disabled():
-        reference_run = reference_engine.run(spec)
+    reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
@@ -237,17 +215,15 @@ def test_queued_reads_analytic_reference_identical(profile, queue_depth):
         queue_depth=queue_depth,
     )
     kernel_engine = Engine(build_device(profile, logical_bytes=4 * MIB))
-    reference_engine = Engine(build_device(profile, logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device(profile))
     enforce_random_state(kernel_engine.device, seed=7)
-    with kernels_disabled():
-        enforce_random_state(reference_engine.device, seed=7)
+    enforce_random_state(reference_engine.device, seed=7)
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
     analytic.STATS.reset()
     kernel_run = kernel_engine.run(spec)
     assert analytic.STATS.queued_windows >= 1
     assert analytic.STATS.queued_ios == spec.io_count
-    with kernels_disabled():
-        reference_run = reference_engine.run(spec)
+    reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
@@ -268,11 +244,10 @@ def test_queued_writes_decline_but_match_reference():
         queue_depth=8,
     )
     kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
-    reference_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device("ideal_pagemap"))
     kernel_run = kernel_engine.run(spec)
     assert analytic.STATS.declines.get("queued:writes", 0) > 0
-    with kernels_disabled():
-        reference_run = reference_engine.run(spec)
+    reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
@@ -297,13 +272,16 @@ def test_write_window_declines_non_pagemap_family():
     assert analytic.STATS.declines == {"write:ftl-family": 1}
 
 
-def test_write_window_declines_batch_disabled():
-    device = build_device("ideal_pagemap", logical_bytes=4 * MIB)
-    device.ftl.batch_enabled = False
+def test_write_window_declines_fault_injector():
+    """The ``NoFaults`` oracle twin is a reference chip: the kernels
+    stand aside with state untouched."""
+    device = oracle_device("ideal_pagemap")
+    fingerprint = device.fingerprint()
     lbas, sizes = _columns(device)
     done, _ = analytic.write_window(device, lbas, sizes, device.busy_until)
     assert done == 0
-    assert analytic.STATS.declines == {"write:batch-disabled": 1}
+    assert analytic.STATS.declines == {"write:fault-injector": 1}
+    assert device.fingerprint() == fingerprint
 
 
 def test_write_window_declines_cache():
@@ -338,7 +316,7 @@ def test_queued_kernel_declines_background_pending():
     from repro.flashsim.host import AsyncHost
 
     kernel_dev = make_device(ftl_kind="pagemap", bg=True)
-    reference_dev = make_device(ftl_kind="pagemap", bg=True)
+    reference_dev = oracle_device({"ftl_kind": "pagemap", "bg": True})
     page = kernel_dev.geometry.page_size
     cap = kernel_dev.geometry.logical_bytes
     for device in (kernel_dev, reference_dev):
@@ -362,10 +340,9 @@ def test_queued_kernel_declines_background_pending():
     )
     assert analytic.STATS.queued_windows == 0
     assert analytic.STATS.declines.get("queued:background-pending", 0) == 1
-    with kernels_disabled():
-        reference_trace = AsyncHost(reference_dev).run_program(
-            program, start_at=reference_dev.busy_until
-        )
+    reference_trace = AsyncHost(reference_dev).run_program(
+        program, start_at=reference_dev.busy_until
+    )
     assert kernel_trace.to_csv() == reference_trace.to_csv()
     assert kernel_dev.fingerprint() == reference_dev.fingerprint()
 
@@ -406,11 +383,10 @@ def test_paced_program_declines_but_matches_reference():
         pause_usec=500.0,
     )
     kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
-    reference_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device("ideal_pagemap"))
     kernel_run = kernel_engine.run(spec)
     assert analytic.STATS.declines.get("program:paced", 0) > 0
-    with kernels_disabled():
-        reference_run = reference_engine.run(spec)
+    reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
@@ -439,7 +415,7 @@ def test_short_stretches_go_per_io_long_ones_take_windows(ratio):
     )
     spec = MixSpec(primary=primary, secondary=secondary, ratio=ratio, io_count=256)
     kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
-    reference_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device("ideal_pagemap"))
     kernel_run = kernel_engine.run(spec)
     if ratio < analytic.MIN_KERNEL_STRETCH:
         assert analytic.STATS.read_windows == 0
@@ -448,8 +424,7 @@ def test_short_stretches_go_per_io_long_ones_take_windows(ratio):
     else:
         assert analytic.STATS.read_windows > 0
         assert analytic.STATS.read_ios >= 3 * ratio
-    with kernels_disabled():
-        reference_run = reference_engine.run(spec)
+    reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.primary_stats == reference_run.primary_stats
     assert kernel_run.secondary_stats == reference_run.secondary_stats

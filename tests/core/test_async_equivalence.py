@@ -7,7 +7,7 @@ statistics, byte-identical trace CSV, identical per-row views and an
 identical final device state (``fingerprint``) across every FTL family
 and profile.  Each case drives the same program through both hosts on
 identical fresh devices and pins all four equivalences, mirroring the
-columnar/legacy suite in ``test_columnar_equivalence.py``.
+engine-vs-oracle suite in ``test_columnar_equivalence.py``.
 """
 
 from __future__ import annotations

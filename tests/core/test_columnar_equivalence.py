@@ -5,19 +5,18 @@ The engine's default path drives each spec's precomputed
 runner, which records into column-backed
 :class:`~repro.flashsim.trace.IOTrace` storage and hands qualifying
 stretches to the closed-form kernels (:mod:`repro.flashsim.analytic`)
-and the batch controller/FTL paths.  The reference oracle is the same
-engine with the kernels switched off (``analytic.ENABLED = False``)
-and the batch paths off (``batch_enabled = False``), so every IO takes
-the scalar per-IO path.  For every registered spec kind the two must
-produce bit-identical run statistics, byte-identical trace CSV,
-identical per-row views and identical final device state
-(``fingerprint``) on every profile.
+and the batch controller/FTL paths.  The oracle is the same engine on
+the ``NoFaults`` twin of the device (:func:`~tests.conftest.oracle_device`),
+on which every IO takes the scalar per-IO path.  For every registered
+spec kind the two must produce bit-identical run statistics,
+byte-identical trace CSV, identical per-row views and identical final
+device state (``fingerprint``) on every profile.
 
-Each case builds two fresh devices of the same profile, runs the same
-spec through the default engine and through the reference, and pins
-all four equivalences.  (The test names keep their historical
-``columnar_legacy`` wording: "columnar" is the default engine,
-"legacy" the scalar reference.)
+Each case builds a fresh default device and a fresh oracle twin of the
+same profile, runs the same spec through both, and pins all four
+equivalences.  (The test names keep their historical
+``columnar_legacy`` wording, so the suite's test IDs stay stable:
+"columnar" is the default engine, "legacy" the oracle.)
 """
 
 from __future__ import annotations
@@ -35,10 +34,11 @@ from repro.core.patterns import (
     TimingKind,
     baselines,
 )
-from repro.flashsim import analytic
 from repro.flashsim.profiles import build_device
 from repro.iotypes import Mode
 from repro.units import KIB, MIB
+
+from ..conftest import oracle_device
 
 #: page-map (kernels serve), hybrid (kernels decline) and block-map
 #: (kernels serve with reference replay at merge edges)
@@ -47,28 +47,12 @@ PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
 BASELINE_KINDS = ("SR", "RR", "SW", "RW")
 
 
-class _ReferenceEngine(Engine):
-    """The engine with every fast path off: the scalar per-IO oracle."""
-
-    def __init__(self, device) -> None:
-        device.controller.batch_enabled = False
-        device.ftl.batch_enabled = False
-        super().__init__(device)
-
-    def run(self, spec, start_at=None):
-        previous = analytic.ENABLED
-        analytic.ENABLED = False
-        try:
-            return super().run(spec, start_at)
-        finally:
-            analytic.ENABLED = previous
-
-
 def _engine_pair(profile: str) -> tuple[Engine, Engine]:
-    """Two engines over identical fresh devices: default and reference."""
-    columnar = Engine(build_device(profile, logical_bytes=4 * MIB))
-    legacy = _ReferenceEngine(build_device(profile, logical_bytes=4 * MIB))
-    return columnar, legacy
+    """Two engines over fresh devices: the default and its oracle twin."""
+    return (
+        Engine(build_device(profile, logical_bytes=4 * MIB)),
+        Engine(oracle_device(profile)),
+    )
 
 
 def _assert_traces_identical(trace_a, trace_b) -> None:
@@ -89,9 +73,9 @@ def _assert_runs_identical(run_a, run_b) -> None:
 def test_baselines_columnar_legacy_identical(profile, kind):
     """SR/RR/SW/RW: same stats, CSV bytes, rows and device state."""
     spec = baselines(io_size=16 * KIB, io_count=64)[kind]
-    columnar, legacy = _engine_pair(profile)
-    _assert_runs_identical(columnar.run(spec), legacy.run(spec))
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    fast, oracle = _engine_pair(profile)
+    _assert_runs_identical(fast.run(spec), oracle.run(spec))
+    assert fast.device.fingerprint() == oracle.device.fingerprint()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -108,9 +92,9 @@ def test_timed_patterns_columnar_legacy_identical(profile, timing):
         pause_usec=750.0,
         burst=4 if timing is TimingKind.BURST else 0,
     )
-    columnar, legacy = _engine_pair(profile)
-    _assert_runs_identical(columnar.run(spec), legacy.run(spec))
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    fast, oracle = _engine_pair(profile)
+    _assert_runs_identical(fast.run(spec), oracle.run(spec))
+    assert fast.device.fingerprint() == oracle.device.fingerprint()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -134,12 +118,12 @@ def test_mix_columnar_legacy_identical(profile):
     spec = MixSpec(
         primary=primary, secondary=secondary, ratio=3, io_count=48, io_ignore=8
     )
-    columnar, legacy = _engine_pair(profile)
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
+    fast, oracle = _engine_pair(profile)
+    run_a, run_b = fast.run(spec), oracle.run(spec)
     _assert_runs_identical(run_a, run_b)
     assert run_a.primary_stats == run_b.primary_stats
     assert run_a.secondary_stats == run_b.secondary_stats
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    assert fast.device.fingerprint() == oracle.device.fingerprint()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -153,13 +137,13 @@ def test_parallel_columnar_legacy_identical(profile):
         target_size=48 * 16 * KIB,
     )
     spec = ParallelSpec(base=base, parallel_degree=3)
-    columnar, legacy = _engine_pair(profile)
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
+    fast, oracle = _engine_pair(profile)
+    run_a, run_b = fast.run(spec), oracle.run(spec)
     assert run_a.stats == run_b.stats
     assert len(run_a.runs) == len(run_b.runs)
     for sub_a, sub_b in zip(run_a.runs, run_b.runs):
         _assert_runs_identical(sub_a, sub_b)
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    assert fast.device.fingerprint() == oracle.device.fingerprint()
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -181,18 +165,18 @@ def test_parallel_mix_columnar_legacy_identical(profile):
         target_size=1 * MIB,
     )
     spec = ParallelMixSpec((reads, writes))
-    columnar, legacy = _engine_pair(profile)
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
+    fast, oracle = _engine_pair(profile)
+    run_a, run_b = fast.run(spec), oracle.run(spec)
     assert run_a.stats == run_b.stats
     for sub_a, sub_b in zip(run_a.runs, run_b.runs):
         _assert_runs_identical(sub_a, sub_b)
-    assert columnar.device.fingerprint() == legacy.device.fingerprint()
+    assert fast.device.fingerprint() == oracle.device.fingerprint()
 
 
 def test_restat_matches_on_columnar_trace():
     """Phase re-analysis cuts the cached response array identically."""
     spec = baselines(io_size=16 * KIB, io_count=64)["RW"]
-    columnar, legacy = _engine_pair("memoright")
-    run_a, run_b = columnar.run(spec), legacy.run(spec)
+    fast, oracle = _engine_pair("memoright")
+    run_a, run_b = fast.run(spec), oracle.run(spec)
     for cut in (0, 8, 32, 63):
         assert run_a.restat(cut) == run_b.restat(cut)

@@ -5,11 +5,11 @@ integer components of every IO sum *exactly* to the rounded response
 time — not approximately, not on average.  This suite pins that across
 the same equivalence axes the performance suites use: all four FTL
 families, calibrated profiles (with measurement noise), the write-back
-cache, sync vs queued hosts at depth 1, columnar vs legacy recording,
-and scalar vs batch kernels — plus the float-residual oracle, the
-apportionment edge cases, trace round-trips and the recorder's
-pure-observability guarantee (a device with a recorder attached must
-evolve bit-identically to one without).
+cache, sync vs queued hosts at depth 1, engine recording vs a per-IO
+submit loop, and the fast paths vs the ``NoFaults`` oracle twin — plus
+the float-residual oracle, the apportionment edge cases, trace
+round-trips and the recorder's pure-observability guarantee (a device
+with a recorder attached must evolve bit-identically to one without).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from repro.flashsim.trace import IOTrace
 from repro.iotypes import IORequest, Mode
 from repro.units import KIB, MIB
 
-from ..conftest import SMALL_GEOMETRY, make_device
-from .test_batch_equivalence import _force_scalar, _io_mix
+from ..conftest import SMALL_GEOMETRY, make_device, oracle_device
+from .test_batch_equivalence import _io_mix
 
 FTL_KINDS = ("pagemap", "hybrid", "blockmap", "fast")
 
@@ -213,7 +213,7 @@ def test_sync_async_depth1_attribution_identical(ftl_kind, kind):
 
 
 @pytest.mark.parametrize("profile", ("memoright", "kingston_dti"))
-def test_columnar_legacy_attribution_identical(profile):
+def test_engine_attribution_matches_a_per_io_submit_loop(profile):
     """The engine's columnar recording carries the same attribution
     columns as per-IO :meth:`FlashDevice.submit` objects appended to a
     trace."""
@@ -225,27 +225,26 @@ def test_columnar_legacy_attribution_identical(profile):
     device = build_device(profile, logical_bytes=4 * MIB)
     device.attach_recorder(FlightRecorder())
     program = PatternGenerator(spec).program()
-    legacy = IOTrace()
+    per_io = IOTrace()
     clock = device.busy_until
     for index, (lba, size) in enumerate(
         zip(program.lbas.tolist(), program.sizes.tolist())
     ):
         request = IORequest(index, lba, size, Mode.WRITE, clock)
         completed = device.submit(request, clock)
-        legacy.append(completed)
+        per_io.append(completed)
         clock = completed.completed_at
 
-    for trace in (columnar, legacy):
+    for trace in (columnar, per_io):
         _assert_trace_balanced(trace)
-    assert columnar.to_csv() == legacy.to_csv()
-    assert np.array_equal(columnar.attribution_matrix(), legacy.attribution_matrix())
+    assert columnar.to_csv() == per_io.to_csv()
+    assert np.array_equal(columnar.attribution_matrix(), per_io.attribution_matrix())
 
 
 @pytest.mark.parametrize("ftl_kind", FTL_KINDS)
 def test_scalar_batch_attribution_identical(ftl_kind):
-    scalar = make_device(ftl_kind=ftl_kind)
+    scalar = oracle_device({"ftl_kind": ftl_kind})
     batch = make_device(ftl_kind=ftl_kind)
-    _force_scalar(scalar)
     scalar_rec = FlightRecorder(capacity=10_000)
     batch_rec = FlightRecorder(capacity=10_000)
     scalar.attach_recorder(scalar_rec)

@@ -5,12 +5,13 @@ The batched controller→FTL→chip hot path (``Controller`` fast paths,
 ``program_run``) is a pure performance optimisation: every device profile
 must produce bit-identical state (``fingerprint``), identical physical
 work (``CostAccumulator`` totals) and identical observability counters
-(``metrics``) whether the batch paths are enabled or forced off.
+(``metrics``) whether the batch paths run or the chip sends every layer
+to its scalar reference path.
 
 Two devices are driven through the same IO mix — sequential, random,
-aligned, misaligned, reads and writes interleaved — one with
-``batch_enabled = False`` on both the controller and the FTL (the scalar
-reference), one with the defaults.  Dedicated cases cover the
+aligned, misaligned, reads and writes interleaved — one the
+``NoFaults`` oracle twin (:func:`~tests.conftest.oracle_device`, the
+scalar reference), one with the defaults.  Dedicated cases cover the
 cache-enabled and mapping-unit-expanded controllers, whose edges force
 the scalar fallbacks.
 """
@@ -23,7 +24,7 @@ import pytest
 from repro.flashsim.profiles import build_device, profile_names
 from repro.units import KIB, MIB
 
-from ..conftest import SMALL_GEOMETRY, make_device
+from ..conftest import SMALL_GEOMETRY, make_device, oracle_device
 
 SECTOR = 512
 
@@ -36,11 +37,6 @@ _COST_FIELDS = (
     "bytes_transferred",
     "map_misses",
 )
-
-
-def _force_scalar(device) -> None:
-    device.controller.batch_enabled = False
-    device.ftl.batch_enabled = False
 
 
 def _io_mix(geometry, seed: int = 7):
@@ -114,27 +110,24 @@ def _assert_equivalent(scalar, batch, ios) -> None:
 @pytest.mark.parametrize("profile", profile_names())
 def test_profiles_scalar_batch_identical(profile):
     """Every built-in profile: same fingerprint, costs and metrics."""
-    scalar = build_device(profile, logical_bytes=4 * MIB)
+    scalar = oracle_device(profile)
     batch = build_device(profile, logical_bytes=4 * MIB)
-    _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(scalar.geometry))
 
 
 @pytest.mark.parametrize("ftl_kind", ["pagemap", "hybrid", "blockmap", "fast"])
 def test_small_devices_scalar_batch_identical(ftl_kind):
     """Small bespoke devices exercise GC/merge edges within few IOs."""
-    scalar = make_device(ftl_kind=ftl_kind)
+    scalar = oracle_device({"ftl_kind": ftl_kind})
     batch = make_device(ftl_kind=ftl_kind)
-    _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=11))
 
 
 @pytest.mark.parametrize("ftl_kind", ["pagemap", "hybrid"])
 def test_cache_enabled_scalar_batch_identical(ftl_kind):
     """A write-back cache forces the scalar path; counters must agree."""
-    scalar = make_device(ftl_kind=ftl_kind, cache_bytes=64 * KIB)
+    scalar = oracle_device({"ftl_kind": ftl_kind, "cache_bytes": 64 * KIB})
     batch = make_device(ftl_kind=ftl_kind, cache_bytes=64 * KIB)
-    _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=13))
 
 
@@ -142,17 +135,15 @@ def test_cache_enabled_scalar_batch_identical(ftl_kind):
 def test_mapping_unit_scalar_batch_identical(ftl_kind):
     """Mapping-unit expansion creates RMW padding on both edges."""
     unit = 2 * SMALL_GEOMETRY.page_size
-    scalar = make_device(ftl_kind=ftl_kind, mapping_unit=unit)
+    scalar = oracle_device({"ftl_kind": ftl_kind, "mapping_unit": unit})
     batch = make_device(ftl_kind=ftl_kind, mapping_unit=unit)
-    _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=17))
 
 
 def test_background_gc_scalar_batch_identical():
     """Background reclamation interleaves with the batch write path."""
-    scalar = make_device(ftl_kind="pagemap", bg=True)
+    scalar = oracle_device({"ftl_kind": "pagemap", "bg": True})
     batch = make_device(ftl_kind="pagemap", bg=True)
-    _force_scalar(scalar)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=19))
 
 

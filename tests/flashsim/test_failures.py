@@ -1,9 +1,10 @@
 """Failure injection: chip faults propagate sanely through the stack."""
 
+import numpy as np
 import pytest
 
 from repro.errors import EnduranceError, ProgramError
-from repro.flashsim.chip import FlashChip
+from repro.flashsim.chip import ERASED, FlashChip
 from repro.flashsim.ftl.hybrid import HybridConfig, HybridLogFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.profiles import build_device
@@ -44,6 +45,42 @@ def test_device_with_fault_injector_builds():
     )
     done = device.write(0, 32 * KIB)
     assert done.response_usec > 0
+
+
+def _flash_tokens(device, lpages):
+    """Tokens the flash holds for ``lpages`` (ERASED where unmapped),
+    read straight from the chip so a block retired by the failure does
+    not get in the way."""
+    ppages = device.ftl._l2p[lpages]
+    return np.where(ppages >= 0, device.chip._tokens[np.maximum(ppages, 0)], ERASED)
+
+
+@pytest.mark.parametrize(
+    ("offset", "size"),
+    [(0, 64 * KIB), (512, 64 * KIB)],
+    ids=["aligned", "rmw-edges"],
+)
+def test_torn_pagemap_write_keeps_the_ftl_consistent(offset, size):
+    """A program failure part-way through a multi-page page-map rewrite
+    raises, and leaves the FTL's maps consistent and every page the
+    write did not touch readable with its last written content."""
+    faults = CountedFaults()
+    device = build_device(
+        "ideal_pagemap", logical_bytes=8 * MIB, fault_injector=faults
+    )
+    page = device.geometry.page_size
+    device.write(0, 256 * KIB)
+    device.write(1 * MIB, 256 * KIB)
+    faults.fail_program_at = faults.programs + 5
+    with pytest.raises(ProgramError):
+        device.write(offset, size)
+    assert device.chip.stats.program_failures == 1
+    device.check_invariants()
+    touched = np.arange(offset // page, -(-(offset + size) // page))
+    untouched = np.setdiff1d(np.arange(device.geometry.logical_pages), touched)
+    assert np.array_equal(
+        _flash_tokens(device, untouched), device.controller._shadow[untouched]
+    )
 
 
 def test_endurance_exhaustion_is_detectable():

@@ -9,9 +9,9 @@ two phases that dominate real campaign time:
   vectorized run kernel targets;
 * **SR/RR/SW/RW**: the four baseline patterns of Section 3.1;
 * **run_{SR,RR,SW,RW,mix,parallel}**: measured runs through the
-  engine, each with a ``/fallback`` twin run with the closed-form
-  kernels switched off (``run_mix`` must stay within
-  ``MIX_FALLBACK_LIMIT`` of its twin);
+  engine, each with a ``/fallback`` twin whose programs skip the
+  closed-form kernels and run the hosts' per-IO loops (no fast key may
+  be more than ``FALLBACK_LIMIT`` times slower than its twin);
 * **run_RR_qd{1,4,32}**: a random-read sweep over NCQ queue depths
   through the engine's queued host; each entry also carries the
   *simulated* ``device_iops``, which should scale with depth up to the
@@ -20,18 +20,17 @@ two phases that dominate real campaign time:
   workloads — GC-crossing random writes on an enforced device (the
   GC-epoch kernel) and a depth-32 random-read run (the queued
   completion kernel), each with a ``/fallback`` twin forced through
-  the hosts' per-IO reference loops.
-* **enforce/oracle**: on merge-based profiles (hybrid, block-map,
-  FAST), enforcement on a device built with a never-failing fault
-  injector, which sends block copies, merges and log appends through
-  their scalar per-page reference loops.
+  the hosts' per-IO loops.
 
-Each workload is timed twice per profile: once with the batch paths on
-(the default) and once forced through the scalar per-page reference
-path, so the speedup is visible in one report.  Results are written as
-``{workload: {"usec_per_io": ..., "sim_ios_per_sec": ...}}`` where
-workload keys look like ``ideal_pagemap/enforce`` (batch) and
-``ideal_pagemap/enforce/scalar``.
+Enforcement and the four baselines are timed twice per profile: once
+on the default device and once on its ``/oracle`` twin, built with a
+never-failing fault injector (:class:`~repro.flashsim.chip.NoFaults`),
+which sends every layer — controller batch paths, FTL runs, block
+copies, log appends, closed-form kernels — down its scalar per-IO
+reference path, so the speedup is visible in one report.  Results are
+written as ``{workload: {"usec_per_io": ..., "sim_ios_per_sec": ...}}``
+where workload keys look like ``ideal_pagemap/enforce`` (default) and
+``ideal_pagemap/enforce/oracle``.
 
 Usage::
 
@@ -40,17 +39,18 @@ Usage::
 
 With ``--baseline``, the run fails (exit 1) if any shared workload's
 ``usec_per_io`` regresses more than 2x against the committed numbers,
-if a profile's enforce, enforce-vs-oracle or GC-epoch *speedup* (the
+if a profile's enforce-vs-oracle or GC-epoch *speedup* (the
 slow-path/fast-path ratio, which is largely machine-independent) drops
 below its gate's share of the committed ratio (``SPEEDUP_GATES``), or
-if a profile's ``run_mix`` is more than ``MIX_FALLBACK_LIMIT`` times
-slower than its ``/fallback`` twin (a fast path losing to its own
-fallback) — the CI perf-smoke gate.
+if any workload is more than ``FALLBACK_LIMIT`` times slower than its
+``/fallback`` twin (a fast path losing to its own fallback) — the CI
+perf-smoke gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -93,31 +93,65 @@ REGRESSION_FACTOR = 2.0
 SPEEDUP_RETENTION = 0.5
 
 #: speedup-gated workloads: (fast key stem, slow-twin suffix, share of
-#: the committed ratio a run must retain).  The enforce/scalar ratio
-#: pins the vectorized write kernel; the run_RW_gc ratio pins the
-#: GC-epoch kernel (its fallback twin runs the per-IO reference loop
-#: with the batch controller paths still on).  The enforce/oracle ratio
-#: pins the block-copy and log-append fast paths of the merge-based
-#: families; it is only 1.3-1.8x at the quick config, so half of it
-#: would still pass with the fast paths off (ratio 1.0) — its
-#: retention is set to trip there.
+#: the committed ratio a run must retain by FTL family, "*" for the
+#: rest).  The enforce/oracle ratio pins every fast path enforcement
+#: takes: the closed-form write kernel on page-map profiles, block
+#: copies and log appends on the merge-based families.  On the latter
+#: it is only 1.4-2x at the quick config, so half of it would still
+#: pass with the fast paths off (ratio 1.0) — their retention is set to
+#: trip there.  The run_RW_gc ratio pins the GC-epoch kernel (its
+#: fallback twin runs the per-IO loop with the batch controller paths
+#: still on).
 SPEEDUP_GATES = (
-    ("enforce", "scalar", SPEEDUP_RETENTION),
-    ("enforce", "oracle", 0.85),
-    ("run_RW_gc", "fallback", SPEEDUP_RETENTION),
+    ("enforce", "oracle", {"pagemap": SPEEDUP_RETENTION, "*": 0.85}),
+    ("run_RW_gc", "fallback", {"*": SPEEDUP_RETENTION}),
 )
 
-#: how much slower than its ``/fallback`` twin ``run_mix`` may run: a
-#: mix alternates short read/write stretches, the case where kernel
-#: window setup can cost more than it saves
-MIX_FALLBACK_LIMIT = 1.25
+#: how much slower than its ``/fallback`` twin any workload may run: a
+#: fast path that loses to its own fallback is a bug (short mix
+#: stretches, where kernel window setup can cost more than it saves,
+#: were the first case)
+FALLBACK_LIMIT = 1.25
 
 DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
 
 
-def _set_batch(device, enabled: bool) -> None:
-    device.controller.batch_enabled = enabled
-    device.ftl.batch_enabled = enabled
+def _build(profile: str, logical_bytes: int, oracle: bool = False):
+    """A fresh device, or its scalar ``NoFaults`` oracle twin."""
+    return build_device(
+        profile,
+        logical_bytes=logical_bytes,
+        fault_injector=NoFaults() if oracle else None,
+    )
+
+
+def _paired(repeat: int, sides: tuple) -> list:
+    """``repeat`` rounds over ``sides`` (a workload and its twin),
+    flipping their order every round, so that neither side of a
+    speedup ratio always runs first and a burst of machine noise lands
+    on both alike."""
+    rounds = []
+    for round_ in range(max(repeat, 1)):
+        rounds.extend(sides if round_ % 2 == 0 else reversed(sides))
+    return rounds
+
+
+def _decline_program(*args, **kwargs) -> bool:
+    return False
+
+
+@contextlib.contextmanager
+def _kernels_declined():
+    """Make every program decline the closed-form kernels, so the hosts
+    run their per-IO loops (the ``/fallback`` twins).  The controller's
+    batch paths stay on, and so does enforcement's write kernel, which
+    does not go through the program entry points."""
+    saved = analytic.run_program_into, analytic.run_program_queued
+    analytic.run_program_into = analytic.run_program_queued = _decline_program
+    try:
+        yield
+    finally:
+        analytic.run_program_into, analytic.run_program_queued = saved
 
 
 def _entry(elapsed_sec: float, io_count: int) -> dict[str, float]:
@@ -135,23 +169,22 @@ def _warm_up(profile: str) -> None:
     import numpy as np
 
     np.unique(np.arange(4))
-    for batch in (True, False):
-        device = build_device(profile, logical_bytes=MIB)
-        _set_batch(device, batch)
-        enforce_random_state(device)
+    for oracle in (False, True):
+        enforce_random_state(_build(profile, MIB, oracle))
 
 
 def bench_profile(
-    profile: str, logical_bytes: int, io_count: int, batch: bool, repeat: int
+    profile: str, logical_bytes: int, io_count: int, repeat: int, twins: bool
 ) -> dict[str, dict[str, float]]:
     """Best-of-``repeat`` timings of enforcement and the four baselines.
 
     Each repetition runs the full workload sequence on a fresh device
-    (the sequence is deterministic, so repetitions are identical work);
-    the minimum elapsed time per workload is reported, which is robust
+    and, with ``twins``, on a fresh ``NoFaults`` oracle twin
+    (``/oracle`` keys), in alternating order (:func:`_paired`).  The
+    sequence is deterministic, so repetitions are identical work; the
+    minimum elapsed time per workload is reported, which is robust
     against scheduler noise on shared machines.
     """
-    suffix = "" if batch else "/scalar"
     best_sec: dict[str, float] = {}
     ios: dict[str, int] = {}
     specs = baselines(
@@ -160,9 +193,9 @@ def bench_profile(
         random_target_size=logical_bytes,
         sequential_target_size=logical_bytes,
     )
-    for _ in range(max(repeat, 1)):
-        device = build_device(profile, logical_bytes=logical_bytes)
-        _set_batch(device, batch)
+    for oracle in _paired(repeat, (False, True) if twins else (False,)):
+        suffix = "/oracle" if oracle else ""
+        device = _build(profile, logical_bytes, oracle)
 
         start = time.perf_counter()
         report = enforce_random_state(device)
@@ -179,32 +212,6 @@ def bench_profile(
             best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
             ios[key] = io_count
     return {key: _entry(sec, ios[key]) for key, sec in best_sec.items()}
-
-
-def bench_oracle(
-    profile: str, logical_bytes: int, repeat: int
-) -> dict[str, dict[str, float]]:
-    """Best-of-``repeat`` enforcement on the scalar oracle device.
-
-    The device carries a never-failing fault injector
-    (:class:`~repro.flashsim.chip.NoFaults`): simulated results are
-    unchanged, but every block copy, merge and hybrid log append takes
-    its scalar per-page loop.  Only merge-based profiles get the twin —
-    on a page-mapped one the ``/scalar`` twin already covers it.
-    """
-    if get_profile(profile).ftl_kind == "pagemap":
-        return {}
-    best = float("inf")
-    io_count = 0
-    for _ in range(max(repeat, 1)):
-        device = build_device(
-            profile, logical_bytes=logical_bytes, fault_injector=NoFaults()
-        )
-        start = time.perf_counter()
-        report = enforce_random_state(device)
-        best = min(best, time.perf_counter() - start)
-        io_count = report.io_count
-    return {f"{profile}/enforce/oracle": _entry(best, io_count)}
 
 
 def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
@@ -244,31 +251,28 @@ def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
 
 
 def bench_measured_runs(
-    profile: str, logical_bytes: int, io_count: int, kernels: bool, repeat: int
+    profile: str, logical_bytes: int, io_count: int, repeat: int, twins: bool
 ) -> dict[str, dict[str, float]]:
     """Best-of-``repeat`` timings of the engine's measured runs.
 
     The same six workloads run with the closed-form kernels on (the
-    default, plain keys) and off (``analytic.ENABLED = False``,
-    ``/fallback`` suffix — the hosts' per-IO loops).  Both produce
-    bit-identical traces, so the ratio is pure fast-path gain or loss.
+    default, plain keys) and, with ``twins``, with every program
+    declining them (``/fallback`` suffix — the hosts' per-IO loops),
+    in alternating order (:func:`_paired`).  Both produce bit-identical
+    traces, so the ratio is pure fast-path gain or loss.
     """
-    suffix = "" if kernels else "/fallback"
     best_sec: dict[str, float] = {}
     workloads = _run_specs(logical_bytes, io_count)
-    saved = analytic.ENABLED
-    analytic.ENABLED = kernels
-    try:
-        for _ in range(max(repeat, 1)):
-            engine = Engine(build_device(profile, logical_bytes=logical_bytes))
+    for kernels in _paired(repeat, (True, False) if twins else (True,)):
+        suffix = "" if kernels else "/fallback"
+        engine = Engine(build_device(profile, logical_bytes=logical_bytes))
+        with contextlib.nullcontext() if kernels else _kernels_declined():
             for name, spec in workloads.items():
                 start = time.perf_counter()
                 engine.run(spec)
                 elapsed = time.perf_counter() - start
                 key = f"{profile}/{name}{suffix}"
                 best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
-    finally:
-        analytic.ENABLED = saved
     return {key: _entry(sec, io_count) for key, sec in best_sec.items()}
 
 
@@ -333,13 +337,13 @@ def bench_gc_epochs(
     depth-32 random reads through the queued completion kernel's
     vectorized event schedule.
 
-    Each workload is timed twice: kernels on (plain key) and with the
-    analytic layer switched off (``/fallback`` suffix), which sends the
-    hosts through their per-IO reference loops.  The batch controller
-    paths stay on in both passes, so the ratio isolates the closed-form
-    kernels rather than the older batch machinery, and enforcement
-    itself always runs with kernels on — both passes measure the same
-    device state bit-identically.
+    Each workload is timed twice: kernels on (plain key) and with every
+    program declining them (``/fallback`` suffix), which sends the
+    hosts through their per-IO loops.  The batch controller paths stay
+    on in both passes, so the ratio isolates the closed-form kernels
+    rather than the older batch machinery, and enforcement itself
+    always runs with kernels on — both passes measure the same device
+    state bit-identically.
 
     Page-map profiles are rebuilt as a tight-spare, foreground-GC
     variant of the same timing profile: the stock spare area plus
@@ -376,23 +380,18 @@ def bench_gc_epochs(
         ("run_RR_qd32_analytic", read_spec),
     )
     best_sec: dict[str, float] = {}
-    for _ in range(max(repeat, 1)):
-        for enabled in (True, False):
-            suffix = "" if enabled else "/fallback"
-            for name, spec in workloads:
-                device = build()
-                enforce_random_state(device)
-                engine = Engine(device)
-                saved = analytic.ENABLED
-                analytic.ENABLED = enabled
-                try:
-                    start = time.perf_counter()
-                    engine.run(spec)
-                    elapsed = time.perf_counter() - start
-                finally:
-                    analytic.ENABLED = saved
-                key = f"{profile}/{name}{suffix}"
-                best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
+    for enabled in _paired(repeat, (True, False)):
+        suffix = "" if enabled else "/fallback"
+        for name, spec in workloads:
+            device = build()
+            enforce_random_state(device)
+            engine = Engine(device)
+            with contextlib.nullcontext() if enabled else _kernels_declined():
+                start = time.perf_counter()
+                engine.run(spec)
+                elapsed = time.perf_counter() - start
+            key = f"{profile}/{name}{suffix}"
+            best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
     return {key: _entry(sec, io_count) for key, sec in best_sec.items()}
 
 
@@ -493,6 +492,20 @@ def _workload_speedup(
     return slow["usec_per_io"] / max(fast["usec_per_io"], 1e-9)
 
 
+def _fallback_twinned(
+    entries: dict[str, dict[str, float]], profile: str
+) -> list[str]:
+    """Workload names of ``profile`` that have both a plain key and a
+    ``/fallback`` twin in ``entries``."""
+    return [
+        key[len(profile) + 1 : -len("/fallback")]
+        for key in entries
+        if key.startswith(f"{profile}/")
+        and key.endswith("/fallback")
+        and key[: -len("/fallback")] in entries
+    ]
+
+
 def check_baseline(
     results: dict[str, dict[str, float]], baseline_path: Path
 ) -> list[str]:
@@ -514,7 +527,9 @@ def check_baseline(
     # absolute-time factor — they trip when a fast path stops engaging
     profiles = {w.split("/", 1)[0] for w in results if "/" in w}
     for profile in sorted(profiles):
-        for name, slow_suffix, retention in SPEEDUP_GATES:
+        family = get_profile(profile).ftl_kind
+        for name, slow_suffix, shares in SPEEDUP_GATES:
+            retention = shares.get(family, shares["*"])
             new_ratio = _workload_speedup(results, profile, name, slow_suffix)
             old_ratio = _workload_speedup(baseline, profile, name, slow_suffix)
             if new_ratio is None or old_ratio is None:
@@ -524,12 +539,13 @@ def check_baseline(
                     f"{profile}: {name}/{slow_suffix} speedup {new_ratio:.2f}x vs "
                     f"baseline {old_ratio:.2f}x (< {retention}x retention)"
                 )
-        mix_speedup = _workload_speedup(results, profile, "run_mix", "fallback")
-        if mix_speedup is not None and mix_speedup * MIX_FALLBACK_LIMIT < 1.0:
-            regressions.append(
-                f"{profile}: run_mix {1 / mix_speedup:.2f}x slower than "
-                f"run_mix/fallback (> {MIX_FALLBACK_LIMIT}x)"
-            )
+        for name in _fallback_twinned(results, profile):
+            speedup = _workload_speedup(results, profile, name, "fallback")
+            if speedup * FALLBACK_LIMIT < 1.0:
+                regressions.append(
+                    f"{profile}: {name} {1 / speedup:.2f}x slower than "
+                    f"{name}/fallback (> {FALLBACK_LIMIT}x)"
+                )
     return regressions
 
 
@@ -563,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--batch-only",
         action="store_true",
-        help="skip the scalar reference measurements",
+        help="skip the oracle and fallback twins",
     )
     parser.add_argument(
         "--repeat",
@@ -583,23 +599,15 @@ def main(argv: list[str] | None = None) -> int:
     _warm_up(profiles[0])
     results: dict[str, dict[str, float]] = {}
     for profile in profiles:
-        for batch in (True,) if args.batch_only else (True, False):
-            mode = "batch" if batch else "scalar"
-            print(f"benchmarking {profile} ({mode}) ...", flush=True)
-            results.update(
-                bench_profile(profile, logical, io_count, batch, args.repeat)
-            )
-        if not args.batch_only:
-            print(f"benchmarking {profile} (oracle) ...", flush=True)
-            results.update(bench_oracle(profile, logical, args.repeat))
-        for kernels in (True,) if args.batch_only else (True, False):
-            mode = "kernels" if kernels else "fallback"
-            print(f"benchmarking {profile} runs ({mode}) ...", flush=True)
-            results.update(
-                bench_measured_runs(
-                    profile, logical, io_count, kernels, args.repeat
-                )
-            )
+        twins = not args.batch_only
+        print(f"benchmarking {profile} ...", flush=True)
+        results.update(
+            bench_profile(profile, logical, io_count, args.repeat, twins)
+        )
+        print(f"benchmarking {profile} runs ...", flush=True)
+        results.update(
+            bench_measured_runs(profile, logical, io_count, args.repeat, twins)
+        )
         print(f"benchmarking {profile} queue depths ...", flush=True)
         results.update(
             bench_queue_depths(profile, logical, io_count, args.repeat)
@@ -619,20 +627,13 @@ def main(argv: list[str] | None = None) -> int:
 
     print(json.dumps(results, indent=2))
     for profile in profiles:
-        for name, slow_suffix in (
-            *((name, suffix) for name, suffix, _ in SPEEDUP_GATES),
-            ("run_RR_qd32_analytic", "fallback"),
-        ):
-            speedup = _workload_speedup(results, profile, name, slow_suffix)
+        for name in ("enforce", *PATTERN_ORDER):
+            speedup = _workload_speedup(results, profile, name, "oracle")
             if speedup is not None:
-                print(
-                    f"{profile}: {name} speedup {speedup:.2f}x "
-                    f"({slow_suffix}/fast)"
-                )
-        for name in (*(f"run_{p}" for p in PATTERN_ORDER), "run_mix", "run_parallel"):
+                print(f"{profile}: {name} speedup {speedup:.2f}x (oracle/fast)")
+        for name in _fallback_twinned(results, profile):
             speedup = _workload_speedup(results, profile, name, "fallback")
-            if speedup is not None:
-                print(f"{profile}: {name} speedup {speedup:.2f}x (fallback/fast)")
+            print(f"{profile}: {name} speedup {speedup:.2f}x (fallback/fast)")
         pack_key = f"{profile}/snapshot_pack"
         if pack_key in results:
             entry = results[pack_key]
