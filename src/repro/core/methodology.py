@@ -66,12 +66,13 @@ def enforce_random_state(
 
     The write stream is RNG-driven, not response-driven, so the whole
     (size, lba) sequence is pre-drawn into columns and handed to the
-    closed-form write kernel (:func:`repro.flashsim.analytic.write_window`):
-    GC-free prefixes evaluate in one vectorized pass, and once the free
-    pool reaches steady state the GC-epoch kernel absorbs the rest of
-    the stream — closed-form appends between collections, the real
-    relocation step at each watermark — so page-map and block-map
-    enforcement runs end-to-end analytic.  Devices the kernels do not
+    closed-form write kernel (:func:`repro.flashsim.analytic.write_window`)
+    as one window: on a page-map device the FTL appends the whole page
+    stream in closed form up to each GC watermark and collects at it
+    (``PageMapFTL.write_steps``); on a block-map device every IO takes
+    the controller, whose in-order appends are one program run each —
+    so page-map and block-map enforcement run end-to-end in the kernel
+    with no per-IO device dispatch.  Devices the kernels do not
     cover (hybrid/FAST families, caches, wear levelling, fault
     injection) fall back to the per-IO ``submit`` path below.
     """

@@ -1,47 +1,45 @@
 """Closed-form whole-run kernels (the analytic fast path).
 
-When a run of host IOs provably cannot trigger an FTL state transition —
-no garbage collection, no wear move, no background unit, no
-read-your-writes failure — every per-IO quantity is a *closed-form*
-function of the device state at the start of the run: programs land at
-consecutive write points of a known block sequence, RMW edge reads count
-mapped pages, service times follow the
-:meth:`~repro.flashsim.timing.CostAccumulator.total` formula, and the
-completion chain is a prefix sum.  The kernels in this module evaluate
-that closed form on numpy columns — one vectorized pass for a whole
-window of IOs — then write chip / FTL / controller / device state to
-exactly the values the per-IO reference path would have produced.
+A window of back-to-back synchronous host IOs needs no per-IO device
+dispatch: with no background work and zero gaps, each IO's service time
+is its cost's :meth:`~repro.flashsim.timing.CostAccumulator.total`, the
+completion chain is a prefix sum and the channel horizons follow in
+closed form.  The kernels in this module evaluate those on numpy
+columns — one vectorized pass for a whole window — and hand the FTL
+work to the FTLs' own range primitives, so they schedule that work but
+restate none of it:
+
+* :meth:`BaseFTL.locate <repro.flashsim.ftl.base.BaseFTL.locate>`,
+  the non-charging read lookup, resolves every read and every
+  read-modify-write edge of a window;
+* :meth:`PageMapFTL.write_steps
+  <repro.flashsim.ftl.pagemap.PageMapFTL.write_steps>` — the loop behind
+  ``write_run`` — writes a page-map window's whole flattened page
+  stream: closed-form host-log appends up to each GC watermark and the
+  real ``write_page`` (with its collections) at it, handing back each
+  watermark step so its cost lands on the IO that owns the page;
+* ``Controller.write`` writes a block-map window IO by IO, and the
+  block-map ``write_run`` lands each in-order replacement append as one
+  program run.
 
 Discipline:
 
-* a kernel either proves, *before touching any state*, that the window
-  is transition-free and then reproduces the per-IO path **bit for
-  bit** — same maps, same counters, same floats in the same operation
-  order — or it declines and the caller falls back to the reference
-  per-IO loop;
+* a kernel either reproduces the per-IO reference path **bit for bit**
+  — same maps, same counters, same floats in the same operation order —
+  or it declines, with state untouched, and the caller falls back to
+  the reference per-IO loop;
 * every decline is counted with a reason in :data:`STATS`, which is
-  what the equivalence tests assert on ("the fast path bails out
-  exactly when a state transition could occur").
+  what the equivalence tests assert on.
 
 Current coverage:
 
-* **page-map FTL** (the "modern SSD" profile family) — reads of any
-  mix, GC-free write windows in fully closed form, and **GC-epoch
-  write windows**: a write window that crosses garbage collection
-  decomposes into epochs — a run of appends up to free-pool
-  exhaustion, then one GC step, repeated.  Tokens, RMW reads, costs
-  and the completion chain are still resolved on columns; only the
-  block-lifecycle/GC events themselves replay through the real FTL
-  methods (the same ``write_page`` / ``_append_run`` calls the
-  reference slow loop makes, merged into maximal chunks), so the
-  steady-state write regime runs at analytic speed without leaving
-  the prove-or-decline contract.
-* **block-map FTL** (USB/SD/IDE profile family) — whole-block reads in
-  closed form; writes as a per-IO loop whose sequential in-order
-  appends collapse to one vectorized program run (finalisation /
-  merge boundaries are the epoch edges, replayed through the real
-  ``_finalize`` path) and whose irregular IOs replay the reference
-  controller write exactly.
+* **page-map FTL** (the "modern SSD" profile family) — reads of any mix
+  and write windows of any length, garbage collection included
+  (``epoch_windows`` counts the windows that ran at least one
+  collection);
+* **block-map FTL** (USB/SD/IDE profile family) — reads in closed form;
+  writes through the controller per IO, whose in-order appends are one
+  program run each;
 * **queued hosts** — homogeneous zero-gap read programs at any queue
   depth evaluate as a vectorized event schedule
   (:func:`run_program_queued`): per-IO services come from the closed
@@ -62,15 +60,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.flashsim.chip import ERASED
+from repro.flashsim.ftl.base import FILLER_TOKEN
 from repro.flashsim.ftl.blockmap import BlockMapFTL
-from repro.flashsim.ftl.hybrid import FILLER_TOKEN
-from repro.flashsim.ftl.pagemap import _ACTIVE, _DATA, PageMapFTL
+from repro.flashsim.ftl.pagemap import PageMapFTL
 from repro.flashsim.timing import CostAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -92,7 +89,7 @@ class KernelStats:
     """Hit/decline counters for the analytic kernels (introspection).
 
     ``declines`` maps a ``"op:reason"`` string (e.g.
-    ``"write:gc-headroom"``) to the number of times a kernel refused a
+    ``"write:wear-levelling"``) to the number of times a kernel refused a
     window for that reason.  The counters are process-global
     observability, not device state: they never affect simulation
     results and are excluded from snapshots and fingerprints.
@@ -102,8 +99,8 @@ class KernelStats:
     write_ios: int = 0
     read_windows: int = 0
     read_ios: int = 0
-    #: GC-epoch write windows (a subset of ``write_windows``) and the
-    #: IOs / garbage collections they absorbed
+    #: write windows that ran at least one garbage collection (a subset
+    #: of ``write_windows``), their IOs and their collections
     epoch_windows: int = 0
     epoch_ios: int = 0
     epoch_collections: int = 0
@@ -187,10 +184,8 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
     measurement noise, a reference chip (fault injection), wear
     levelling and block health.
 
-    Covered families: the page-map FTL (whose kernels reproduce the
-    controller's batch write path) and the block-map FTL (whose write
-    kernel replays the scalar controller path — the only one that
-    family ever takes).
+    Covered families: the page-map and block-map FTLs, the two with a
+    page locator and a write range primitive.
     """
     ftl = device.ftl
     if not isinstance(ftl, (PageMapFTL, BlockMapFTL)):
@@ -314,137 +309,62 @@ def _accumulate_busy(device, service):
     device.stats.busy_usec = busy
 
 
-class _WindowTokens:
-    """Closed-form token/coverage resolution of one write window.
-
-    Everything here is a pure function of the *pre-window* device state
-    — garbage collection preserves both the logical content and the
-    mapped-ness of every page, so the resolution holds across GC epochs
-    too.  Shared between the GC-free prefix kernel (which also commits
-    the maps from these arrays) and the GC-epoch kernel (which replays
-    map mutations through the real FTL methods and only needs the
-    tokens, per-IO RMW reads and the controller commit)."""
-
-    __slots__ = (
-        "offsets", "total_pages", "lpage_flat", "token_flat", "order",
-        "lp_sorted", "first_in_group", "last_in_group",
-        "init_ppage_sorted", "token_sorted", "use_mint", "total_mints",
-        "next0", "group_lpages", "reads_per_io", "prev_occ",
+def _record(trace, row0, lbas, sizes, write, now, sched0, completions, **columns):
+    """Record a sync window's trace rows: each IO after the first is
+    scheduled and submitted at the previous completion (a zero-gap
+    program), the first at ``now`` (scheduled at ``sched0``)."""
+    scheduled = np.empty(lbas.size, dtype=np.float64)
+    scheduled[0] = now if sched0 is None else sched0
+    scheduled[1:] = completions[:-1]
+    submitted = scheduled.copy()
+    submitted[0] = now
+    trace.record_run(
+        row0, lbas, sizes, write, scheduled, submitted, submitted, completions,
+        bytes_transferred=sizes, **columns,
     )
 
 
-def _resolve_write_tokens(device, lbas, sizes, s_pg, e_pg, n_pg):
-    """Flatten a write window into per-page columns and resolve every
-    programmed token, RMW edge read and shadow mint in closed form."""
-    ftl = device.ftl
-    chip = device.chip
-    geometry = device.geometry
-    n_ios = int(lbas.size)
+def _commit_window(device, service, completions, sizes, write):
+    """Device accounting of a sync window: channels, busy horizon and
+    the aggregate counters."""
+    _occupy_channels(device, completions)
+    device._busy_until = float(completions[-1])
+    _accumulate_busy(device, service)
+    stats = device.stats
+    if write:
+        stats.writes += int(sizes.size)
+        stats.bytes_written += int(sizes.sum())
+    else:
+        stats.reads += int(sizes.size)
+        stats.bytes_read += int(sizes.sum())
 
-    # -- flatten the window into per-page columns ---------------------
-    page = geometry.page_size
-    cov_lo = np.maximum(s_pg, -(-lbas // page))
-    cov_hi = np.minimum(e_pg, (lbas + sizes) // page)
-    degenerate = cov_lo >= cov_hi
-    cov_lo = np.where(degenerate, s_pg, cov_lo)
-    cov_hi = np.where(degenerate, s_pg, cov_hi)
 
-    offsets = np.empty(n_ios + 1, dtype=np.int64)
+def _flat_pages(s_pg, n_pg):
+    """Per-IO page spans flattened into one lpage column, plus the
+    column offset of each IO's first page (and the total at the end)."""
+    offsets = np.empty(n_pg.size + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(n_pg, out=offsets[1:])
-    total_pages = int(offsets[-1])
-    starts_rep = np.repeat(s_pg, n_pg)
-    lpage_flat = np.arange(total_pages, dtype=np.int64)
-    lpage_flat -= np.repeat(offsets[:-1], n_pg)
-    lpage_flat += starts_rep
-    covered_flat = (lpage_flat >= np.repeat(cov_lo, n_pg)) & (
-        lpage_flat < np.repeat(cov_hi, n_pg)
-    )
-
-    # -- resolve tokens: group repeated lpages in flat (= mint) order --
-    order = np.argsort(lpage_flat, kind="stable")
-    lp_sorted = lpage_flat[order]
-    first_in_group = np.empty(total_pages, dtype=bool)
-    first_in_group[0] = True
-    first_in_group[1:] = lp_sorted[1:] != lp_sorted[:-1]
-    last_in_group = np.empty(total_pages, dtype=bool)
-    last_in_group[-1] = True
-    last_in_group[:-1] = first_in_group[1:]
-
-    init_ppage_sorted = ftl._l2p[lp_sorted]
-    init_mapped_sorted = init_ppage_sorted >= 0
-    covered_sorted = covered_flat[order]
-    seen_before_sorted = ~first_in_group
-    # an uncovered (RMW) edge reads the page's current content and
-    # mints only when that content is ERASED — i.e. the lpage is
-    # neither initially mapped nor written earlier in the window
-    mapped_now_sorted = seen_before_sorted | init_mapped_sorted
-    mint_sorted = covered_sorted | ~mapped_now_sorted
-
-    mint_flat = np.empty(total_pages, dtype=bool)
-    mint_flat[order] = mint_sorted
-    mint_rank = np.cumsum(mint_flat)  # 1-based rank at mint positions
-    total_mints = int(mint_rank[-1])
-    next0 = device.controller._next_token
-    fresh_flat = mint_rank + (next0 - 1)  # token value at mint positions
-
-    # within each group, a non-mint occurrence rereads the token of the
-    # group's latest mint (or the chip's pre-window token before any)
-    positions = np.arange(total_pages, dtype=np.int64)
-    fresh_sorted = fresh_flat[order]
-    last_mint_pos = np.maximum.accumulate(np.where(mint_sorted, positions, -1))
-    group_start_pos = np.maximum.accumulate(np.where(first_in_group, positions, -1))
-    use_mint = last_mint_pos >= group_start_pos
-    init_token_sorted = chip._tokens[np.where(init_mapped_sorted, init_ppage_sorted, 0)]
-    init_token_sorted = np.where(init_mapped_sorted, init_token_sorted, ERASED)
-    token_sorted = np.where(
-        use_mint, fresh_sorted[np.maximum(last_mint_pos, 0)], init_token_sorted
-    )
-    token_flat = np.empty(total_pages, dtype=np.int64)
-    token_flat[order] = token_sorted
-
-    # -- per-IO RMW edge reads ----------------------------------------
-    mapped_now_flat = np.empty(total_pages, dtype=bool)
-    mapped_now_flat[order] = mapped_now_sorted
-    rmw_read_flat = ~covered_flat & mapped_now_flat
-    reads_per_io = np.add.reduceat(rmw_read_flat.astype(np.int64), offsets[:-1])
-
-    # -- previous flat occurrence of each repeated lpage (-1 = first);
-    #    the epoch kernel's chunks must keep lpages distinct ----------
-    prev_sorted = np.empty(total_pages, dtype=np.int64)
-    prev_sorted[0] = -1
-    prev_sorted[1:] = order[:-1]
-    prev_sorted[first_in_group] = -1
-    prev_occ = np.empty(total_pages, dtype=np.int64)
-    prev_occ[order] = prev_sorted
-
-    R = _WindowTokens()
-    R.offsets = offsets
-    R.total_pages = total_pages
-    R.lpage_flat = lpage_flat
-    R.token_flat = token_flat
-    R.order = order
-    R.lp_sorted = lp_sorted
-    R.first_in_group = first_in_group
-    R.last_in_group = last_in_group
-    R.init_ppage_sorted = init_ppage_sorted
-    R.token_sorted = token_sorted
-    R.use_mint = use_mint
-    R.total_mints = total_mints
-    R.next0 = next0
-    R.group_lpages = lp_sorted[first_in_group]
-    R.reads_per_io = reads_per_io
-    R.prev_occ = prev_occ
-    return R
+    lpage_flat = np.arange(int(offsets[-1]), dtype=np.int64)
+    lpage_flat -= np.repeat(offsets[:-1] - s_pg, n_pg)
+    return lpage_flat, offsets
 
 
-def _commit_minted_shadow(controller, R: _WindowTokens) -> None:
-    """Controller commit shared by the write kernels: shadow tokens of
-    every minted lpage and the fresh-token counter."""
-    group_has_mint = R.use_mint[R.last_in_group]
-    minted_groups = R.group_lpages[group_has_mint]
-    controller._shadow[minted_groups] = R.token_sorted[R.last_in_group][group_has_mint]
-    controller._next_token = R.next0 + R.total_mints
+def _read_tokens(device, lpage_flat):
+    """Tokens and charged reads of a flat column of logical pages,
+    against the current mapping, without charging anything.
+
+    ``charged`` marks the pages :meth:`~repro.flashsim.ftl.base.BaseFTL.locate`
+    finds — a flash read in the reference path; a located filler page
+    decodes to ERASED but still charges, exactly like the block-map
+    ``read_page``.  Page-map pages never hold filler: the controller
+    mints tokens from 1.
+    """
+    ppages = device.ftl.locate(lpage_flat)
+    charged = ppages >= 0
+    raw = device.chip._tokens[np.where(charged, ppages, 0)]
+    tokens = np.where(charged & (raw != FILLER_TOKEN), raw, ERASED)
+    return tokens, charged
 
 
 def write_window(
@@ -461,16 +381,11 @@ def write_window(
     ``lbas``/``sizes`` are int64 columns, the first IO submitted at
     ``now``.  Returns ``(count, end)``: ``count`` IOs were simulated
     analytically (0 = declined, state untouched) and the device fell
-    idle at ``end``.
+    idle at ``end``.  The window runs up to the first out-of-bounds IO,
+    which the fallback raises on.
 
-    Page-map devices take the fully closed-form kernel for the longest
-    provably-GC-free prefix (every IO's block-crossing margin must clear
-    the GC watermark, evaluated per IO against the free pool after the
-    allocations of all preceding IOs); once the window
-    reaches the free-pool watermark the remainder runs through the
-    GC-epoch kernel, which absorbs garbage collection itself.
-    Block-map devices take :func:`the block-map kernel
-    <_blockmap_write_window>` for the whole window.
+    Page-map devices take :func:`_pagemap_write_window`, block-map
+    devices :func:`_blockmap_write_window`, each for the whole window.
 
     When ``trace`` is given, rows ``row0..row0+count-1`` are recorded
     with the synchronous host's timing columns (``sched0`` is the first
@@ -488,225 +403,89 @@ def write_window(
     limit = _valid_prefix(device, lbas, sizes)
     if limit == 0:
         return _decline("write", "address", now)
-    lbas = lbas[:limit]
-    sizes = sizes[:limit]
-
-    if isinstance(device.ftl, BlockMapFTL):
-        return _blockmap_write_window(device, lbas, sizes, now, trace, row0, sched0)
-
-    geometry = device.geometry
-    ftl = device.ftl
-    chip = device.chip
-    controller = device.controller
-    ppb = geometry.pages_per_block
-
-    s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=True)
-    n_pg = e_pg - s_pg
-
-    # -- GC headroom per IO: free pool after the preceding IOs' block
-    #    allocations must clear the IO's block-crossing margin ---------
-    wp0 = int(chip._write_point[ftl._host_active])
-    free0 = len(ftl._free)
-    gc_low = ftl.config.gc_low_blocks
-    first_pos = np.empty(limit, dtype=np.int64)  # append position of IO i's first page
-    first_pos[0] = wp0
-    np.cumsum(n_pg[:-1], out=first_pos[1:])
-    first_pos[1:] += wp0
-    pre = (wp0 - 1) // ppb if wp0 >= 1 else 0
-    allocs_before = np.maximum((first_pos - 1) // ppb - pre, 0)
-    headroom_ok = (free0 - allocs_before) > gc_low + 1 + n_pg // ppb
-    n_ios = limit if bool(headroom_ok.all()) else int(np.argmin(headroom_ok))
-    if n_ios == 0:
-        # steady state: garbage collection could fire inside the very
-        # first IO — the GC-epoch kernel absorbs the whole window
-        return _pagemap_epoch_window(
-            device, lbas, sizes, s_pg, e_pg, n_pg, now, trace, row0, sched0
-        )
-    lbas = lbas[:n_ios]
-    sizes = sizes[:n_ios]
-    s_pg = s_pg[:n_ios]
-    e_pg = e_pg[:n_ios]
-    n_pg = n_pg[:n_ios]
-
-    R = _resolve_write_tokens(device, lbas, sizes, s_pg, e_pg, n_pg)
-    total_pages = R.total_pages
-    lpage_flat = R.lpage_flat
-    token_flat = R.token_flat
-    order = R.order
-    lp_sorted = R.lp_sorted
-    first_in_group = R.first_in_group
-    last_in_group = R.last_in_group
-    init_ppage_sorted = R.init_ppage_sorted
-    reads_per_io = R.reads_per_io
-
-    # -- physical placement: consecutive append positions -------------
-    abs_pos = np.arange(wp0, wp0 + total_pages, dtype=np.int64)
-    block_seq = abs_pos // ppb
-    last_seq = int(block_seq[-1])  # number of block allocations in the window
-    blocks = np.empty(last_seq + 1, dtype=np.int64)
-    blocks[0] = ftl._host_active
-    if last_seq:
-        blocks[1:] = list(islice(ftl._free, last_seq))
-    ppage_flat = blocks[block_seq] * ppb + (abs_pos - block_seq * ppb)
-
-    # -- per-IO costs and service times --------------------------------
-    miss = _map_misses(device, s_pg, e_pg)
-    timing = device.timing
-    flash = (timing.read_page * reads_per_io.astype(np.float64)) / timing.parallelism
-    flash = flash + (timing.program_page * n_pg.astype(np.float64)) / timing.parallelism
-    service, completions = _finish_services(device, flash, sizes, miss, now)
-    end = float(completions[-1])
-
-    # ==================================================================
-    # commit: from here on, state is written to the exact final values
-    # the reference per-IO path would have produced
-    # ==================================================================
-
-    # chip: programmed tokens, write points, operation counters
-    chip._tokens[ppage_flat] = token_flat
-    if last_seq == 0:
-        chip._write_point[int(blocks[0])] = wp0 + total_pages
-    else:
-        chip._write_point[blocks[:-1]] = ppb
-        chip._write_point[int(blocks[-1])] = wp0 + total_pages - last_seq * ppb
-    total_rmw_reads = int(reads_per_io.sum())
-    chip.stats.page_programs += total_pages
-    chip.stats.page_reads += total_rmw_reads
-
-    # FTL maps: invalidate pre-window mappings of rewritten lpages,
-    # then map each lpage to its final (last) window occurrence
-    group_lpages = lp_sorted[first_in_group]
-    old_ppages = init_ppage_sorted[first_in_group]
-    old_ppages = old_ppages[old_ppages >= 0]
-    nblocks = geometry.physical_blocks
-    dec = np.bincount(old_ppages // ppb, minlength=nblocks)
-    dec_blocks = np.flatnonzero(dec)
-    dec_data_blocks = dec_blocks[ftl._state[dec_blocks] == _DATA]
-    ftl._p2l[old_ppages] = -1
-    ftl._valid_map[old_ppages] = False
-    is_final_flat = np.empty(total_pages, dtype=bool)
-    is_final_flat[order] = last_in_group
-    ftl._p2l[ppage_flat] = np.where(is_final_flat, lpage_flat, -1)
-    ftl._valid_map[ppage_flat] = is_final_flat
-    ppage_sorted = ppage_flat[order]
-    ftl._l2p[group_lpages] = ppage_sorted[last_in_group]
-    inc = np.bincount(ppage_flat[is_final_flat] // ppb, minlength=nblocks)
-    ftl._valid += inc
-    ftl._valid -= dec
-
-    # block lifecycle: retire filled blocks, allocate from the free pool
-    if last_seq:
-        retired = blocks[:-1]
-        ftl._state[retired] = _DATA
-        seq0 = ftl._sequence
-        ftl._retired_at[retired] = np.arange(seq0 + 1, seq0 + 1 + last_seq)
-        ftl._sequence = seq0 + last_seq
-        new_active = int(blocks[-1])
-        ftl._state[new_active] = _ACTIVE
-        ftl._host_active = new_active
-        ftl._free_map[blocks[1:]] = False
-        for _ in range(last_seq):
-            ftl._free.popleft()
-
-    # greedy-GC buckets: contents are a pure function of (_state,
-    # _valid); the floor replays the scalar event sequence in closed
-    # form — every touched block's minimum bucket equals its *final*
-    # valid count (adds use the retire-time count, decs only lower it)
-    if ftl._use_buckets:
-        old_floor = ftl._min_bucket
-        ftl._rebuild_buckets()
-        touched = (
-            np.concatenate((blocks[:-1], dec_data_blocks))
-            if last_seq
-            else dec_data_blocks
-        )
-        floor = old_floor
-        if touched.size:
-            floor = min(floor, int(ftl._valid[touched].min()))
-        ftl._min_bucket = floor
-
-    # controller: shadow tokens of every minted lpage, token counter,
-    # sequential-access detector
-    _commit_minted_shadow(controller, R)
-    controller._last_end_page = int(e_pg[-1])
-
-    # device accounting: busy horizon, channels, aggregate counters
-    _occupy_channels(device, completions)
-    device._busy_until = end
-    _accumulate_busy(device, service)
-    device.stats.writes += n_ios
-    device.stats.bytes_written += int(sizes.sum())
-
-    if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            True,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
-            page_reads=reads_per_io,
-            page_programs=n_pg,
-            bytes_transferred=sizes,
-            map_misses=miss,
-        )
-
+    kernel = (
+        _blockmap_write_window
+        if isinstance(device.ftl, BlockMapFTL)
+        else _pagemap_write_window
+    )
+    end = kernel(device, lbas[:limit], sizes[:limit], now, trace, row0, sched0)
     STATS.write_windows += 1
-    STATS.write_ios += n_ios
-    return n_ios, end
+    STATS.write_ios += limit
+    return limit, end
 
 
-def _pagemap_epoch_window(
-    device, lbas, sizes, s_pg, e_pg, n_pg, now, trace, row0, sched0
-):
-    """GC-epoch kernel: a page-map write window in free-pool steady state.
+def _pagemap_write_window(device, lbas, sizes, now, trace, row0, sched0):
+    """Page-map kernel: a whole write window, garbage collection included.
 
-    Token resolution, RMW edge reads and the controller commit use the
-    same closed forms as the GC-free prefix kernel — they depend only on
-    pre-window state, which garbage collection preserves (a relocation
-    moves a page without changing its logical content or mapped-ness).
-    Placement and reclamation replay the reference slow loop of
-    :meth:`~repro.flashsim.ftl.pagemap.PageMapFTL.write_run` over the
-    *flattened* window: a closed-form ``_append_run`` per block epoch,
-    one real ``write_page`` (which runs GC through ``_collect_one`` /
-    ``_relocate_block``) at each free-pool watermark — so maps, buckets,
-    counters and costs are bit-identical to the per-IO reference by
-    construction.  Chunks merge across IO boundaries (the free pool
-    changes only at block allocations, never mid-chunk, and distinct
-    lpages' invalidations commute with appends) and split where a later
-    IO rewrites an lpage from the same chunk, since ``_append_run``
-    requires distinct lpages.  Reclamation costs are attributed to the
-    IO whose page triggered them, exactly as the reference's per-IO
-    accumulators would.
+    Tokens, RMW edge reads and the controller's shadow commit are
+    closed forms of the pre-window state, which garbage collection
+    preserves (a relocation moves a page without changing its content
+    or mapped-ness).  The window's flattened page stream then goes to
+    the FTL in one :meth:`~repro.flashsim.ftl.pagemap.PageMapFTL.write_steps`
+    loop — the one ``write_run`` runs per IO.  A concatenation of the
+    IOs' runs makes the same appends and meets the same watermarks,
+    because the loop's state (active block, write point, free pool) is
+    all it reads.  Each watermark step's cost is charged to the IO
+    whose page triggered it, exactly as the per-IO accumulators would.
 
     Like the reference, an exhausted free pool raises
     ``OutOfSpaceError`` mid-window with state torn at the failing page.
     """
-    geometry = device.geometry
     ftl = device.ftl
-    chip = device.chip
     controller = device.controller
-    ppb = geometry.pages_per_block
+    geometry = device.geometry
     n_ios = int(lbas.size)
+    s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=True)
+    n_pg = e_pg - s_pg
+    lpage_flat, offsets = _flat_pages(s_pg, n_pg)
+    total_pages = int(offsets[-1])
 
-    R = _resolve_write_tokens(device, lbas, sizes, s_pg, e_pg, n_pg)
-    offsets = R.offsets
-    total_pages = R.total_pages
-    lpage_flat = R.lpage_flat
-    token_flat = R.token_flat
-    reads_per_io = R.reads_per_io
-    prev_occ = R.prev_occ
-    dup_positions = np.flatnonzero(prev_occ >= 0)
+    # -- resolve tokens: group repeated lpages in flat (= mint) order --
+    page = geometry.page_size
+    cov_lo = np.maximum(s_pg, -(-lbas // page))
+    cov_hi = np.minimum(e_pg, (lbas + sizes) // page)
+    covered_flat = (lpage_flat >= np.repeat(cov_lo, n_pg)) & (
+        lpage_flat < np.repeat(cov_hi, n_pg)
+    )
+    order = np.argsort(lpage_flat, kind="stable")
+    lp_sorted = lpage_flat[order]
+    first_in_group = np.empty(total_pages, dtype=bool)
+    first_in_group[0] = True
+    first_in_group[1:] = lp_sorted[1:] != lp_sorted[:-1]
+    last_in_group = np.empty(total_pages, dtype=bool)
+    last_in_group[-1] = True
+    last_in_group[:-1] = first_in_group[1:]
 
-    gc_low = ftl.config.gc_low_blocks
-    free = ftl._free
+    init_token_sorted, init_mapped_sorted = _read_tokens(device, lp_sorted)
+    covered_sorted = covered_flat[order]
+    # an uncovered (RMW) edge reads the page's current content and
+    # mints only when that content is ERASED — i.e. the lpage is
+    # neither initially mapped nor written earlier in the window
+    mapped_now_sorted = ~first_in_group | init_mapped_sorted
+    mint_sorted = covered_sorted | ~mapped_now_sorted
+    mint_flat = np.empty(total_pages, dtype=bool)
+    mint_flat[order] = mint_sorted
+    mint_rank = np.cumsum(mint_flat)  # 1-based rank at mint positions
+    next0 = controller._next_token
+    # within each group, a non-mint occurrence rereads the token of the
+    # group's latest mint (or the chip's pre-window token before any)
+    positions = np.arange(total_pages, dtype=np.int64)
+    last_mint_pos = np.maximum.accumulate(np.where(mint_sorted, positions, -1))
+    group_start_pos = np.maximum.accumulate(np.where(first_in_group, positions, -1))
+    use_mint = last_mint_pos >= group_start_pos
+    fresh_sorted = (mint_rank + (next0 - 1))[order]
+    token_sorted = np.where(
+        use_mint, fresh_sorted[np.maximum(last_mint_pos, 0)], init_token_sorted
+    )
+    token_flat = np.empty(total_pages, dtype=np.int64)
+    token_flat[order] = token_sorted
+    mapped_now_flat = np.empty(total_pages, dtype=bool)
+    mapped_now_flat[order] = mapped_now_sorted
+    reads_per_io = np.add.reduceat(
+        (~covered_flat & mapped_now_flat).astype(np.int64), offsets[:-1]
+    )
+
+    # -- host appends and collections: the FTL's own loop --------------
     scratch = CostAccumulator()
     copy_reads = np.zeros(n_ios, dtype=np.int64)
     copy_programs = np.zeros(n_ios, dtype=np.int64)
@@ -714,56 +493,18 @@ def _pagemap_epoch_window(
     notes: "dict[int, list[str]]" = {}
     collections0 = ftl.gc_collections
     ends = offsets[1:].tolist()
-    lp_list = lpage_flat.tolist()
-    tok_list = token_flat.tolist()
-
-    i = 0
-    io_j = 0
-    dk = 0
-    n_dups = int(dup_positions.size)
-    while i < total_pages:
-        while i >= ends[io_j]:
-            io_j += 1
-        active = ftl._host_active
-        wp = int(chip._write_point[active])
-        if wp == ppb:
-            ftl._retire_active(active)
-            active = ftl._allocate_active()
-            ftl._host_active = active
-            wp = 0
-        if len(free) <= gc_low:
-            # free-pool watermark: the reference writes this page the
-            # scalar way and collects until the pool recovers
-            cr0 = scratch.copy_reads
-            cp0 = scratch.copy_programs
-            be0 = scratch.block_erases
-            nn0 = len(scratch.notes)
-            ftl.write_page(lp_list[i], tok_list[i], scratch)
-            copy_reads[io_j] += scratch.copy_reads - cr0
-            copy_programs[io_j] += scratch.copy_programs - cp0
-            block_erases[io_j] += scratch.block_erases - be0
-            if len(scratch.notes) > nn0:
-                notes.setdefault(io_j, []).extend(scratch.notes[nn0:])
-            i += 1
-            continue
-        take = ppb - wp
-        if take > total_pages - i:
-            take = total_pages - i
-        while dk < n_dups and dup_positions[dk] < i:
-            dk += 1
-        k = dk
-        while k < n_dups:
-            pos = int(dup_positions[k])
-            if pos >= i + take:
-                break
-            if prev_occ[pos] >= i:
-                take = pos - i
-                break
-            k += 1
-        ftl._append_run(
-            active, wp, lpage_flat[i : i + take], token_flat[i : i + take]
-        )
-        i += take
+    io = 0
+    for step in ftl.write_steps(lpage_flat, token_flat, scratch):
+        while step >= ends[io]:
+            io += 1
+        copy_reads[io] += scratch.copy_reads
+        copy_programs[io] += scratch.copy_programs
+        block_erases[io] += scratch.block_erases
+        scratch.copy_reads = scratch.copy_programs = scratch.block_erases = 0
+        if scratch.notes:
+            notes.setdefault(io, []).extend(scratch.notes)
+            scratch.notes.clear()
+    collections = ftl.gc_collections - collections0
 
     # per-IO service times: the reference sums each IO's accumulator
     # with CostAccumulator.total(); these elementwise ops replay its
@@ -781,218 +522,72 @@ def _pagemap_epoch_window(
         + (timing.program_page + timing.copy_page_extra) * copy_programs
     ) / cpar
     flash = flash + timing.erase_block * block_erases / cpar
-    service = flash + timing.transfer_per_kib * (sizes / 1024.0)
-    service = service + miss * timing.map_miss
-    service = service + timing.controller_overhead
-    completions = _chain(now, service)
-    end = float(completions[-1])
+    service, completions = _finish_services(device, flash, sizes, miss, now)
 
     # commit: host programs and reclamation already went through the
-    # real chip/FTL above; RMW edge reads were resolved analytically
-    chip.stats.page_reads += int(reads_per_io.sum())
-    _commit_minted_shadow(controller, R)
+    # FTL above; RMW edge reads were resolved in closed form, and the
+    # controller keeps the shadow token of every minted lpage
+    device.chip.stats.page_reads += int(reads_per_io.sum())
+    group_has_mint = use_mint[last_in_group]
+    minted = lp_sorted[last_in_group][group_has_mint]
+    controller._shadow[minted] = token_sorted[last_in_group][group_has_mint]
+    controller._next_token = next0 + int(mint_rank[-1])
     controller._last_end_page = int(e_pg[-1])
-
-    _occupy_channels(device, completions)
-    device._busy_until = end
-    _accumulate_busy(device, service)
-    device.stats.writes += n_ios
-    device.stats.bytes_written += int(sizes.sum())
-
+    _commit_window(device, service, completions, sizes, True)
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            True,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
-            page_reads=reads_per_io,
-            page_programs=n_pg,
-            copy_reads=copy_reads,
-            copy_programs=copy_programs,
-            block_erases=block_erases,
-            bytes_transferred=sizes,
-            map_misses=miss,
-            notes=notes or None,
+        _record(
+            trace, row0, lbas, sizes, True, now, sched0, completions,
+            page_reads=reads_per_io, page_programs=n_pg, copy_reads=copy_reads,
+            copy_programs=copy_programs, block_erases=block_erases,
+            map_misses=miss, notes=notes or None,
         )
-
-    STATS.write_windows += 1
-    STATS.write_ios += n_ios
-    STATS.epoch_windows += 1
-    STATS.epoch_ios += n_ios
-    STATS.epoch_collections += ftl.gc_collections - collections0
-    return n_ios, end
+    if collections:
+        STATS.epoch_windows += 1
+        STATS.epoch_ios += n_ios
+        STATS.epoch_collections += collections
+    return float(completions[-1])
 
 
 def _blockmap_write_window(device, lbas, sizes, now, trace, row0, sched0):
     """Block-map kernel: a whole window of synchronous writes.
 
-    A page-aligned write that continues the open replacement of a
-    single logical block is a pure sequential append — the map, the
-    open-slot LRU and the token mints evolve in closed form and the
-    pages land in one ``program_run``.  Every other IO (RMW edges,
-    out-of-order offsets, gap fills, mapping-unit expansion) replays
-    the reference ``Controller.write`` verbatim, so finalisation and
-    merge boundaries act as epoch edges rather than declines: the
-    window always completes, with per-IO costs taken from the same
-    accumulators the reference dispatch would have filled.
+    Every IO takes the reference ``Controller.write``, whose in-order
+    appends land as one program run in the block-map ``write_run``;
+    only the device dispatch — completion chain, channels, busy
+    accounting, trace rows — is in closed form, with per-IO costs from
+    the same accumulators the reference dispatch would have filled.
 
     Like the reference, an exhausted free pool raises
     ``OutOfSpaceError`` mid-window with state torn at the failing IO.
     """
-    ftl = device.ftl
-    chip = device.chip
     controller = device.controller
-    geometry = device.geometry
-    ppb = geometry.pages_per_block
-    page = geometry.page_size
     timing = device.timing
     n_ios = int(lbas.size)
-
-    s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=True)
     costs: list[CostAccumulator] = []
     service = np.empty(n_ios, dtype=np.float64)
-    lba_list = lbas.tolist()
-    size_list = sizes.tolist()
-    s_list = s_pg.tolist()
-    e_list = e_pg.tolist()
-    for j in range(n_ios):
+    for j, (lba, size) in enumerate(zip(lbas.tolist(), sizes.tolist())):
         cost = CostAccumulator()
-        lba = lba_list[j]
-        size = size_list[j]
-        s = s_list[j]
-        e = e_list[j]
-        rep = None
-        simple = (
-            s * page == lba
-            and e * page == lba + size
-            and s // ppb == (e - 1) // ppb
-        )
-        if simple:
-            lblock, off = divmod(s, ppb)
-            rep = ftl._open.get(lblock)
-            simple = (off == rep.next_offset) if rep is not None else (off == 0)
-        if simple:
-            n = e - s
-            controller._charge_map_lookup(s, e - 1, cost)
-            if rep is None:
-                rep = ftl._open_replacement(lblock, cost)
-            next0 = controller._next_token
-            tokens = np.arange(next0, next0 + n, dtype=np.int64)
-            controller._next_token = next0 + n
-            controller._shadow[s:e] = tokens
-            chip.program_run(rep.pblock, off, tokens)
-            cost.page_programs += n
-            rep.next_offset = off + n
-            ftl._open.move_to_end(lblock)
-            if rep.next_offset == ppb:
-                ftl._finalize(lblock, cost)
-            ftl.note_io_boundary(lba + size, cost)
-            cost.bytes_transferred += size
-        else:
-            controller.write(lba, size, cost)
+        controller.write(lba, size, cost)
         costs.append(cost)
         service[j] = cost.total(timing)
-
     completions = _chain(now, service)
-    end = float(completions[-1])
-
-    _occupy_channels(device, completions)
-    device._busy_until = end
-    _accumulate_busy(device, service)
-    device.stats.writes += n_ios
-    device.stats.bytes_written += int(sizes.sum())
-
+    _commit_window(device, service, completions, sizes, True)
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        count = n_ios
-        notes = {
-            j: list(costs[j].notes) for j in range(count) if costs[j].notes
+        columns = {
+            name: np.fromiter(
+                (getattr(c, name) for c in costs), dtype=np.int64, count=n_ios
+            )
+            for name in (
+                "page_reads", "page_programs", "copy_reads", "copy_programs",
+                "block_erases", "map_misses",
+            )
         }
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            True,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
-            page_reads=np.fromiter(
-                (c.page_reads for c in costs), dtype=np.int64, count=count
-            ),
-            page_programs=np.fromiter(
-                (c.page_programs for c in costs), dtype=np.int64, count=count
-            ),
-            copy_reads=np.fromiter(
-                (c.copy_reads for c in costs), dtype=np.int64, count=count
-            ),
-            copy_programs=np.fromiter(
-                (c.copy_programs for c in costs), dtype=np.int64, count=count
-            ),
-            block_erases=np.fromiter(
-                (c.block_erases for c in costs), dtype=np.int64, count=count
-            ),
-            bytes_transferred=sizes,
-            map_misses=np.fromiter(
-                (c.map_misses for c in costs), dtype=np.int64, count=count
-            ),
-            notes=notes or None,
+        notes = {j: list(c.notes) for j, c in enumerate(costs) if c.notes}
+        _record(
+            trace, row0, lbas, sizes, True, now, sched0, completions,
+            notes=notes or None, **columns,
         )
-
-    STATS.write_windows += 1
-    STATS.write_ios += n_ios
-    return n_ios, end
-
-
-def _resolve_reads(device, lpage_flat):
-    """Resolve a flat column of logical page reads against the current
-    mapping: ``(tokens, charged)``.
-
-    ``charged`` marks pages that cost a flash read in the reference
-    path — mapped pages for the page-map family; replacement-prefix or
-    below-write-point data pages for the block-map family, where a
-    FILLER read decodes to ERASED but still charges, exactly like
-    :meth:`~repro.flashsim.ftl.blockmap.BlockMapFTL.read_page`.
-    """
-    ftl = device.ftl
-    chip = device.chip
-    if isinstance(ftl, BlockMapFTL):
-        ppb = device.geometry.pages_per_block
-        lb = lpage_flat // ppb
-        off = lpage_flat - lb * ppb
-        nblocks = ftl._data_map.size
-        rep_p = np.full(nblocks, -1, dtype=np.int64)
-        rep_n = np.zeros(nblocks, dtype=np.int64)
-        for lblock, rep in ftl._open.items():
-            rep_p[lblock] = rep.pblock
-            rep_n[lblock] = rep.next_offset
-        in_rep = off < rep_n[lb]
-        data = ftl._data_map[lb]
-        has_data = data >= 0
-        wp = chip._write_point[np.where(has_data, data, 0)]
-        in_data = ~in_rep & has_data & (off < wp)
-        charged = in_rep | in_data
-        src = np.where(in_rep, rep_p[lb], data) * ppb + off
-        raw = chip._tokens[np.where(charged, src, 0)]
-        tokens = np.where(charged & (raw != FILLER_TOKEN), raw, ERASED)
-        return tokens, charged
-    ppages = ftl._l2p[lpage_flat]
-    mapped = ppages >= 0
-    tokens = np.where(mapped, chip._tokens[np.where(mapped, ppages, 0)], ERASED)
-    return tokens, mapped
+    return float(completions[-1])
 
 
 def read_window(
@@ -1035,19 +630,10 @@ def read_window(
 
     s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=False)
     n_pg = e_pg - s_pg
-    offsets = np.empty(n_ios + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(n_pg, out=offsets[1:])
-    total_pages = int(offsets[-1])
-    lpage_flat = np.arange(total_pages, dtype=np.int64)
-    lpage_flat -= np.repeat(offsets[:-1], n_pg)
-    lpage_flat += np.repeat(s_pg, n_pg)
-
-    chip = device.chip
-    tokens, mapped = _resolve_reads(device, lpage_flat)
+    lpage_flat, offsets = _flat_pages(s_pg, n_pg)
+    tokens, charged = _read_tokens(device, lpage_flat)
     if device.controller.config.verify:
-        expected = device.controller._shadow[lpage_flat]
-        bad = tokens != expected
+        bad = tokens != device.controller._shadow[lpage_flat]
         if bool(bad.any()):
             # truncate before the IO whose verification fails; the
             # fallback replays it and raises the reference FTLError
@@ -1060,20 +646,17 @@ def read_window(
             sizes = sizes[:n_ios]
             s_pg = s_pg[:n_ios]
             e_pg = e_pg[:n_ios]
-            n_pg = n_pg[:n_ios]
-            total_pages = int(offsets[n_ios])
+            charged = charged[: int(offsets[n_ios])]
             offsets = offsets[: n_ios + 1]
-            mapped = mapped[:total_pages]
 
-    reads_per_io = np.add.reduceat(mapped.astype(np.int64), offsets[:-1])
+    reads_per_io = np.add.reduceat(charged.astype(np.int64), offsets[:-1])
     miss = _map_misses(device, s_pg, e_pg)
     timing = device.timing
     flash = (timing.read_page * reads_per_io.astype(np.float64)) / timing.parallelism
     service, completions = _finish_services(device, flash, sizes, miss, now)
-    end = float(completions[-1])
 
     # commit ----------------------------------------------------------
-    chip.stats.page_reads += int(reads_per_io.sum())
+    device.chip.stats.page_reads += int(reads_per_io.sum())
     device.controller._last_end_page = int(e_pg[-1])
 
     # background credit: each read grants service * read_concurrency,
@@ -1089,35 +672,16 @@ def read_window(
             credit = min(credit, cap)
         device._bg_credit = credit
 
-    _occupy_channels(device, completions)
-    device._busy_until = end
-    _accumulate_busy(device, service)
-    device.stats.reads += n_ios
-    device.stats.bytes_read += int(sizes.sum())
-
+    _commit_window(device, service, completions, sizes, False)
     if trace is not None:
-        scheduled = np.empty(n_ios, dtype=np.float64)
-        scheduled[0] = now if sched0 is None else sched0
-        scheduled[1:] = completions[:-1]
-        submitted = scheduled.copy()
-        submitted[0] = now
-        trace.record_run(
-            row0,
-            lbas,
-            sizes,
-            False,
-            scheduled,
-            submitted,
-            submitted,
-            completions,
-            page_reads=reads_per_io,
-            bytes_transferred=sizes,
-            map_misses=miss,
+        _record(
+            trace, row0, lbas, sizes, False, now, sched0, completions,
+            page_reads=reads_per_io, map_misses=miss,
         )
 
     STATS.read_windows += 1
     STATS.read_ios += n_ios
-    return n_ios, end
+    return n_ios, float(completions[-1])
 
 
 def run_program_into(
@@ -1151,8 +715,9 @@ def run_program_into(
     if device._busy_until != start_at:
         STATS.decline("program:start-misaligned")
         return False
-    if device_decline_reason(device) is not None:
-        STATS.decline(f"program:{device_decline_reason(device)}")
+    reason = device_decline_reason(device)
+    if reason is not None:
+        STATS.decline(f"program:{reason}")
         return False
 
     lbas = program.lbas
@@ -1215,7 +780,7 @@ def run_program_queued(
 
     Reads never mutate FTL state, so every per-IO service time is a
     pure function of the pre-program mapping — resolved in closed form
-    by :func:`_resolve_reads` — and the only sequential part left is
+    by :func:`_read_tokens` — and the only sequential part left is
     the submit/pop event schedule itself: channel horizons, queue
     waits, occupancy integrals and background credit.  Those fold in a
     tight scalar loop (~15 operations per IO) that replays the host
@@ -1270,16 +835,8 @@ def run_program_queued(
         return False
 
     s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=False)
-    n_pg = e_pg - s_pg
-    offsets = np.empty(count + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(n_pg, out=offsets[1:])
-    total_pages = int(offsets[-1])
-    lpage_flat = np.arange(total_pages, dtype=np.int64)
-    lpage_flat -= np.repeat(offsets[:-1], n_pg)
-    lpage_flat += np.repeat(s_pg, n_pg)
-
-    tokens, charged = _resolve_reads(device, lpage_flat)
+    lpage_flat, offsets = _flat_pages(s_pg, e_pg - s_pg)
+    tokens, charged = _read_tokens(device, lpage_flat)
     if device.controller.config.verify:
         expected = device.controller._shadow[lpage_flat]
         if bool((tokens != expected).any()):

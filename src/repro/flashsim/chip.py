@@ -198,27 +198,6 @@ class FlashChip:
     # run (batch) operations — the vectorized hot path
     # ------------------------------------------------------------------
 
-    def read_run(self, block: int, start: int, n: int) -> np.ndarray:
-        """Read ``n`` consecutive pages of ``block`` starting at ``start``.
-
-        One bounds/bad-block check for the whole run; returns a copy of
-        the token slice (ERASED entries for never-programmed pages).
-        Counts ``n`` page reads, exactly like ``n`` scalar :meth:`read`
-        calls.
-        """
-        if n < 0:
-            raise ProgramError(f"run length must be >= 0, got {n}")
-        if n == 0:
-            self._check_block(block)
-            return np.empty(0, dtype=np.int64)
-        self._check_page(block, start)
-        self._check_page(block, start + n - 1)
-        if self._bad[block]:
-            raise BadBlockError(f"read from bad block {block}")
-        self.stats.page_reads += n
-        base = self._page_index(block, start)
-        return self._tokens[base : base + n].copy()
-
     def read_many(self, ppages: np.ndarray) -> np.ndarray:
         """Gather-read arbitrary physical pages (one check per batch).
 
@@ -279,6 +258,59 @@ class FlashChip:
         self._tokens[base : base + n] = tokens
         self._write_point[block] = write_point + n
         self.stats.page_programs += n
+
+    def program_span(
+        self, blocks: np.ndarray, start: int, tokens: np.ndarray
+    ) -> np.ndarray:
+        """Program a log append that crosses erase blocks.
+
+        The tokens fill ``blocks[0]`` from page ``start`` to its end,
+        then each following block from page 0, the last one possibly
+        partly; they must be exactly that many.  Returns the global
+        physical page index of every token.  Equivalent to one
+        :meth:`program_run` per block, in order, but every block is
+        checked before any page is programmed; on a :attr:`reference`
+        chip it is exactly those runs.
+        """
+        tokens = np.asarray(tokens, dtype=np.int64)
+        blocks = np.asarray(blocks, dtype=np.int64)
+        ppb = self.geometry.pages_per_block
+        n = int(tokens.size)
+        last = start + n - (blocks.size - 1) * ppb  # pages into the last block
+        if blocks.size == 0 or not 0 <= start < ppb or not 0 < last <= ppb:
+            raise ProgramError(
+                f"{n} pages from page {start} do not fill {blocks.size} block(s)"
+            )
+        positions = np.arange(start, start + n, dtype=np.int64)
+        seq = positions // ppb
+        ppages = blocks[seq] * ppb + (positions - seq * ppb)
+        if self.reference:
+            taken = 0
+            for k, block in enumerate(blocks.tolist()):
+                offset = start if k == 0 else 0
+                take = min(ppb - offset, n - taken)
+                self.program_run(block, offset, tokens[taken : taken + take])
+                taken += take
+            return ppages
+        if int(blocks.min()) < 0 or int(blocks.max()) >= self.geometry.physical_blocks:
+            raise EraseError(
+                f"block out of range 0..{self.geometry.physical_blocks - 1}"
+            )
+        if self._bad[blocks].any():
+            bad = int(blocks[self._bad[blocks]][0])
+            raise BadBlockError(f"program to bad block {bad}")
+        write_points = self._write_point[blocks]
+        if int(write_points[0]) != start or write_points[1:].any():
+            raise ProgramError(
+                "out-of-order program: a span must start at its first block's "
+                "write point and continue into erased blocks "
+                "(NAND pages must be programmed sequentially within a block)"
+            )
+        self._tokens[ppages] = tokens
+        self._write_point[blocks[:-1]] = ppb
+        self._write_point[blocks[-1]] = last
+        self.stats.page_programs += n
+        return ppages
 
     def copy_pages(
         self, sources: np.ndarray, target: int, start: int, filler: int
@@ -418,6 +450,10 @@ class FlashChip:
         """Next programmable page offset within ``block``."""
         self._check_block(block)
         return int(self._write_point[block])
+
+    def write_points(self, blocks: np.ndarray) -> np.ndarray:
+        """:meth:`write_point` of every block in ``blocks`` (one gather)."""
+        return self._write_point[np.asarray(blocks, dtype=np.int64)]
 
     def erase_count(self, block: int) -> int:
         """Erase cycles this block has endured so far."""

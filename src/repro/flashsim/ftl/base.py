@@ -154,6 +154,16 @@ class BaseFTL(ABC):
             out[i] = self.read_page(int(lpage), cost)
         return out
 
+    def locate(self, lpages: np.ndarray) -> np.ndarray:
+        """Physical page of each logical page, charging nothing.
+
+        The page :meth:`read_page` would read, or -1 where it charges no
+        read (the page reads ERASED).  The one lookup the batch reads and
+        the closed-form read kernels share; families without a
+        vectorized map do not provide it.
+        """
+        raise NotImplementedError(f"{type(self).__name__} has no page locator")
+
     def write_pages(
         self, items: "Sequence[tuple[int, int]]", cost: CostAccumulator
     ) -> None:
@@ -177,20 +187,19 @@ class BaseFTL(ABC):
     ) -> None:
         """Vectorized :meth:`write_pages` contract: parallel arrays.
 
-        Must be behaviourally identical to the pair-list form — the
-        default materialises the pairs and delegates, so FTLs that
-        classify runs (hybrid) or batch internally (page map) both see
+        Must leave exactly the state, counters and ``cost`` of the
+        :meth:`write_page` loop over the pairs — the default materialises
+        the pairs and delegates, so FTLs that classify runs (hybrid) see
         their usual entry point.  ``ascending`` promises the caller's
         lpages are strictly increasing and its tokens non-negative (the
         controller's always are), letting implementations skip
-        distinctness/bounds/validity scans.
-
-        This behavioural contract is also what the closed-form kernels
-        in :mod:`repro.flashsim.analytic` rely on: they either replay
-        an FTL's reference loop exactly (page-map GC epochs, block-map
-        windows) or decline with state untouched, so any FTL whose
-        write path diverges from its own scalar loop breaks the
-        kernels' bit-identity proof, not just this method's contract.
+        distinctness/bounds/validity scans.  Overrides are the FTL's
+        range primitives: the page-map host-log append (any batch,
+        repeats allowed, GC at its watermarks) and the block-map in-order
+        replacement append.  The closed-form kernels in
+        :mod:`repro.flashsim.analytic` call them over whole windows and
+        restate none of their logic, so this contract is all the
+        kernels' bit-identity rests on.
         """
         self.write_pages(
             list(zip((int(p) for p in lpages), (int(t) for t in tokens))), cost

@@ -77,6 +77,7 @@ class BlockMapFTL(BaseFTL):
     """One-to-one block mapping with in-order replacement blocks."""
 
     batch_read_capable = True
+    batch_write_capable = True
 
     _STATE_ATTRS = ("_data_map", "_free", "_open", "finalize_count")
 
@@ -121,6 +122,31 @@ class BlockMapFTL(BaseFTL):
         cost.page_reads += 1
         return self._decode(self.chip.read(data, offset))
 
+    def locate(self, lpages: np.ndarray) -> np.ndarray:
+        """See :meth:`BaseFTL.locate`: the replacement block's prefix,
+        else the data block below its write point.
+
+        Pages padded with filler locate too — :meth:`read_page` charges
+        them and decodes them to ERASED.
+        """
+        lpages = np.asarray(lpages, dtype=np.int64)
+        ppb = self.geometry.pages_per_block
+        lblocks = lpages // ppb
+        offsets = lpages - lblocks * ppb
+        rep_block = np.full(self._data_map.size, -1, dtype=np.int64)
+        rep_end = np.zeros(self._data_map.size, dtype=np.int64)
+        for lblock, rep in self._open.items():
+            rep_block[lblock] = rep.pblock
+            rep_end[lblock] = rep.next_offset
+        in_rep = offsets < rep_end[lblocks]
+        data = self._data_map[lblocks]
+        has_data = data >= 0
+        in_data = has_data & (
+            offsets < self.chip.write_points(np.where(has_data, data, 0))
+        )
+        ppages = np.where(in_rep, rep_block[lblocks], data) * ppb + offsets
+        return np.where(in_rep | in_data, ppages, -1)
+
     def read_pages(
         self,
         lpages: np.ndarray,
@@ -128,49 +154,28 @@ class BlockMapFTL(BaseFTL):
         *,
         ascending: bool = False,
     ) -> np.ndarray:
-        """See :meth:`BaseFTL.read_pages`: whole-run chip reads.
-
-        A contiguous ascending run decomposes, per logical block, into a
-        replacement-block prefix, a data-block middle and an ERASED tail
-        — three slice reads instead of a per-page loop.  Non-contiguous
-        batches and reference chips take the scalar reference path.
-        """
+        """See :meth:`BaseFTL.read_pages`: one :meth:`locate` plus one
+        gather read of every located page, filler decoded to ERASED."""
+        if self.chip.reference:
+            return super().read_pages(lpages, cost)
         lpages = np.asarray(lpages, dtype=np.int64)
         n = int(lpages.size)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        if self.chip.reference or n == 1 or bool((np.diff(lpages) != 1).any()):
-            return super().read_pages(lpages, cost)
-        self._check_lpage(int(lpages[0]))
-        self._check_lpage(int(lpages[-1]))
-        ppb = self.geometry.pages_per_block
+        if ascending:
+            lo, hi = int(lpages[0]), int(lpages[-1])
+        else:
+            lo, hi = int(lpages.min()), int(lpages.max())
+        self._check_lpage(lo)
+        self._check_lpage(hi)
+        ppages = self.locate(lpages)
+        charged = ppages >= 0
         tokens = np.full(n, ERASED, dtype=np.int64)
-        i = 0
-        while i < n:
-            lblock, offset = divmod(int(lpages[i]), ppb)
-            seg = min(n - i, ppb - offset)
-            end_offset = offset + seg
-            pos, cur = i, offset
-            rep = self._open.get(lblock)
-            if rep is not None and cur < rep.next_offset:
-                take = min(end_offset, rep.next_offset) - cur
-                raw = self.chip.read_run(rep.pblock, cur, take)
-                tokens[pos : pos + take] = np.where(raw == FILLER_TOKEN, ERASED, raw)
-                cost.page_reads += take
-                pos += take
-                cur += take
-            if cur < end_offset:
-                data = int(self._data_map[lblock])
-                if data >= 0:
-                    write_point = self.chip.write_point(data)
-                    if cur < write_point:
-                        take = min(end_offset, write_point) - cur
-                        raw = self.chip.read_run(data, cur, take)
-                        tokens[pos : pos + take] = np.where(
-                            raw == FILLER_TOKEN, ERASED, raw
-                        )
-                        cost.page_reads += take
-            i += seg
+        count = int(charged.sum())
+        if count:
+            raw = self.chip.read_many(ppages[charged])
+            tokens[charged] = np.where(raw == FILLER_TOKEN, ERASED, raw)
+            cost.page_reads += count
         return tokens
 
     @staticmethod
@@ -182,17 +187,7 @@ class BlockMapFTL(BaseFTL):
     # ------------------------------------------------------------------
 
     def write_page(self, lpage: int, token: int, cost: CostAccumulator) -> None:
-        """See :meth:`BaseFTL.write_page`: append, gap-fill or full copy.
-
-        The analytic block-map kernel
-        (:func:`repro.flashsim.analytic._blockmap_write_window`) takes
-        the in-order append arm of this method in closed form — a
-        page-aligned IO continuing ``rep.next_offset`` mints tokens,
-        programs one run and bumps the offset without entering here —
-        and replays the controller path (which lands in this method)
-        for every other shape.  Changes to the append/finalise rules
-        here must be mirrored there to preserve bit-identity.
-        """
+        """See :meth:`BaseFTL.write_page`: append, gap-fill or full copy."""
         self._check_lpage(lpage)
         if token <= FILLER_TOKEN:
             raise FTLError(f"host tokens must be > {FILLER_TOKEN}, got {token}")
@@ -213,6 +208,57 @@ class BlockMapFTL(BaseFTL):
         self._open.move_to_end(lblock)
         if rep.next_offset == self.geometry.pages_per_block:
             self._finalize(lblock, cost)
+
+    def write_run(
+        self,
+        lpages: np.ndarray,
+        tokens: np.ndarray,
+        cost: CostAccumulator,
+        *,
+        ascending: bool = False,
+    ) -> None:
+        """See :meth:`BaseFTL.write_run`: one program run per logical
+        block of a contiguous run.
+
+        The first page of each logical block takes :meth:`write_page`,
+        which opens, finalises or gap-fills exactly as the scalar loop
+        does; the rest of that block's pages then continue its
+        replacement in order — :meth:`write_page`'s pure append arm —
+        as one ``program_run``, finalised when it fills the block.
+        Other batches, out-of-range pages, invalid tokens and
+        :attr:`~repro.flashsim.chip.FlashChip.reference` chips take the
+        :meth:`write_page` loop, which raises at the exact page.
+        """
+        lpages = np.asarray(lpages, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        n = int(lpages.size)
+        if (
+            self.chip.reference
+            or n < 2
+            or int(lpages[-1]) - int(lpages[0]) != n - 1
+            or not (ascending or bool((np.diff(lpages) == 1).all()))
+            or int(lpages[0]) < 0
+            or int(lpages[-1]) >= self.geometry.logical_pages
+            or bool((tokens <= FILLER_TOKEN).any())
+        ):
+            for lpage, token in zip(lpages.tolist(), tokens.tolist()):
+                self.write_page(lpage, token, cost)
+            return
+        ppb = self.geometry.pages_per_block
+        i = 0
+        while i < n:
+            lblock, offset = divmod(int(lpages[i]), ppb)
+            take = min(ppb - offset, n - i)
+            self.write_page(int(lpages[i]), int(tokens[i]), cost)
+            if take > 1:
+                rep = self._open[lblock]
+                rest = tokens[i + 1 : i + take]
+                self.chip.program_run(rep.pblock, rep.next_offset, rest)
+                cost.page_programs += take - 1
+                rep.next_offset += take - 1
+                if rep.next_offset == ppb:
+                    self._finalize(lblock, cost)
+            i += take
 
     def note_io_boundary(self, end_byte: int, cost: CostAccumulator) -> None:
         """Finalise the open replacement unless the IO ended on the commit boundary."""

@@ -23,13 +23,15 @@ rotation).  Everything else — the inverse map ``_p2l``, the per-page
 counts, block states and the min-valid GC buckets — is derived,
 maintained incrementally on the hot path, excluded from snapshots and
 rebuilt wholesale by :meth:`PageMapFTL.restore`.  GC victim scans and
-the analytic write kernel operate directly on the bitmaps.
+the host-log append operate directly on the bitmaps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -219,6 +221,10 @@ class PageMapFTL(BaseFTL):
         block, offset = divmod(ppage, self.geometry.pages_per_block)
         return self.chip.read(block, offset)
 
+    def locate(self, lpages: np.ndarray) -> np.ndarray:
+        """See :meth:`BaseFTL.locate`: the direct map itself."""
+        return self._l2p[np.asarray(lpages, dtype=np.int64)]
+
     def read_pages(
         self,
         lpages: np.ndarray,
@@ -226,8 +232,8 @@ class PageMapFTL(BaseFTL):
         *,
         ascending: bool = False,
     ) -> np.ndarray:
-        """See :meth:`BaseFTL.read_pages`: one fancy-indexed map lookup
-        plus one gather read for every mapped page."""
+        """See :meth:`BaseFTL.read_pages`: one :meth:`locate` plus one
+        gather read for every mapped page."""
         if self.chip.reference:
             return super().read_pages(lpages, cost)
         lpages = np.asarray(lpages, dtype=np.int64)
@@ -241,7 +247,7 @@ class PageMapFTL(BaseFTL):
             raise AddressError(
                 f"logical page out of range 0..{self.geometry.logical_pages - 1}"
             )
-        ppages = self._l2p[lpages]
+        ppages = self.locate(lpages)
         mapped = ppages >= 0
         tokens = np.full(lpages.size, ERASED, dtype=np.int64)
         count = int(mapped.sum())
@@ -287,49 +293,55 @@ class PageMapFTL(BaseFTL):
         *,
         ascending: bool = False,
     ) -> None:
-        """Vectorized write path: invalidate with fancy indexing, append
-        whole runs into the host active block.
+        """See :meth:`BaseFTL.write_run`: the :meth:`write_steps` loop."""
+        for _ in self.write_steps(lpages, tokens, cost, ascending=ascending):
+            pass
 
-        Behaviourally identical to the scalar :meth:`write_page` loop:
-        a run is split into chunks within which the scalar path's
-        per-page GC and wear-levelling checks are provably no-ops (the
-        free pool and erase counters cannot change during a pure
-        append), and decays to single scalar writes at the points where
-        GC or wear levelling would actually fire.
+    def write_steps(
+        self,
+        lpages: np.ndarray,
+        tokens: np.ndarray,
+        cost: CostAccumulator,
+        *,
+        ascending: bool = False,
+    ) -> Iterator[int]:
+        """:meth:`write_run` as a generator over its watermark steps.
 
-        The GC-epoch kernel
-        (:func:`repro.flashsim.analytic._pagemap_epoch_window`) mirrors
-        this same slow-loop structure over a whole window's flattened
-        page stream — closed-form ``_append_run`` chunks between
-        collections, the real :meth:`write_page` at each free-pool
-        watermark — so changes to the chunking or the GC trigger here
-        must be reflected there to preserve bit-identity.
+        The run is cut into stretches that end at the GC watermark —
+        ``(ppb - wp) + (free - gc_low - 1) * ppb`` pages, where the
+        allocation of the next block would bring the free pool down to
+        ``gc_low_blocks`` — and each stretch is one closed-form host-log
+        append (:meth:`_append_span`), which may cross blocks and
+        repeat lpages.  With wear levelling on, a stretch ends at the
+        block edge instead: a retire can make a wear move due.  The
+        page at a watermark takes the scalar :meth:`write_page`, which
+        collects garbage (or moves a cold block) until the pool
+        recovers; its index is then yielded, after that step's cost has
+        landed in ``cost``, so a caller that writes a whole window can
+        charge each step to the IO that owns the page.
 
         On a :attr:`~repro.flashsim.chip.FlashChip.reference` chip every
-        page takes :meth:`write_page`, so an injected program failure
-        tears the run exactly where the scalar loop would.
+        page takes :meth:`write_page` (and is yielded), so an injected
+        program failure tears the run exactly where the scalar loop
+        would.
         """
-        if self.chip.reference:
-            for lpage, token in zip(lpages, tokens):
-                self.write_page(int(lpage), int(token), cost)
-            return
         lpages = np.asarray(lpages, dtype=np.int64)
         tokens = np.asarray(tokens, dtype=np.int64)
         n = int(lpages.size)
+        if self.chip.reference:
+            for i in range(n):
+                self.write_page(int(lpages[i]), int(tokens[i]), cost)
+                yield i
+            return
         if n == 0:
             return
         # Controller runs are strictly ascending, which gives distinctness
-        # and min/max for free; arbitrary batches pay the full checks.
-        if ascending or n == 1 or bool((np.diff(lpages) > 0).all()):
+        # and min/max for free; other batches pay the full scans.
+        distinct = ascending or n == 1 or bool((np.diff(lpages) > 0).all())
+        if distinct:
             lo, hi = int(lpages[0]), int(lpages[-1])
         else:
             lo, hi = int(lpages.min()), int(lpages.max())
-            if np.unique(lpages).size != n:
-                # a duplicate lpage inside one run would fold two updates
-                # into one fancy-indexed store; take the reference path
-                for lpage, token in zip(lpages, tokens):
-                    self.write_page(int(lpage), int(token), cost)
-                return
         if lo < 0 or hi >= self.geometry.logical_pages:
             raise AddressError(
                 f"logical page out of range 0..{self.geometry.logical_pages - 1}"
@@ -351,30 +363,97 @@ class PageMapFTL(BaseFTL):
                 self._host_active = active
                 write_point = 0
             if len(self._free) <= gc_low or (wear and self._wear_pending()):
-                # GC (or a wear move) would run after this page in the
-                # scalar path — replay it exactly.
+                # GC (or a wear move) runs after this page in the scalar
+                # path — replay it exactly.
                 self.write_page(int(lpages[i]), int(tokens[i]), cost)
+                yield i
                 i += 1
                 continue
-            take = min(ppb - write_point, n - i)
-            self._append_run(
-                active, write_point, lpages[i : i + take], tokens[i : i + take]
+            take = ppb - write_point
+            if not wear:
+                take += (len(self._free) - gc_low - 1) * ppb
+            take = min(take, n - i)
+            stretch = slice(i, i + take)
+            self._append_span(
+                active, write_point, lpages[stretch], tokens[stretch], distinct
             )
             cost.page_programs += take
             i += take
 
-    def _append_run(
-        self, active: int, offset: int, lpages: np.ndarray, tokens: np.ndarray
+    def _append_span(
+        self,
+        active: int,
+        offset: int,
+        lpages: np.ndarray,
+        tokens: np.ndarray,
+        distinct: bool,
     ) -> None:
-        """Invalidate + append one chunk that fits the active block
-        (``offset`` is the block's current write point)."""
-        self._invalidate_run(lpages)
-        self.chip.program_run(active, offset, tokens)
-        base = active * self.geometry.pages_per_block + offset
-        self._l2p[lpages] = np.arange(base, base + lpages.size, dtype=np.int64)
-        self._p2l[base : base + lpages.size] = lpages
-        self._valid_map[base : base + lpages.size] = True
-        self._valid[active] += lpages.size
+        """Closed-form host-log append of a stretch that ends at or
+        before the GC watermark, from ``offset``, the write point of the
+        host active block (which is not full).
+
+        Equal to the :meth:`write_page` loop over the stretch with no
+        collection firing: pages land at consecutive write points,
+        filled blocks retire and the next come off the free pool in
+        order, and of repeated lpages the last occurrence wins.  The GC
+        buckets are updated block by block, never rebuilt: a touched
+        block's final valid count is the lowest it passed through, so
+        adding retired blocks at that count and lowering the
+        invalidated ones leaves the same buckets and floor.
+        """
+        ppb = self.geometry.pages_per_block
+        n = int(lpages.size)
+        final = None  # position of each lpage's last occurrence; None: all
+        final_lpages = lpages
+        if not distinct:
+            order = np.argsort(lpages, kind="stable")
+            ordered = lpages[order]
+            last = np.empty(n, dtype=bool)
+            last[-1] = True
+            last[:-1] = ordered[1:] != ordered[:-1]
+            if not last.all():
+                final = order[last]
+                final_lpages = ordered[last]
+        allocs = (offset + n - 1) // ppb
+        if allocs:
+            blocks = np.empty(allocs + 1, dtype=np.int64)
+            blocks[0] = active
+            blocks[1:] = list(islice(self._free, allocs))
+            ppages = self.chip.program_span(blocks, offset, tokens)
+        else:
+            self.chip.program_run(active, offset, tokens)
+            base = active * ppb + offset
+            ppages = np.arange(base, base + n, dtype=np.int64)
+        final_ppages = ppages if final is None else ppages[final]
+        self._invalidate_run(final_lpages)
+        self._l2p[final_lpages] = final_ppages
+        self._p2l[final_ppages] = final_lpages
+        self._valid_map[final_ppages] = True
+        if not allocs:
+            self._valid[active] += final_lpages.size
+            return
+        positions = np.arange(n, dtype=np.int64) if final is None else final
+        self._valid[blocks] += np.bincount(
+            (positions + offset) // ppb, minlength=allocs + 1
+        )
+        retired = blocks[:-1]
+        self._state[retired] = _DATA
+        sequence = self._sequence
+        self._retired_at[retired] = np.arange(
+            sequence + 1, sequence + 1 + allocs, dtype=np.int64
+        )
+        self._sequence = sequence + allocs
+        self._free_map[blocks[1:]] = False
+        for _ in range(allocs):
+            self._free.popleft()
+        self._host_active = int(blocks[-1])
+        self._state[self._host_active] = _ACTIVE
+        if self._use_buckets:
+            valid = self._valid[retired]
+            self._bucket_of[retired] = valid
+            for block, count in zip(retired.tolist(), valid.tolist()):
+                self._buckets[count].add(block)
+            self._min_bucket = min(self._min_bucket, int(valid.min()))
 
     def _invalidate_run(self, lpages: np.ndarray) -> None:
         """Vectorized :meth:`_invalidate` over a batch of distinct lpages."""

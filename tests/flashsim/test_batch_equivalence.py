@@ -1,7 +1,7 @@
 """Scalar/batch equivalence: the vectorized run kernel must be invisible.
 
 The batched controller→FTL→chip hot path (``Controller`` fast paths,
-``BaseFTL.read_pages``/``write_run``, ``FlashChip.read_run``/
+``BaseFTL.read_pages``/``write_run``, ``FlashChip.read_many``/
 ``program_run``) is a pure performance optimisation: every device profile
 must produce bit-identical state (``fingerprint``), identical physical
 work (``CostAccumulator`` totals) and identical observability counters

@@ -1,8 +1,13 @@
-"""Block-range copies and log-append runs must be invisible.
+"""Block-range copies, log-append runs and range primitives must be
+invisible.
 
 Merges and block copies in the hybrid, block-map and FAST FTLs move
-whole page ranges with :meth:`FlashChip.copy_pages`, and hybrid host
-writes land in their log as program runs.  Installing a fault injector
+whole page ranges with :meth:`FlashChip.copy_pages`, hybrid host writes
+land in their log as program runs, block-map in-order appends land as
+one program run, and page-map host writes are closed-form log appends
+that cross blocks and repeat lpages, with the real ``write_page`` at
+each GC watermark — the same primitives the closed-form kernels call
+over whole windows.  Installing a fault injector
 — here one that never fails (:class:`~repro.flashsim.chip.NoFaults`) —
 sends every one of those paths through the scalar per-page reference
 loop.  Random programs (mixed reads and writes, unaligned sizes, runs
@@ -10,9 +15,12 @@ crossing block boundaries, pauses that let background reclamation run)
 must leave both twins bit-identical: device fingerprint, FTL state,
 chip and FTL counters and every trace column.
 
-The second half pins ``copy_pages``'s edges: a zero-length copy, an
-ERASED source, a retired source block and an injected program failure
-part-way through a merge.
+The second half pins the page-map host-log append against the
+``write_page`` loop (repeated lpages, a wear move made due by a
+retire), ``program_span`` against one ``program_run`` per block, and
+``copy_pages``'s edges: a zero-length copy, an ERASED source, a retired
+source block and an injected program failure part-way through a
+merge.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.generator import IOProgram
 from repro.errors import BadBlockError, ProgramError
+from repro.flashsim import analytic
 from repro.flashsim.chip import ERASED, FlashChip, NoFaults
 from repro.flashsim.controller import Controller, ControllerConfig
 from repro.flashsim.device import FlashDevice
@@ -34,6 +43,7 @@ from repro.flashsim.ftl.base import FILLER_TOKEN
 from repro.flashsim.ftl.blockmap import BlockMapConfig, BlockMapFTL
 from repro.flashsim.ftl.fast import FastConfig, FastFTL
 from repro.flashsim.ftl.hybrid import HybridConfig, HybridLogFTL
+from repro.flashsim.ftl.pagemap import PageMapConfig, PageMapFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.host import SyncHost
 from repro.flashsim.timing import CostAccumulator, TimingSpec
@@ -85,7 +95,19 @@ FAMILIES = {
         BlockMapConfig(replacement_slots=2, sync_commit_boundary=8 * KIB),
     ),
     "fast": lambda chip: FastFTL(GEOMETRY, chip, FastConfig(shared_log_blocks=3)),
+    "pagemap": lambda chip: PageMapFTL(GEOMETRY, chip, PageMapConfig()),
+    "pagemap-wear": lambda chip: PageMapFTL(
+        GEOMETRY, chip, PageMapConfig(wear_threshold=2)
+    ),
+    "pagemap-cost-benefit": lambda chip: PageMapFTL(
+        GEOMETRY, chip, PageMapConfig(gc_policy="cost-benefit")
+    ),
 }
+
+#: page-map configurations whose host-log appends are pinned: the
+#: default (greedy buckets), wear levelling (stretches end at block
+#: edges) and cost-benefit GC (no buckets)
+PAGEMAP_FAMILIES = ("pagemap", "pagemap-wear", "pagemap-cost-benefit")
 
 
 def _build(family: str, oracle: bool, mapping_unit: int = 0) -> FlashDevice:
@@ -175,6 +197,138 @@ def test_hybrid_with_a_mapping_unit_matches_the_oracle(ios):
     assert fast == oracle
 
 
+#: zero-gap write programs: one read/write stretch long enough for
+#: kernel windows, IOs of up to three blocks, half of them rewriting the
+#: first four blocks so lpages repeat inside a window
+write_programs = st.lists(
+    st.tuples(
+        st.one_of(
+            st.integers(0, 4 * GEOMETRY.block_size // SECTOR - 1),
+            st.integers(0, GEOMETRY.logical_bytes // SECTOR - 1),
+        ),
+        st.one_of(st.integers(1, 8), st.integers(1, 96)),
+        st.just(True),
+        st.just(0.0),
+    ),
+    min_size=analytic.MIN_KERNEL_STRETCH,
+    max_size=120,
+)
+
+
+@pytest.mark.parametrize("family", PAGEMAP_FAMILIES)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(ios=write_programs)
+def test_pagemap_write_windows_match_the_scalar_oracle(family, ios):
+    """Whole write windows — runs crossing several blocks, repeated
+    lpages, garbage collection — through the kernel (default and
+    cost-benefit) or the per-IO ``write_run`` (wear levelling, which
+    the kernels decline)."""
+    fast, oracle = _run_both(family, ios)
+    assert fast == oracle
+
+
+def test_pagemap_windows_cross_blocks_repeat_lpages_and_collect():
+    """Guards the window programs above against testing nothing: one
+    deterministic program takes a kernel window whose IOs cross blocks
+    and rewrite each other's lpages, and that runs collections."""
+    ios = [((i * 53) % 96 * 4, 40, True, 0.0) for i in range(120)]
+    analytic.STATS.reset()
+    fast, oracle = _run_both("pagemap", ios)
+    assert fast == oracle
+    assert analytic.STATS.write_windows >= 1
+    assert analytic.STATS.epoch_windows >= 1
+    assert fast["metrics"]["ftl.gc_collections"] > 0
+    analytic.STATS.reset()
+
+
+def _pagemap_pair(config: PageMapConfig, warmup: list[int]):
+    """Two page-map FTLs in the same state after ``warmup`` writes."""
+    pair = []
+    for _ in range(2):
+        ftl = PageMapFTL(GEOMETRY, FlashChip(GEOMETRY), config)
+        cost = CostAccumulator()
+        for token, lpage in enumerate(warmup, start=1):
+            ftl.write_page(lpage, token, cost)
+        pair.append(ftl)
+    return pair
+
+
+def _ftl_state(ftl: PageMapFTL) -> tuple:
+    return (
+        pickle.dumps(ftl.snapshot()),
+        ftl._min_bucket,
+        ftl.metrics(),
+        _chip_state(ftl.chip),
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PageMapConfig(),
+        PageMapConfig(wear_threshold=2),
+        PageMapConfig(gc_policy="cost-benefit"),
+    ],
+    ids=["greedy", "wear", "cost-benefit"],
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    warmup=st.lists(st.integers(0, GEOMETRY.logical_pages - 1), max_size=400),
+    batch=st.lists(
+        st.one_of(st.integers(0, 15), st.integers(0, GEOMETRY.logical_pages - 1)),
+        min_size=1,
+        max_size=200,
+    ),
+)
+def test_pagemap_write_run_with_repeats_matches_the_write_page_loop(
+    config, warmup, batch
+):
+    """A non-ascending ``write_run`` batch with repeated lpages equals
+    the ``write_page`` loop: snapshot, GC bucket floor, counters, chip,
+    cost and invariants."""
+    run_ftl, loop_ftl = _pagemap_pair(config, warmup)
+    lpages = np.array(batch, dtype=np.int64)
+    tokens = np.arange(1000, 1000 + lpages.size, dtype=np.int64)
+    run_cost, loop_cost = CostAccumulator(), CostAccumulator()
+    run_ftl.write_run(lpages, tokens, run_cost)
+    for lpage, token in zip(batch, tokens.tolist()):
+        loop_ftl.write_page(lpage, token, loop_cost)
+    run_ftl.check_invariants()
+    loop_ftl.check_invariants()
+    assert _ftl_state(run_ftl) == _ftl_state(loop_ftl)
+    assert run_cost == loop_cost
+
+
+def test_pagemap_wear_stretch_ends_where_a_retire_makes_a_move_due():
+    """With wear levelling on, retiring a block can make a wear move
+    due: here the next free block has never been erased while every
+    other block has, so the moment it retires it is the coldest data
+    block by more than the threshold.  ``write_run`` must stop its
+    stretch at that block edge and move it, as the ``write_page`` loop
+    does right after the retire."""
+    config = PageMapConfig(wear_threshold=2)
+    run_ftl, loop_ftl = _pagemap_pair(config, list(range(PPB)))
+    for ftl in (run_ftl, loop_ftl):
+        fresh = ftl._free[0]
+        ftl.chip._erase_count[:] = 3
+        ftl.chip._erase_count[fresh] = 0
+        assert not ftl._wear_pending()
+    lpages = np.arange(PPB, 4 * PPB, dtype=np.int64)
+    tokens = lpages + 1000
+    run_cost, loop_cost = CostAccumulator(), CostAccumulator()
+    run_ftl.write_run(lpages, tokens, run_cost, ascending=True)
+    for lpage, token in zip(lpages.tolist(), tokens.tolist()):
+        loop_ftl.write_page(lpage, token, loop_cost)
+    assert loop_ftl.wear_relocations > 0
+    run_ftl.check_invariants()
+    assert _ftl_state(run_ftl) == _ftl_state(loop_ftl)
+    assert run_cost == loop_cost
+
+
 def test_programs_exercise_every_merge_kind():
     """A sweep of sequential and scattered writes reaches switch,
     partial and full merges on the hybrid twins (guards the random
@@ -233,6 +387,31 @@ def _chip_state(chip: FlashChip) -> tuple:
 
 
 @pytest.mark.parametrize("oracle", (False, True))
+def test_program_span_equals_one_run_per_block(oracle):
+    """A span from page 5 of block 2 through blocks 7 and 3 programs
+    what three ``program_run`` calls would, and returns its pages; a
+    span into a block that is not erased raises before programming."""
+    chip = FlashChip(GEOMETRY, fault_injector=NoFaults() if oracle else None)
+    runs = FlashChip(GEOMETRY)
+    for target in (chip, runs):
+        target.program_run(2, 0, np.arange(1, 6))
+    tokens = np.arange(100, 100 + 3 + PPB + 2)
+    ppages = chip.program_span(np.array([2, 7, 3]), 5, tokens)
+    runs.program_run(2, 5, tokens[:3])
+    runs.program_run(7, 0, tokens[3 : 3 + PPB])
+    runs.program_run(3, 0, tokens[3 + PPB :])
+    assert _chip_state(chip) == _chip_state(runs)
+    assert ppages.tolist() == [2 * PPB + 5, 2 * PPB + 6, 2 * PPB + 7] + list(
+        range(7 * PPB, 8 * PPB)
+    ) + [3 * PPB, 3 * PPB + 1]
+    before = _chip_state(chip)
+    with pytest.raises(ProgramError):
+        chip.program_span(np.array([3, 7]), 2, np.arange(1, PPB))
+    if not oracle:
+        assert _chip_state(chip) == before
+
+
+@pytest.mark.parametrize("oracle", (False, True))
 def test_zero_length_copy_is_a_no_op(oracle):
     chip = _filled_chip(fault_injector=NoFaults() if oracle else None)
     before = _chip_state(chip)
@@ -247,7 +426,9 @@ def test_erased_and_missing_sources_become_filler(oracle):
     sources = np.array([2, PPB + 6, -1, PPB + 1])
     reads = chip.copy_pages(sources, 5, 0, FILLER_TOKEN)
     assert reads == 3
-    assert chip.read_run(5, 0, 4).tolist() == [3, FILLER_TOKEN, FILLER_TOKEN, 102]
+    assert chip.read_many(np.arange(5 * PPB, 5 * PPB + 4)).tolist() == [
+        3, FILLER_TOKEN, FILLER_TOKEN, 102
+    ]
     assert chip.write_point(5) == 4
 
 

@@ -1,0 +1,42 @@
+"""The hot-path benchmark's twin gate (``tools/bench_hotpath.py``).
+
+No workload may run more than ``FALLBACK_LIMIT`` times slower than its
+``/fallback`` twin (the kernels declined) or its ``/oracle`` twin (the
+scalar reference on a ``NoFaults`` chip).
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+
+def _bench_hotpath():
+    spec = importlib.util.spec_from_file_location(
+        "bench_hotpath",
+        pathlib.Path(__file__).parent.parent / "tools" / "bench_hotpath.py",
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("suffix", ("fallback", "oracle"))
+def test_a_workload_losing_to_its_twin_fails_the_gate(tmp_path, suffix):
+    bench = _bench_hotpath()
+    results = {
+        "memoright/RR": {"usec_per_io": 17.0},
+        f"memoright/RR/{suffix}": {"usec_per_io": 17.0},
+    }
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(results))
+    assert bench.check_baseline(results, baseline) == []
+    slow = 17.0 * bench.FALLBACK_LIMIT * 1.01
+    results["memoright/RR"] = {"usec_per_io": slow}
+    assert bench.check_baseline(results, baseline) == [
+        f"memoright: RR {slow / 17.0:.2f}x slower than RR/{suffix} "
+        f"(> {bench.FALLBACK_LIMIT}x)"
+    ]

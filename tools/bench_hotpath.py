@@ -43,8 +43,8 @@ if a profile's enforce-vs-oracle or GC-epoch *speedup* (the
 slow-path/fast-path ratio, which is largely machine-independent) drops
 below its gate's share of the committed ratio (``SPEEDUP_GATES``), or
 if any workload is more than ``FALLBACK_LIMIT`` times slower than its
-``/fallback`` twin (a fast path losing to its own fallback) — the CI
-perf-smoke gate.
+``/fallback`` or ``/oracle`` twin (a fast path losing to its own
+fallback or to the scalar reference) — the CI perf-smoke gate.
 """
 
 from __future__ import annotations
@@ -107,10 +107,10 @@ SPEEDUP_GATES = (
     ("run_RW_gc", "fallback", {"*": SPEEDUP_RETENTION}),
 )
 
-#: how much slower than its ``/fallback`` twin any workload may run: a
-#: fast path that loses to its own fallback is a bug (short mix
-#: stretches, where kernel window setup can cost more than it saves,
-#: were the first case)
+#: how much slower than its ``/fallback`` or ``/oracle`` twin any
+#: workload may run: a fast path that loses to its own fallback, or to
+#: the scalar reference, is a bug (short mix stretches, where kernel
+#: window setup can cost more than it saves, were the first case)
 FALLBACK_LIMIT = 1.25
 
 DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
@@ -492,17 +492,18 @@ def _workload_speedup(
     return slow["usec_per_io"] / max(fast["usec_per_io"], 1e-9)
 
 
-def _fallback_twinned(
-    entries: dict[str, dict[str, float]], profile: str
+def _twinned(
+    entries: dict[str, dict[str, float]], profile: str, suffix: str
 ) -> list[str]:
     """Workload names of ``profile`` that have both a plain key and a
-    ``/fallback`` twin in ``entries``."""
+    ``/<suffix>`` twin in ``entries``."""
+    tail = f"/{suffix}"
     return [
-        key[len(profile) + 1 : -len("/fallback")]
+        key[len(profile) + 1 : -len(tail)]
         for key in entries
         if key.startswith(f"{profile}/")
-        and key.endswith("/fallback")
-        and key[: -len("/fallback")] in entries
+        and key.endswith(tail)
+        and key[: -len(tail)] in entries
     ]
 
 
@@ -539,13 +540,14 @@ def check_baseline(
                     f"{profile}: {name}/{slow_suffix} speedup {new_ratio:.2f}x vs "
                     f"baseline {old_ratio:.2f}x (< {retention}x retention)"
                 )
-        for name in _fallback_twinned(results, profile):
-            speedup = _workload_speedup(results, profile, name, "fallback")
-            if speedup * FALLBACK_LIMIT < 1.0:
-                regressions.append(
-                    f"{profile}: {name} {1 / speedup:.2f}x slower than "
-                    f"{name}/fallback (> {FALLBACK_LIMIT}x)"
-                )
+        for suffix in ("fallback", "oracle"):
+            for name in _twinned(results, profile, suffix):
+                speedup = _workload_speedup(results, profile, name, suffix)
+                if speedup * FALLBACK_LIMIT < 1.0:
+                    regressions.append(
+                        f"{profile}: {name} {1 / speedup:.2f}x slower than "
+                        f"{name}/{suffix} (> {FALLBACK_LIMIT}x)"
+                    )
     return regressions
 
 
@@ -631,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
             speedup = _workload_speedup(results, profile, name, "oracle")
             if speedup is not None:
                 print(f"{profile}: {name} speedup {speedup:.2f}x (oracle/fast)")
-        for name in _fallback_twinned(results, profile):
+        for name in _twinned(results, profile, "fallback"):
             speedup = _workload_speedup(results, profile, name, "fallback")
             print(f"{profile}: {name} speedup {speedup:.2f}x (fallback/fast)")
         pack_key = f"{profile}/snapshot_pack"
