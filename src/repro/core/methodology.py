@@ -22,10 +22,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.generator import IOProgram
 from repro.core.patterns import PatternSpec
 from repro.flashsim import analytic
 from repro.flashsim.device import FlashDevice
-from repro.iotypes import IORequest, Mode
+from repro.flashsim.host import SyncHost
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.units import SECTOR
@@ -64,17 +65,17 @@ def enforce_random_state(
     significantly, which is why the benchmark plan directs those to
     fresh target spaces instead of re-enforcing.
 
-    The write stream is RNG-driven, not response-driven, so the whole
-    (size, lba) sequence is pre-drawn into columns and handed to the
-    closed-form write kernel (:func:`repro.flashsim.analytic.write_window`)
-    as one window: on a page-map device the FTL appends the whole page
-    stream in closed form up to each GC watermark and collects at it
-    (``PageMapFTL.write_steps``); on a block-map device every IO takes
-    the controller, whose in-order appends are one program run each —
-    so page-map and block-map enforcement run end-to-end in the kernel
-    with no per-IO device dispatch.  Devices the kernels do not
-    cover (hybrid/FAST families, caches, wear levelling, fault
-    injection) fall back to the per-IO ``submit`` path below.
+    The paper enforces the state with the same direct, synchronous
+    writes it measures, and so does this function: the write stream is
+    RNG-driven, not response-driven, so the whole (size, lba) sequence
+    is pre-drawn into one back-to-back
+    :class:`~repro.core.generator.IOProgram` and run by
+    :meth:`SyncHost.run_program <repro.flashsim.host.SyncHost.run_program>`
+    from the device's busy horizon.  The host picks the path as for any
+    measured program: a page-map device takes the whole program as one
+    closed-form write window (:func:`repro.flashsim.analytic.write_window`,
+    garbage collection included); block-map, hybrid and FAST devices,
+    caches, wear levelling and fault injection run it per IO.
     """
     if coverage <= 0:
         raise ValueError("coverage must be positive")
@@ -91,32 +92,7 @@ def enforce_random_state(
         lbas.append(rng.randrange(0, max_lba + 1, SECTOR))
         sizes.append(size)
         written += size
-    count = len(sizes)
-    size_col = np.asarray(sizes, dtype=np.int64)
-    lba_col = np.asarray(lbas, dtype=np.int64)
-    now = device.busy_until
-    start = now
-    index = 0
-    while index < count:
-        done, now = analytic.write_window(
-            device, lba_col[index:], size_col[index:], now
-        )
-        if done:
-            index += done
-        else:
-            completed = device.submit(
-                IORequest(index, lbas[index], sizes[index], Mode.WRITE), now
-            )
-            now = completed.completed_at
-            index += 1
-    device.drain()
-    return StateReport(
-        method="random",
-        io_count=count,
-        bytes_written=written,
-        elapsed_usec=now - start,
-        mean_io_usec=(now - start) / count if count else 0.0,
-    )
+    return _run_writes(device, "random", lbas, sizes)
 
 
 def enforce_sequential_state(
@@ -124,25 +100,38 @@ def enforce_sequential_state(
 ) -> StateReport:
     """Enforce a sequential initial state (the faster but less stable
     alternative discussed in Section 4.1): one sequential pass over the
-    whole device."""
-    geometry = device.geometry
-    now = device.busy_until
-    start = now
-    count = 0
-    lba = 0
-    while lba < geometry.logical_bytes:
-        size = min(io_size, geometry.logical_bytes - lba)
-        completed = device.submit(IORequest(count, lba, size, Mode.WRITE), now)
-        now = completed.completed_at
-        lba += size
-        count += 1
+    whole device in ``io_size`` writes, run as one back-to-back program
+    through :class:`~repro.flashsim.host.SyncHost` exactly like
+    :func:`enforce_random_state`'s."""
+    capacity = device.geometry.logical_bytes
+    lbas = list(range(0, capacity, io_size))
+    sizes = [min(io_size, capacity - lba) for lba in lbas]
+    return _run_writes(device, "sequential", lbas, sizes)
+
+
+def _run_writes(
+    device: FlashDevice, method: str, lbas: list[int], sizes: list[int]
+) -> StateReport:
+    """Run pre-drawn writes back to back from the device's busy horizon
+    through :class:`~repro.flashsim.host.SyncHost`, drain deferred work
+    and report the pass."""
+    count = len(sizes)
+    program = IOProgram(
+        lbas=np.asarray(lbas, dtype=np.int64),
+        sizes=np.asarray(sizes, dtype=np.int64),
+        writes=np.ones(count, dtype=np.bool_),
+        gaps=np.zeros(count, dtype=np.float64),
+    )
+    start = device.busy_until
+    SyncHost(device).run_program(program, start_at=start)
+    elapsed = device.busy_until - start
     device.drain()
     return StateReport(
-        method="sequential",
+        method=method,
         io_count=count,
-        bytes_written=geometry.logical_bytes,
-        elapsed_usec=now - start,
-        mean_io_usec=(now - start) / count if count else 0.0,
+        bytes_written=sum(sizes),
+        elapsed_usec=elapsed,
+        mean_io_usec=elapsed / count if count else 0.0,
     )
 
 

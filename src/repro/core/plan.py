@@ -106,42 +106,49 @@ class TargetAllocator:
     def place(self, spec: SpecLike) -> SpecLike | None:
         """Rewrite a spec's target offset onto fresh space (None when a
         state reset is needed first).  Specs that do not disturb the
-        state are returned unchanged."""
+        state are returned unchanged.
+
+        A mix moves the halves that need fresh space; when a moved half
+        would then overlap the half left in place, that half gets
+        allocated space as well, so the two stay disjoint."""
         if not needs_fresh_space(spec):
             return spec
         if isinstance(spec, PatternSpec):
-            offset = self.try_allocate(spec.target_size + spec.io_shift)
-            if offset is None:
-                return None
-            return spec.with_(target_offset=offset)
+            return self._place_pattern(spec)
         if isinstance(spec, ParallelSpec):
-            offset = self.try_allocate(spec.base.target_size + spec.base.io_shift)
-            if offset is None:
+            base = self._place_pattern(spec.base)
+            if base is None:
                 return None
-            return ParallelSpec(
-                base=spec.base.with_(target_offset=offset),
-                parallel_degree=spec.parallel_degree,
-            )
+            return ParallelSpec(base=base, parallel_degree=spec.parallel_degree)
         if isinstance(spec, MixSpec):
-            primary, secondary = spec.primary, spec.secondary
-            if needs_fresh_space(primary):
-                offset = self.try_allocate(primary.target_size + primary.io_shift)
-                if offset is None:
+            halves = [spec.primary, spec.secondary]
+            fresh = [needs_fresh_space(half) for half in halves]
+            for which in (0, 1):
+                if fresh[which]:
+                    halves[which] = self._place_pattern(halves[which])
+                    if halves[which] is None:
+                        return None
+            (start_a, end_a), (start_b, end_b) = (half.footprint for half in halves)
+            if max(start_a, start_b) < min(end_a, end_b):
+                unmoved = fresh.index(False)
+                halves[unmoved] = self._place_pattern(halves[unmoved])
+                if halves[unmoved] is None:
                     return None
-                primary = primary.with_(target_offset=offset)
-            if needs_fresh_space(secondary):
-                offset = self.try_allocate(secondary.target_size + secondary.io_shift)
-                if offset is None:
-                    return None
-                secondary = secondary.with_(target_offset=offset)
             return MixSpec(
-                primary=primary,
-                secondary=secondary,
+                primary=halves[0],
+                secondary=halves[1],
                 ratio=spec.ratio,
                 io_count=spec.io_count,
                 io_ignore=spec.io_ignore,
             )
         raise PlanError(f"cannot place spec of type {type(spec).__name__}")
+
+    def _place_pattern(self, pattern: PatternSpec) -> PatternSpec | None:
+        """One pattern moved onto fresh space (None when exhausted)."""
+        offset = self.try_allocate(pattern.target_size + pattern.io_shift)
+        if offset is None:
+            return None
+        return pattern.with_(target_offset=offset)
 
 
 def _spec_io_count(spec: SpecLike) -> int:

@@ -2,7 +2,9 @@
 
 A window of back-to-back synchronous host IOs needs no per-IO device
 dispatch: with no background work and zero gaps, each IO's service time
-is its cost's :meth:`~repro.flashsim.timing.CostAccumulator.total`, the
+is :meth:`TimingSpec.service_usec
+<repro.flashsim.timing.TimingSpec.service_usec>` of its operation
+counts — the formula ``CostAccumulator.total`` applies per IO — the
 completion chain is a prefix sum and the channel horizons follow in
 closed form.  The kernels in this module evaluate those on numpy
 columns — one vectorized pass for a whole window — and hand the FTL
@@ -10,17 +12,19 @@ work to the FTLs' own range primitives, so they schedule that work but
 restate none of it:
 
 * :meth:`BaseFTL.locate <repro.flashsim.ftl.base.BaseFTL.locate>`,
-  the non-charging read lookup, resolves every read and every
-  read-modify-write edge of a window;
+  the non-charging read lookup, and the family's decode resolve every
+  read and every read-modify-write edge of a window;
 * :meth:`PageMapFTL.write_steps
   <repro.flashsim.ftl.pagemap.PageMapFTL.write_steps>` — the loop behind
   ``write_run`` — writes a page-map window's whole flattened page
   stream: closed-form host-log appends up to each GC watermark and the
   real ``write_page`` (with its collections) at it, handing back each
-  watermark step so its cost lands on the IO that owns the page;
-* ``Controller.write`` writes a block-map window IO by IO, and the
-  block-map ``write_run`` lands each in-order replacement append as one
-  program run.
+  watermark step so its cost lands on the IO that owns the page.
+
+The entry points are the hosts': :class:`~repro.flashsim.host.SyncHost`
+runs every synchronous program — measurements and state enforcement
+alike — through :func:`run_program_into`, and
+:class:`~repro.flashsim.host.AsyncHost` tries :func:`run_program_queued`.
 
 Discipline:
 
@@ -38,8 +42,10 @@ Current coverage:
   (``epoch_windows`` counts the windows that ran at least one
   collection);
 * **block-map FTL** (USB/SD/IDE profile family) — reads in closed form;
-  writes through the controller per IO, whose in-order appends are one
-  program run each;
+  a write stretch declines once (``write:ftl-family``) and runs per IO
+  through ``Controller.write``, whose in-order appends the block-map
+  ``write_run`` lands as one program run each (a closed-form dispatch
+  around that same loop left end-to-end wall time unchanged);
 * **queued hosts** — homogeneous zero-gap read programs at any queue
   depth evaluate as a vectorized event schedule
   (:func:`run_program_queued`): per-IO services come from the closed
@@ -48,12 +54,12 @@ Current coverage:
   loop instead of the full per-IO dispatch machinery.
 
 Everything else (hybrid/FAST FTL families, caches, wear levelling,
-measurement noise) declines up front and runs the reference path
-unchanged.  So does a
+measurement noise) declines up front, once per program, and runs the
+reference path unchanged.  So does a
 :attr:`~repro.flashsim.chip.FlashChip.reference` chip — one with a
 fault injector, including the never-failing
 :class:`~repro.flashsim.chip.NoFaults` that builds the scalar oracle
-(``write:fault-injector``).  There is no other switch.
+(``program:fault-injector``).  There is no other switch.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.flashsim.chip import ERASED
-from repro.flashsim.ftl.base import FILLER_TOKEN
 from repro.flashsim.ftl.blockmap import BlockMapFTL
 from repro.flashsim.ftl.pagemap import PageMapFTL
 from repro.flashsim.timing import CostAccumulator
@@ -185,7 +190,8 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
     levelling and block health.
 
     Covered families: the page-map and block-map FTLs, the two with a
-    page locator and a write range primitive.
+    page locator; of their writes, :func:`write_window` takes the
+    page-map family's only.
     """
     ftl = device.ftl
     if not isinstance(ftl, (PageMapFTL, BlockMapFTL)):
@@ -253,16 +259,6 @@ def _map_misses(device, s_pg, e_pg):
     return miss
 
 
-def _service_times(device, flash, sizes, miss):
-    """Per-IO service times in the reference float operation order:
-    ``(flash + transfer) + miss*map_miss`` then ``+ controller_overhead``."""
-    timing = device.timing
-    service = flash + timing.transfer_per_kib * (sizes / 1024.0)
-    service = service + miss * timing.map_miss
-    service = service + timing.controller_overhead
-    return service
-
-
 def _chain(now, service):
     """Back-to-back completion chain from per-IO services.
 
@@ -273,12 +269,6 @@ def _chain(now, service):
     chain[0] = now
     chain[1:] = service
     return np.add.accumulate(chain)[1:]
-
-
-def _finish_services(device, flash, sizes, miss, now):
-    """Service times and the completion chain for one sync window."""
-    service = _service_times(device, flash, sizes, miss)
-    return service, _chain(now, service)
 
 
 def _occupy_channels(device, completions):
@@ -355,16 +345,42 @@ def _read_tokens(device, lpage_flat):
     against the current mapping, without charging anything.
 
     ``charged`` marks the pages :meth:`~repro.flashsim.ftl.base.BaseFTL.locate`
-    finds — a flash read in the reference path; a located filler page
-    decodes to ERASED but still charges, exactly like the block-map
-    ``read_page``.  Page-map pages never hold filler: the controller
-    mints tokens from 1.
+    finds — a flash read in the reference path — and their tokens take
+    the family's decode (a block-map filler page reads ERASED but still
+    charges), as in :meth:`~repro.flashsim.ftl.base.BaseFTL.read_pages`.
     """
-    ppages = device.ftl.locate(lpage_flat)
+    ftl = device.ftl
+    ppages = ftl.locate(lpage_flat)
     charged = ppages >= 0
     raw = device.chip._tokens[np.where(charged, ppages, 0)]
-    tokens = np.where(charged & (raw != FILLER_TOKEN), raw, ERASED)
+    tokens = np.where(charged, ftl._decode_many(raw), ERASED)
     return tokens, charged
+
+
+def _read_costs(device, lbas, sizes):
+    """Closed-form costs of a run of reads against the current mapping:
+    the read-cost preamble of :func:`read_window` and
+    :func:`run_program_queued`.
+
+    Returns per-IO page reads, map misses, service times and page span
+    ends, plus how many leading IOs pass read-your-writes verification
+    (all of them when the controller does not verify); the IO after
+    them raises in the reference path.  The columns cover every IO, so
+    a caller that stops at the verified prefix slices them.
+    """
+    s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=False)
+    lpage_flat, offsets = _flat_pages(s_pg, e_pg - s_pg)
+    tokens, charged = _read_tokens(device, lpage_flat)
+    verified = int(lbas.size)
+    if device.controller.config.verify:
+        bad = tokens != device.controller._shadow[lpage_flat]
+        if bool(bad.any()):
+            first_bad_page = int(np.argmax(bad))
+            verified = int(np.searchsorted(offsets, first_bad_page, side="right")) - 1
+    reads = np.add.reduceat(charged.astype(np.int64), offsets[:-1])
+    miss = _map_misses(device, s_pg, e_pg)
+    service = device.timing.service_usec(reads, 0, 0, 0, 0, sizes, miss)
+    return reads, miss, service, e_pg, verified
 
 
 def write_window(
@@ -384,8 +400,9 @@ def write_window(
     idle at ``end``.  The window runs up to the first out-of-bounds IO,
     which the fallback raises on.
 
-    Page-map devices take :func:`_pagemap_write_window`, block-map
-    devices :func:`_blockmap_write_window`, each for the whole window.
+    Page-map devices only: a block-map write declines (``ftl-family``)
+    and runs per IO through ``Controller.write``, whose in-order
+    appends are one program run each.
 
     When ``trace`` is given, rows ``row0..row0+count-1`` are recorded
     with the synchronous host's timing columns (``sched0`` is the first
@@ -393,6 +410,8 @@ def write_window(
     completion, i.e. a zero-gap program).
     """
     reason = device_decline_reason(device)
+    if reason is None and not isinstance(device.ftl, PageMapFTL):
+        reason = "ftl-family"
     if reason is not None:
         return _decline("write", reason, now)
     if now != device._busy_until:
@@ -403,12 +422,9 @@ def write_window(
     limit = _valid_prefix(device, lbas, sizes)
     if limit == 0:
         return _decline("write", "address", now)
-    kernel = (
-        _blockmap_write_window
-        if isinstance(device.ftl, BlockMapFTL)
-        else _pagemap_write_window
+    end = _pagemap_write_window(
+        device, lbas[:limit], sizes[:limit], now, trace, row0, sched0
     )
-    end = kernel(device, lbas[:limit], sizes[:limit], now, trace, row0, sched0)
     STATS.write_windows += 1
     STATS.write_ios += limit
     return limit, end
@@ -506,23 +522,12 @@ def _pagemap_write_window(device, lbas, sizes, now, trace, row0, sched0):
             scratch.notes.clear()
     collections = ftl.gc_collections - collections0
 
-    # per-IO service times: the reference sums each IO's accumulator
-    # with CostAccumulator.total(); these elementwise ops replay its
-    # float additions in the same left-to-right order, so the vector is
-    # bit-identical to the per-IO loop (extra_usec is always 0 here,
-    # and x + 0.0 is exact)
+    # per-IO service times: the reference formula on columns
     miss = _map_misses(device, s_pg, e_pg)
-    timing = device.timing
-    par = timing.parallelism
-    cpar = timing.copy_parallelism
-    flash = timing.read_page * reads_per_io / par
-    flash = flash + timing.program_page * n_pg / par
-    flash = flash + (
-        timing.read_page * copy_reads
-        + (timing.program_page + timing.copy_page_extra) * copy_programs
-    ) / cpar
-    flash = flash + timing.erase_block * block_erases / cpar
-    service, completions = _finish_services(device, flash, sizes, miss, now)
+    service = device.timing.service_usec(
+        reads_per_io, n_pg, copy_reads, copy_programs, block_erases, sizes, miss
+    )
+    completions = _chain(now, service)
 
     # commit: host programs and reclamation already went through the
     # FTL above; RMW edge reads were resolved in closed form, and the
@@ -545,48 +550,6 @@ def _pagemap_write_window(device, lbas, sizes, now, trace, row0, sched0):
         STATS.epoch_windows += 1
         STATS.epoch_ios += n_ios
         STATS.epoch_collections += collections
-    return float(completions[-1])
-
-
-def _blockmap_write_window(device, lbas, sizes, now, trace, row0, sched0):
-    """Block-map kernel: a whole window of synchronous writes.
-
-    Every IO takes the reference ``Controller.write``, whose in-order
-    appends land as one program run in the block-map ``write_run``;
-    only the device dispatch — completion chain, channels, busy
-    accounting, trace rows — is in closed form, with per-IO costs from
-    the same accumulators the reference dispatch would have filled.
-
-    Like the reference, an exhausted free pool raises
-    ``OutOfSpaceError`` mid-window with state torn at the failing IO.
-    """
-    controller = device.controller
-    timing = device.timing
-    n_ios = int(lbas.size)
-    costs: list[CostAccumulator] = []
-    service = np.empty(n_ios, dtype=np.float64)
-    for j, (lba, size) in enumerate(zip(lbas.tolist(), sizes.tolist())):
-        cost = CostAccumulator()
-        controller.write(lba, size, cost)
-        costs.append(cost)
-        service[j] = cost.total(timing)
-    completions = _chain(now, service)
-    _commit_window(device, service, completions, sizes, True)
-    if trace is not None:
-        columns = {
-            name: np.fromiter(
-                (getattr(c, name) for c in costs), dtype=np.int64, count=n_ios
-            )
-            for name in (
-                "page_reads", "page_programs", "copy_reads", "copy_programs",
-                "block_erases", "map_misses",
-            )
-        }
-        notes = {j: list(c.notes) for j, c in enumerate(costs) if c.notes}
-        _record(
-            trace, row0, lbas, sizes, True, now, sched0, completions,
-            notes=notes or None, **columns,
-        )
     return float(completions[-1])
 
 
@@ -627,37 +590,23 @@ def read_window(
         return _decline("read", "address", now)
     lbas = lbas[:n_ios]
     sizes = sizes[:n_ios]
-
-    s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=False)
-    n_pg = e_pg - s_pg
-    lpage_flat, offsets = _flat_pages(s_pg, n_pg)
-    tokens, charged = _read_tokens(device, lpage_flat)
-    if device.controller.config.verify:
-        bad = tokens != device.controller._shadow[lpage_flat]
-        if bool(bad.any()):
-            # truncate before the IO whose verification fails; the
-            # fallback replays it and raises the reference FTLError
-            first_bad_page = int(np.argmax(bad))
-            bad_io = int(np.searchsorted(offsets, first_bad_page, side="right")) - 1
-            if bad_io == 0:
-                return _decline("read", "verify", now)
-            n_ios = bad_io
-            lbas = lbas[:n_ios]
-            sizes = sizes[:n_ios]
-            s_pg = s_pg[:n_ios]
-            e_pg = e_pg[:n_ios]
-            charged = charged[: int(offsets[n_ios])]
-            offsets = offsets[: n_ios + 1]
-
-    reads_per_io = np.add.reduceat(charged.astype(np.int64), offsets[:-1])
-    miss = _map_misses(device, s_pg, e_pg)
-    timing = device.timing
-    flash = (timing.read_page * reads_per_io.astype(np.float64)) / timing.parallelism
-    service, completions = _finish_services(device, flash, sizes, miss, now)
+    reads_per_io, miss, service, e_pg, verified = _read_costs(device, lbas, sizes)
+    if verified == 0:
+        return _decline("read", "verify", now)
+    if verified < n_ios:
+        # truncate before the IO whose verification fails; the fallback
+        # replays it and raises the reference FTLError
+        n_ios = verified
+        lbas = lbas[:n_ios]
+        sizes = sizes[:n_ios]
+        reads_per_io = reads_per_io[:n_ios]
+        miss = miss[:n_ios]
+        service = service[:n_ios]
+    completions = _chain(now, service)
 
     # commit ----------------------------------------------------------
     device.chip.stats.page_reads += int(reads_per_io.sum())
-    device.controller._last_end_page = int(e_pg[-1])
+    device.controller._last_end_page = int(e_pg[n_ios - 1])
 
     # background credit: each read grants service * read_concurrency,
     # clamped to the leftover maximum; with no work pending the grants
@@ -701,9 +650,11 @@ def run_program_into(
     loop.  Returns True when the program completed: every IO was
     simulated either inside a closed-form window or through the
     ordinary :meth:`~repro.flashsim.device.FlashDevice.submit_into`
-    path — for the IOs of stretches too short for a window, and at
-    window boundaries (GC about to fire, verification about to fail),
-    where it also re-raises exactly the reference errors.
+    path.  The per-IO path is decided per stretch — for a stretch too
+    short for a window and for a write stretch whose window declines (a
+    block-map device), each counted once — and per IO at a read
+    window's boundary (background work pending, verification about to
+    fail), where it also re-raises exactly the reference errors.
     """
     if os_overhead != 0.0:
         STATS.decline("program:os-overhead")
@@ -737,27 +688,33 @@ def run_program_into(
     clock = start_at
     i = 0
     end_i = 0
-    short = False
+    per_io = False
     while i < count:
         if i >= end_i:
             end_i = int(bounds[np.searchsorted(bounds, i, side="right")])
-            short = end_i - i < MIN_KERNEL_STRETCH
-            if short:
+            per_io = end_i - i < MIN_KERNEL_STRETCH
+            if per_io:
                 STATS.decline("program:short-stretch")
         sched0 = start_at if i == 0 else clock
         done = 0
-        if not short:
+        if not per_io:
             kernel = write_window if writes[i] else read_window
             done, clock_after = kernel(
                 device, lbas[i:end_i], sizes[i:end_i], clock,
                 trace=trace, row0=i, sched0=sched0,
             )
+            # a write window runs to its stretch's end or to a bad
+            # address, so one that declines (a block-map device, an
+            # address that raises) leaves the whole rest of its stretch
+            # to the per-IO path; a read window is asked again after
+            # each fallback IO (pending background work may finish)
+            per_io = not done and bool(writes[i])
         if done:
             i += done
             clock = clock_after
         else:
-            # reference path for a short stretch's IOs and for the one
-            # IO a kernel refused (GC fires, verification raises, ...)
+            # reference path for a per-IO stretch's IOs and for the one
+            # IO a read window refused (verification raises, ...)
             clock = device.submit_into(
                 trace, i, int(lbas[i]), int(sizes[i]), bool(writes[i]),
                 sched0, sched0,
@@ -834,20 +791,10 @@ def run_program_queued(
         STATS.decline("queued:address")
         return False
 
-    s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=False)
-    lpage_flat, offsets = _flat_pages(s_pg, e_pg - s_pg)
-    tokens, charged = _read_tokens(device, lpage_flat)
-    if device.controller.config.verify:
-        expected = device.controller._shadow[lpage_flat]
-        if bool((tokens != expected).any()):
-            STATS.decline("queued:verify")
-            return False
-
-    reads_per_io = np.add.reduceat(charged.astype(np.int64), offsets[:-1])
-    miss = _map_misses(device, s_pg, e_pg)
-    timing = device.timing
-    flash = (timing.read_page * reads_per_io.astype(np.float64)) / timing.parallelism
-    service = _service_times(device, flash, sizes, miss)
+    reads_per_io, miss, service, e_pg, verified = _read_costs(device, lbas, sizes)
+    if verified != count:
+        STATS.decline("queued:verify")
+        return False
 
     # -- the event schedule: replay the host's submit/pop loop ---------
     svc = service.tolist()

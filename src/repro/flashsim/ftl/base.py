@@ -92,13 +92,13 @@ class BaseFTL(ABC):
     Burst and interference effects (Sections 4.3, 5.2).
     """
 
-    #: Subclasses that override :meth:`read_pages` / :meth:`write_run`
-    #: with real array implementations set these; the controller only
-    #: builds batch arrays for capable FTLs (for the rest, the default
-    #: delegation would just add overhead on top of the scalar loop).
-    #: On a :attr:`~repro.flashsim.chip.FlashChip.reference` chip those
-    #: overrides take the scalar per-page loop — the behavioural
-    #: contract the equivalence suites pin.
+    #: Subclasses with a :meth:`locate` (which :meth:`read_pages` then
+    #: gathers through) or a real array :meth:`write_run` set these; the
+    #: controller only builds batch arrays for capable FTLs (for the
+    #: rest, the batch calls would just add overhead on top of the
+    #: scalar loop).  On a :attr:`~repro.flashsim.chip.FlashChip.reference`
+    #: chip the batch paths take the scalar per-page loop — the
+    #: behavioural contract the equivalence suites pin.
     batch_read_capable = False
     batch_write_capable = False
 
@@ -144,15 +144,45 @@ class BaseFTL(ABC):
         """Read a batch of logical pages, returning their tokens.
 
         The vectorized counterpart of :meth:`read_page`: same tokens,
-        same recorded cost.  Default: page-by-page reference loop;
-        batch-capable FTLs override it with array operations.
-        ``ascending`` promises strictly increasing lpages (bounds checks
-        then only need the endpoints).
+        same recorded cost.  A ``batch_read_capable`` family (one with a
+        :meth:`locate`) reads the whole batch with one lookup and one
+        :meth:`FlashChip.read_many` gather of the located pages, whose
+        tokens take the family's :meth:`_decode_many`; other families,
+        and every family on a :attr:`~repro.flashsim.chip.FlashChip.reference`
+        chip, take the page-by-page loop.  ``ascending`` promises
+        strictly increasing lpages (bounds checks then only need the
+        endpoints).
         """
-        out = np.empty(len(lpages), dtype=np.int64)
-        for i, lpage in enumerate(lpages):
-            out[i] = self.read_page(int(lpage), cost)
-        return out
+        if self.chip.reference or not self.batch_read_capable:
+            out = np.empty(len(lpages), dtype=np.int64)
+            for i, lpage in enumerate(lpages):
+                out[i] = self.read_page(int(lpage), cost)
+            return out
+        lpages = np.asarray(lpages, dtype=np.int64)
+        n = int(lpages.size)
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
+        if ascending:
+            lo, hi = int(lpages[0]), int(lpages[-1])
+        else:
+            lo, hi = int(lpages.min()), int(lpages.max())
+        self._check_lpage(lo)
+        self._check_lpage(hi)
+        ppages = self.locate(lpages)
+        charged = ppages >= 0
+        tokens = np.full(n, ERASED, dtype=np.int64)
+        count = int(charged.sum())
+        if count:
+            raw = self.chip.read_many(ppages[charged])
+            tokens[charged] = self._decode_many(raw)
+            cost.page_reads += count
+        return tokens
+
+    def _decode_many(self, raw: np.ndarray) -> np.ndarray:
+        """Tokens of located pages from their raw chip contents: the raw
+        tokens themselves, unless the family pads blocks with
+        :data:`FILLER_TOKEN` (which reads as ERASED)."""
+        return raw
 
     def locate(self, lpages: np.ndarray) -> np.ndarray:
         """Physical page of each logical page, charging nothing.

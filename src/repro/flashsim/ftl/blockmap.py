@@ -133,50 +133,22 @@ class BlockMapFTL(BaseFTL):
         ppb = self.geometry.pages_per_block
         lblocks = lpages // ppb
         offsets = lpages - lblocks * ppb
-        rep_block = np.full(self._data_map.size, -1, dtype=np.int64)
-        rep_end = np.zeros(self._data_map.size, dtype=np.int64)
-        for lblock, rep in self._open.items():
-            rep_block[lblock] = rep.pblock
-            rep_end[lblock] = rep.next_offset
-        in_rep = offsets < rep_end[lblocks]
         data = self._data_map[lblocks]
         has_data = data >= 0
         in_data = has_data & (
             offsets < self.chip.write_points(np.where(has_data, data, 0))
         )
-        ppages = np.where(in_rep, rep_block[lblocks], data) * ppb + offsets
-        return np.where(in_rep | in_data, ppages, -1)
+        ppages = np.where(in_data, data * ppb + offsets, -1)
+        # the open replacements (a few slots) override the data block
+        # for their written prefix; only the asked pages are resolved
+        for lblock, rep in self._open.items():
+            in_rep = (lblocks == lblock) & (offsets < rep.next_offset)
+            ppages[in_rep] = rep.pblock * ppb + offsets[in_rep]
+        return ppages
 
-    def read_pages(
-        self,
-        lpages: np.ndarray,
-        cost: CostAccumulator,
-        *,
-        ascending: bool = False,
-    ) -> np.ndarray:
-        """See :meth:`BaseFTL.read_pages`: one :meth:`locate` plus one
-        gather read of every located page, filler decoded to ERASED."""
-        if self.chip.reference:
-            return super().read_pages(lpages, cost)
-        lpages = np.asarray(lpages, dtype=np.int64)
-        n = int(lpages.size)
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if ascending:
-            lo, hi = int(lpages[0]), int(lpages[-1])
-        else:
-            lo, hi = int(lpages.min()), int(lpages.max())
-        self._check_lpage(lo)
-        self._check_lpage(hi)
-        ppages = self.locate(lpages)
-        charged = ppages >= 0
-        tokens = np.full(n, ERASED, dtype=np.int64)
-        count = int(charged.sum())
-        if count:
-            raw = self.chip.read_many(ppages[charged])
-            tokens[charged] = np.where(raw == FILLER_TOKEN, ERASED, raw)
-            cost.page_reads += count
-        return tokens
+    def _decode_many(self, raw: np.ndarray) -> np.ndarray:
+        """See :meth:`BaseFTL._decode_many`: filler reads as ERASED."""
+        return np.where(raw == FILLER_TOKEN, ERASED, raw)
 
     @staticmethod
     def _decode(token: int) -> int:

@@ -225,37 +225,6 @@ class PageMapFTL(BaseFTL):
         """See :meth:`BaseFTL.locate`: the direct map itself."""
         return self._l2p[np.asarray(lpages, dtype=np.int64)]
 
-    def read_pages(
-        self,
-        lpages: np.ndarray,
-        cost: CostAccumulator,
-        *,
-        ascending: bool = False,
-    ) -> np.ndarray:
-        """See :meth:`BaseFTL.read_pages`: one :meth:`locate` plus one
-        gather read for every mapped page."""
-        if self.chip.reference:
-            return super().read_pages(lpages, cost)
-        lpages = np.asarray(lpages, dtype=np.int64)
-        if lpages.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if ascending:
-            lo, hi = int(lpages[0]), int(lpages[-1])
-        else:
-            lo, hi = int(lpages.min()), int(lpages.max())
-        if lo < 0 or hi >= self.geometry.logical_pages:
-            raise AddressError(
-                f"logical page out of range 0..{self.geometry.logical_pages - 1}"
-            )
-        ppages = self.locate(lpages)
-        mapped = ppages >= 0
-        tokens = np.full(lpages.size, ERASED, dtype=np.int64)
-        count = int(mapped.sum())
-        if count:
-            tokens[mapped] = self.chip.read_many(ppages[mapped])
-            cost.page_reads += count
-        return tokens
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -465,14 +434,15 @@ class PageMapFTL(BaseFTL):
         if mapped.size:
             self._p2l[mapped] = -1
             self._valid_map[mapped] = False
-            dec = np.bincount(
-                mapped // self.geometry.pages_per_block, minlength=self._valid.size
-            )
-            self._valid -= dec
+            # touch only the blocks the run hit, never every physical
+            # block: a per-IO run is one to a few pages
+            blocks = mapped // self.geometry.pages_per_block
+            np.subtract.at(self._valid, blocks, 1)
             if self._use_buckets:
-                for block in np.flatnonzero(dec).tolist():
-                    if self._bucket_of[block] >= 0:
-                        self._bucket_dec(block, int(dec[block]))
+                for block in sorted(set(blocks.tolist())):
+                    bucket = int(self._bucket_of[block])
+                    if bucket >= 0:
+                        self._bucket_dec(block, bucket - int(self._valid[block]))
 
     def _invalidate(self, lpage: int) -> None:
         old = int(self._l2p[lpage])

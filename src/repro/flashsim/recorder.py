@@ -105,20 +105,6 @@ def _counter_vector(cost: CostAccumulator) -> list[float]:
     ]
 
 
-def _vector_cost(timing: TimingSpec, vec: list[float]) -> float:
-    """Service time of one exclusive counter partition."""
-    reads, programs, c_reads, c_programs, erases, nbytes, misses, extra = vec
-    return (
-        timing.read_pages(reads)
-        + timing.program_pages(programs)
-        + timing.copy_pages(c_reads, c_programs)
-        + timing.erase_blocks(erases)
-        + timing.transfer(nbytes)
-        + misses * timing.map_miss
-        + extra
-    )
-
-
 def _partition(cost: CostAccumulator) -> tuple[list[float], dict[str, list[float]]]:
     """Split ``cost``'s counters into host-exclusive + per-tag scoped.
 
@@ -183,7 +169,9 @@ def attribute_io(
         c_reads, c_programs
     ) + timing.erase_blocks(erases)
     for tag, vec in by_tag.items():
-        components[_COMPONENT_INDEX[tag]] += _vector_cost(timing, vec)
+        components[_COMPONENT_INDEX[tag]] += timing.service_usec(
+            *vec, include_overhead=False
+        )
     components[_COMPONENT_INDEX["interference"]] = service_scaled - service_base
     components[_COMPONENT_INDEX["noise"]] = service_final - service_scaled
     return (channel, *_apportion(components, round(response)))
@@ -206,9 +194,13 @@ def unattributed_usec(
     attribution test suite; ~0 (sub-nanosecond) by construction.
     """
     host, by_tag = _partition(cost)
-    total = wait + _vector_cost(timing, host) + timing.controller_overhead
+    total = (
+        wait
+        + timing.service_usec(*host, include_overhead=False)
+        + timing.controller_overhead
+    )
     for vec in by_tag.values():
-        total += _vector_cost(timing, vec)
+        total += timing.service_usec(*vec, include_overhead=False)
     total += (service_scaled - service_base) + (service_final - service_scaled)
     return response - total
 

@@ -120,6 +120,44 @@ class TimingSpec:
             + (self.program_page + self.copy_page_extra) * programs
         ) / self.copy_parallelism
 
+    def service_usec(
+        self,
+        page_reads=0,
+        page_programs=0,
+        copy_reads=0,
+        copy_programs=0,
+        block_erases=0,
+        bytes_transferred=0,
+        map_misses=0,
+        extra_usec=0.0,
+        include_overhead: bool = True,
+    ):
+        """Service time of one IO's operation counts, in microseconds.
+
+        The one cost formula: :meth:`CostAccumulator.total`, the flight
+        recorder and the closed-form kernels all call it.  The counts
+        may be Python scalars or index-aligned numpy columns (one
+        service time per IO), and so may the arguments of the composite
+        costs it sums; either way the additions run left to right in
+        the order written here — :meth:`read_pages`,
+        :meth:`program_pages`, :meth:`copy_pages`, :meth:`erase_blocks`,
+        :meth:`transfer`, map misses, extra charges, then the controller
+        overhead — so a column equals the per-element scalar results
+        bit for bit.  A zero count adds an exact ``0.0``.
+        """
+        usec = (
+            self.read_pages(page_reads)
+            + self.program_pages(page_programs)
+            + self.copy_pages(copy_reads, copy_programs)
+            + self.erase_blocks(block_erases)
+            + self.transfer(bytes_transferred)
+            + map_misses * self.map_miss
+            + extra_usec
+        )
+        if include_overhead:
+            usec = usec + self.controller_overhead
+        return usec
+
 
 # SLC chips: ~25us read, ~220us program, ~1.5ms erase (datasheet-typical
 # for the 2008 era).  MLC chips: slower on every axis, much slower program.
@@ -212,26 +250,20 @@ class CostAccumulator:
         self.add(sub)
         self.scopes.append((tag, sub))
 
-    def flash_usec(self, timing: TimingSpec) -> float:
-        """Time spent on flash operations alone."""
-        return (
-            timing.read_pages(self.page_reads)
-            + timing.program_pages(self.page_programs)
-            + timing.copy_pages(self.copy_reads, self.copy_programs)
-            + timing.erase_blocks(self.block_erases)
-        )
-
     def total(self, timing: TimingSpec, include_overhead: bool = True) -> float:
-        """Total service time in microseconds under ``timing``."""
-        usec = (
-            self.flash_usec(timing)
-            + timing.transfer(self.bytes_transferred)
-            + self.map_misses * timing.map_miss
-            + self.extra_usec
+        """Total service time in microseconds under ``timing``
+        (:meth:`TimingSpec.service_usec` of the counts)."""
+        return timing.service_usec(
+            self.page_reads,
+            self.page_programs,
+            self.copy_reads,
+            self.copy_programs,
+            self.block_erases,
+            self.bytes_transferred,
+            self.map_misses,
+            self.extra_usec,
+            include_overhead,
         )
-        if include_overhead:
-            usec += timing.controller_overhead
-        return usec
 
     def is_empty(self) -> bool:
         """True when no physical work at all was recorded."""

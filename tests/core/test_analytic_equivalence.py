@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import enforce_random_state
+from repro.core.methodology import enforce_sequential_state
 from repro.core.engine import Engine
 from repro.core.patterns import (
     LocationKind,
@@ -77,6 +78,56 @@ def test_enforce_analytic_reference_identical(profile):
     assert kernel_dev.fingerprint() == reference_dev.fingerprint()
     assert kernel_dev.metrics() == reference_dev.metrics()
     kernel_dev.check_invariants()
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_sequential_enforce_analytic_reference_identical(profile):
+    """Sequential state enforcement: same report, fingerprint and
+    metrics as the oracle twin."""
+    kernel_dev = build_device(profile, logical_bytes=4 * MIB)
+    reference_dev = oracle_device(profile)
+    kernel_report = enforce_sequential_state(kernel_dev)
+    reference_report = enforce_sequential_state(reference_dev)
+    assert _report_tuple(kernel_report) == _report_tuple(reference_report)
+    assert kernel_dev.fingerprint() == reference_dev.fingerprint()
+    assert kernel_dev.metrics() == reference_dev.metrics()
+    kernel_dev.check_invariants()
+
+
+def test_declined_writes_count_one_decline_per_stretch():
+    """A block-map write stretch declines once and runs per IO; a
+    hybrid enforcement declines once as a whole program — neither
+    counts a decline per IO.  Both match the oracle."""
+    from repro.core.generator import IOProgram
+    from repro.flashsim.host import SyncHost
+
+    page = 16 * KIB
+    lbas = np.concatenate([
+        np.arange(32, dtype=np.int64) * page,
+        np.arange(32, dtype=np.int64)[::-1] * page,
+        np.arange(32, 64, dtype=np.int64) * page,
+    ])
+    writes = np.ones(lbas.size, dtype=bool)
+    writes[32:64] = False
+    program = IOProgram(
+        lbas=lbas,
+        sizes=np.full(lbas.size, page, dtype=np.int64),
+        writes=writes,
+        gaps=np.zeros(lbas.size),
+    )
+    kernel_dev = build_device("kingston_dti", 4 * MIB)
+    reference_dev = oracle_device("kingston_dti")
+    kernel_trace = SyncHost(kernel_dev).run_program(program)
+    assert analytic.STATS.declines == {"write:ftl-family": 2}
+    assert analytic.STATS.read_ios == 32
+    reference_trace = SyncHost(reference_dev).run_program(program)
+    assert kernel_trace.to_csv() == reference_trace.to_csv()
+    assert kernel_dev.fingerprint() == reference_dev.fingerprint()
+
+    analytic.STATS.reset()
+    report = enforce_random_state(build_device("memoright", 4 * MIB), seed=5)
+    assert report.io_count > 1
+    assert analytic.STATS.declines == {"program:ftl-family": 1}
 
 
 def test_enforce_kernel_takes_pagemap_windows():
@@ -154,10 +205,10 @@ def test_gc_epoch_across_capacities_and_overprovisioning(
 
 
 def test_write_window_declines_wear_levelling_exactly():
-    """A wear-threshold config must keep every write window on the
-    per-IO reference path (wear moves interleave with host appends in
-    ways the kernel does not model) — and the fallback must still be
-    bit-identical."""
+    """A wear-threshold config must keep every write on the per-IO
+    reference path (wear moves interleave with host appends in ways the
+    kernel does not model): enforcement's program declines as a whole —
+    and the fallback must still be bit-identical."""
     from repro.flashsim.ftl.pagemap import PageMapConfig
     from repro.flashsim.profiles import scaled_profile
 
@@ -174,7 +225,7 @@ def test_write_window_declines_wear_levelling_exactly():
     kernel_dev = profile.build(4 * MIB)
     reference_dev = oracle_device(profile)
     kernel_report = enforce_random_state(kernel_dev, seed=3, coverage=2.0)
-    assert analytic.STATS.declines.get("write:wear-levelling", 0) > 0
+    assert analytic.STATS.declines.get("program:wear-levelling", 0) > 0
     assert analytic.STATS.write_windows == 0
     reference_report = enforce_random_state(reference_dev, seed=3, coverage=2.0)
     assert _report_tuple(kernel_report) == _report_tuple(reference_report)

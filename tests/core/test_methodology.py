@@ -12,6 +12,7 @@ from repro.core.methodology import (
 )
 from repro.core.patterns import LocationKind, PatternSpec
 from repro.flashsim.chip import ERASED
+from repro.flashsim.host import SyncHost
 from repro.iotypes import Mode
 from repro.units import KIB
 
@@ -28,16 +29,16 @@ def test_random_enforcement_covers_capacity():
     device.check_invariants()
 
 
-def test_random_enforcement_uses_random_sizes():
+def test_random_enforcement_uses_random_sizes(monkeypatch):
     device = make_device()
     sizes = set()
-    original = device.submit
+    original = SyncHost.run_program
 
-    def spy(request, now):
-        sizes.add(request.size)
-        return original(request, now)
+    def spy(host, program, start_at=0.0):
+        sizes.update(program.sizes.tolist())
+        return original(host, program, start_at)
 
-    device.submit = spy
+    monkeypatch.setattr(SyncHost, "run_program", spy)
     enforce_random_state(device)
     assert len(sizes) > 5  # many distinct sizes, 0.5K..block size
     assert max(sizes) <= device.geometry.block_size

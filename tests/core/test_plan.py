@@ -115,6 +115,28 @@ def test_place_parallel_and_mix():
     assert placed_mix.secondary.target_offset >= 256 * KIB
 
 
+def test_place_mix_moves_the_half_a_placed_half_would_overlap():
+    """On a new allocator a mix's fresh SW half lands at offset 0, on
+    top of its random RR half: the RR half moves onto allocated space
+    as well.  A half the placed one does not overlap stays put."""
+    allocator = TargetAllocator(capacity=2 * MIB, align=128 * KIB)
+    seq_write = spec(target_offset=1 * MIB)
+    random_read = spec(mode=Mode.READ, location=LocationKind.RANDOM)
+    placed = allocator.place(
+        MixSpec(primary=seq_write, secondary=random_read, ratio=3)
+    )
+    assert placed.primary == seq_write.with_(target_offset=0)
+    assert placed.secondary == random_read.with_(target_offset=256 * KIB)
+    assert placed.ratio == 3
+    assert allocator.used == 512 * KIB
+
+    far_read = spec(mode=Mode.READ, location=LocationKind.RANDOM,
+                    target_offset=1536 * KIB)
+    kept = allocator.place(MixSpec(primary=far_read, secondary=spec()))
+    assert kept.primary is far_read
+    assert kept.secondary.target_offset == 512 * KIB
+
+
 # ----------------------------------------------------------------------
 # plan building & execution
 # ----------------------------------------------------------------------

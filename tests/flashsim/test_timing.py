@@ -1,6 +1,9 @@
 """Timing model: spec validation, cost accumulation, parallelism split."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.flashsim.timing import (
     MLC_TIMING,
@@ -157,3 +160,59 @@ def test_builtin_profiles_decompose_integrally():
     for profile in ALL_PROFILES:
         timing = profile.timing
         assert timing.channels * timing.planes == timing.parallelism
+
+
+# ----------------------------------------------------------------------
+# the one cost formula: scalars and columns agree bit for bit
+# ----------------------------------------------------------------------
+
+_usec = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+_timings = st.builds(
+    TimingSpec,
+    read_page=_usec,
+    program_page=_usec,
+    erase_block=_usec,
+    transfer_per_kib=_usec,
+    controller_overhead=_usec,
+    map_miss=_usec,
+    parallelism=st.integers(min_value=1, max_value=16).map(float),
+    copy_parallelism=st.floats(min_value=1.0, max_value=8.0),
+    copy_page_extra=_usec,
+)
+
+_counts = st.integers(min_value=0, max_value=4096)
+
+_rows = st.lists(
+    st.tuples(
+        _counts, _counts, _counts, _counts, _counts,
+        st.integers(min_value=0, max_value=64 * 1024 * 1024),
+        st.integers(min_value=0, max_value=4),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(timing=_timings, rows=_rows, include_overhead=st.booleans())
+def test_service_formula_on_columns_equals_the_scalar_results(
+    timing, rows, include_overhead
+):
+    """``TimingSpec.service_usec`` on numpy columns equals its
+    per-element scalar results bit for bit, and on scalars equals
+    ``CostAccumulator.total``."""
+    columns = [
+        np.asarray(column, dtype=np.float64 if index == 7 else np.int64)
+        for index, column in enumerate(zip(*rows))
+    ]
+    vector = timing.service_usec(*columns, include_overhead=include_overhead)
+    scalars = [
+        timing.service_usec(*row, include_overhead=include_overhead) for row in rows
+    ]
+    assert vector.dtype == np.float64
+    assert vector.tobytes() == np.asarray(scalars, dtype=np.float64).tobytes()
+    for row, value in zip(rows, scalars):
+        cost = CostAccumulator(*row)
+        assert cost.total(timing, include_overhead=include_overhead) == value

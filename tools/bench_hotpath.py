@@ -144,8 +144,9 @@ def _decline_program(*args, **kwargs) -> bool:
 def _kernels_declined():
     """Make every program decline the closed-form kernels, so the hosts
     run their per-IO loops (the ``/fallback`` twins).  The controller's
-    batch paths stay on, and so does enforcement's write kernel, which
-    does not go through the program entry points."""
+    batch paths stay on.  Enforcement runs its writes as a program
+    through the same entry point, so the twins enforce outside this
+    context."""
     saved = analytic.run_program_into, analytic.run_program_queued
     analytic.run_program_into = analytic.run_program_queued = _decline_program
     try:
