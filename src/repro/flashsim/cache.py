@@ -24,7 +24,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from repro.errors import FTLError
+from repro.flashsim.chip import ERASED
 from repro.flashsim.ftl.base import BaseFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
@@ -96,6 +99,61 @@ class WriteBackCache:
             return None
         self.hits += 1
         return group[offset]
+
+    def write_run(self, first: int, tokens: np.ndarray) -> None:
+        """:meth:`write` of ``tokens`` to the pages from ``first`` on,
+        one dict update per logical-block segment.
+
+        Hits, dirty pages, group contents and LRU order end exactly as
+        after the per-page calls in lpage order.
+        """
+        ppb = self.geometry.pages_per_block
+        values = tokens.tolist()
+        lblock, offset = divmod(first, ppb)
+        i = 0
+        while i < len(values):
+            take = min(ppb - offset, len(values) - i)
+            group = self._groups.get(lblock)
+            if group is None:
+                group = self._groups[lblock] = {}
+            else:
+                self._groups.move_to_end(lblock)
+            held = len(group)
+            group.update(zip(range(offset, offset + take), values[i : i + take]))
+            added = len(group) - held
+            self.hits += take - added
+            self._dirty_pages += added
+            i += take
+            lblock, offset = lblock + 1, 0
+
+    def read_run(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`read` of the ``count`` pages from ``first`` on, one
+        group lookup per logical-block segment.
+
+        Returns the tokens (ERASED where missed) and the hit mask; hits
+        and misses count as the per-page calls would.
+        """
+        ppb = self.geometry.pages_per_block
+        where: list[int] = []
+        found: list[int] = []
+        lblock, offset = divmod(first, ppb)
+        i = 0
+        while i < count:
+            take = min(ppb - offset, count - i)
+            group = self._groups.get(lblock)
+            if group:
+                for page in group.keys() & range(offset, offset + take):
+                    where.append(i + page - offset)
+                    found.append(group[page])
+            i += take
+            lblock, offset = lblock + 1, 0
+        tokens = np.full(count, ERASED, dtype=np.int64)
+        cached = np.zeros(count, dtype=bool)
+        tokens[where] = found
+        cached[where] = True
+        self.hits += len(where)
+        self.misses += count - len(where)
+        return tokens, cached
 
     # ------------------------------------------------------------------
     # snapshot / restore
@@ -171,10 +229,12 @@ class WriteBackCache:
 
     def _destage_lru(self, ftl: BaseFTL, cost: CostAccumulator) -> int:
         lblock, group = self._groups.popitem(last=False)
-        base = lblock * self.geometry.pages_per_block
-        items = [(base + offset, group[offset]) for offset in sorted(group)]
-        ftl.write_pages(items, cost)
-        count = len(group)
+        offsets = sorted(group)
+        count = len(offsets)
+        lpages = np.array(offsets, dtype=np.int64)
+        lpages += lblock * self.geometry.pages_per_block
+        tokens = np.array([group[offset] for offset in offsets], dtype=np.int64)
+        ftl.write_run(lpages, tokens, cost, ascending=True)
         self._dirty_pages -= count
         self.destaged_groups += 1
         self.destaged_pages += count

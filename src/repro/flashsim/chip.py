@@ -325,10 +325,12 @@ class FlashChip:
 
         Behaves exactly like the interleaved per-page loop (read the
         source, program the target) that merges and block copies used to
-        run: one :meth:`read_many` gather plus one :meth:`program_run`.
-        On a :attr:`reference` chip or one with any bad block, or when
-        the copy would raise (target not writable at ``start``, a page
-        out of range), it runs that scalar loop instead, so exceptions
+        run, with the counters of one :meth:`read_many` gather plus one
+        :meth:`program_run`: the copy is validated once, then gathered
+        from and stored into the token array directly.  On a
+        :attr:`reference` chip or one with any bad block, or when the
+        copy would raise (target not writable at ``start``, a page out
+        of range), it runs that scalar loop instead, so exceptions
         surface at the same page with the same counters.
         """
         sources = np.asarray(sources, dtype=np.int64)
@@ -347,9 +349,13 @@ class FlashChip:
         ):
             picked = sources[has]
             tokens = np.full(n, filler, dtype=np.int64)
-            read = self.read_many(picked)
+            read = self._tokens[picked]
             tokens[has] = np.where(read == ERASED, filler, read)
-            self.program_run(target, start, tokens)
+            base = target * ppb + start
+            self._tokens[base : base + n] = tokens
+            self._write_point[target] = start + n
+            self.stats.page_reads += int(picked.size)
+            self.stats.page_programs += n
             return int(picked.size)
         for i, source in enumerate(sources.tolist()):
             token = self.read(*divmod(source, ppb)) if source >= 0 else ERASED

@@ -14,7 +14,9 @@ Responsibilities:
 * maintain the *verification shadow* — the expected token of every
   logical page — so every read checks read-your-writes for free.
 
-Multi-page IOs to a batch-capable FTL move as arrays; on a
+Multi-page IOs move as arrays: one token range per write, through the
+cache's run calls (whose misses and destages reach the FTL as arrays
+too) or straight to a batch-capable FTL.  On a
 :attr:`~repro.flashsim.chip.FlashChip.reference` chip they take the
 per-page reference loop instead.
 """
@@ -141,12 +143,19 @@ class Controller:
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         if (
             self.ftl.batch_read_capable
-            and self.cache is None
             and span.stop - span.start >= BATCH_READ_MIN_PAGES
             and not self.ftl.chip.reference
         ):
             lpages = np.arange(span.start, span.stop, dtype=np.int64)
-            tokens = self.ftl.read_pages(lpages, cost, ascending=True)
+            if self.cache is None:
+                tokens = self.ftl.read_pages(lpages, cost, ascending=True)
+            else:
+                tokens, cached = self.cache.read_run(span.start, lpages.size)
+                if not cached.all():
+                    missed = ~cached
+                    tokens[missed] = self.ftl.read_pages(
+                        lpages[missed], cost, ascending=True
+                    )
             if self.config.verify:
                 expected = self._shadow[span.start : span.stop]
                 if not np.array_equal(tokens, expected):
@@ -183,8 +192,7 @@ class Controller:
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         page_size = self.geometry.page_size
         if (
-            self.ftl.batch_write_capable
-            and self.cache is None
+            (self.ftl.batch_write_capable or self.cache is not None)
             and span.stop - span.start > 1
             and not self.ftl.chip.reference
         ):
@@ -197,16 +205,16 @@ class Controller:
             cov_hi = min(span.stop, (lba + size) // page_size)
             if cov_lo >= cov_hi:
                 cov_lo = cov_hi = span.start
-            lpages = np.arange(span.start, span.stop, dtype=np.int64)
+            pages = span.stop - span.start
             if cov_lo == span.start and cov_hi == span.stop:
                 # aligned whole-page extent: the fresh tokens ARE the run
                 tokens = np.arange(
-                    self._next_token, self._next_token + lpages.size, dtype=np.int64
+                    self._next_token, self._next_token + pages, dtype=np.int64
                 )
-                self._next_token += lpages.size
+                self._next_token += pages
                 self._shadow[span.start : span.stop] = tokens
             else:
-                tokens = np.empty(lpages.size, dtype=np.int64)
+                tokens = np.empty(pages, dtype=np.int64)
                 for lpage in range(span.start, cov_lo):
                     tokens[lpage - span.start] = self._rmw_token(lpage, cost)
                 count = cov_hi - cov_lo
@@ -219,7 +227,12 @@ class Controller:
                     tokens[cov_lo - span.start : cov_hi - span.start] = fresh
                 for lpage in range(cov_hi, span.stop):
                     tokens[lpage - span.start] = self._rmw_token(lpage, cost)
-            self.ftl.write_run(lpages, tokens, cost, ascending=True)
+            if self.cache is None:
+                lpages = np.arange(span.start, span.stop, dtype=np.int64)
+                self.ftl.write_run(lpages, tokens, cost, ascending=True)
+            else:
+                self.cache.write_run(span.start, tokens)
+                self.cache.destage_if_needed(self.ftl, cost)
         else:
             items: list[tuple[int, int]] = []
             for lpage in span:

@@ -94,9 +94,10 @@ class BaseFTL(ABC):
 
     #: Subclasses with a :meth:`locate` (which :meth:`read_pages` then
     #: gathers through) or a real array :meth:`write_run` set these; the
-    #: controller only builds batch arrays for capable FTLs (for the
-    #: rest, the batch calls would just add overhead on top of the
-    #: scalar loop).  On a :attr:`~repro.flashsim.chip.FlashChip.reference`
+    #: controller only builds batch arrays for capable FTLs, or for
+    #: writes into a RAM cache (for the rest, the batch calls would just
+    #: add overhead on top of the scalar loop).  On a
+    #: :attr:`~repro.flashsim.chip.FlashChip.reference`
     #: chip the batch paths take the scalar per-page loop — the
     #: behavioural contract the equivalence suites pin.
     batch_read_capable = False
@@ -170,8 +171,11 @@ class BaseFTL(ABC):
         self._check_lpage(hi)
         ppages = self.locate(lpages)
         charged = ppages >= 0
+        count = int(np.count_nonzero(charged))
+        if count == n:
+            cost.page_reads += n
+            return self._decode_many(self.chip.read_many(ppages))
         tokens = np.full(n, ERASED, dtype=np.int64)
-        count = int(charged.sum())
         if count:
             raw = self.chip.read_many(ppages[charged])
             tokens[charged] = self._decode_many(raw)
@@ -197,15 +201,18 @@ class BaseFTL(ABC):
     def write_pages(
         self, items: "Sequence[tuple[int, int]]", cost: CostAccumulator
     ) -> None:
-        """Write a batch of ``(lpage, token)`` pairs.
+        """:meth:`write_run` over a batch of ``(lpage, token)`` pairs.
 
-        The batch corresponds to one host IO or one cache destage group,
-        so FTLs that classify write *runs* (sequential stream vs random,
-        as 2008-era hybrid controllers did) can see whole runs instead
-        of single pages.  Default: page-by-page.
+        The batch is one host IO on the controller's per-page path, so
+        FTLs that classify write *runs* (sequential stream vs random, as
+        2008-era hybrid controllers did) see whole runs instead of
+        single pages.
         """
-        for lpage, token in items:
-            self.write_page(lpage, token, cost)
+        if not items:
+            return
+        lpages = np.fromiter((pair[0] for pair in items), dtype=np.int64, count=len(items))
+        tokens = np.fromiter((pair[1] for pair in items), dtype=np.int64, count=len(items))
+        self.write_run(lpages, tokens, cost)
 
     def write_run(
         self,
@@ -215,25 +222,29 @@ class BaseFTL(ABC):
         *,
         ascending: bool = False,
     ) -> None:
-        """Vectorized :meth:`write_pages` contract: parallel arrays.
+        """Write a batch given as parallel arrays (one host IO, one cache
+        destage group or one kernel window).  Default: the
+        :meth:`write_page` loop over the pairs.
 
-        Must leave exactly the state, counters and ``cost`` of the
-        :meth:`write_page` loop over the pairs — the default materialises
-        the pairs and delegates, so FTLs that classify runs (hybrid) see
-        their usual entry point.  ``ascending`` promises the caller's
-        lpages are strictly increasing and its tokens non-negative (the
-        controller's always are), letting implementations skip
-        distinctness/bounds/validity scans.  Overrides are the FTL's
-        range primitives: the page-map host-log append (any batch,
-        repeats allowed, GC at its watermarks) and the block-map in-order
-        replacement append.  The closed-form kernels in
+        ``ascending`` promises the caller's lpages are strictly
+        increasing and its tokens non-negative (the controller's always
+        are), letting implementations skip distinctness/bounds/validity
+        scans.  Overrides are the FTL's range primitives: the page-map
+        host-log append (any batch, repeats allowed, GC at its
+        watermarks), the block-map in-order replacement append and the
+        hybrid log append (each run classified once, each
+        logical-block segment one program run after its first page).
+        Each must leave exactly the state, counters and ``cost`` of its
+        own per-page path, which it takes on a
+        :attr:`~repro.flashsim.chip.FlashChip.reference` chip: the
+        :meth:`write_page` loop (the hybrid's with each run's stream
+        class settled once).  The closed-form kernels in
         :mod:`repro.flashsim.analytic` call them over whole windows and
         restate none of their logic, so this contract is all the
         kernels' bit-identity rests on.
         """
-        self.write_pages(
-            list(zip((int(p) for p in lpages), (int(t) for t in tokens))), cost
-        )
+        for lpage, token in zip(np.asarray(lpages).tolist(), np.asarray(tokens).tolist()):
+            self.write_page(lpage, token, cost)
 
     def note_io_boundary(self, end_byte: int, cost: CostAccumulator) -> None:
         """Hook called by the controller after each host *write* IO.

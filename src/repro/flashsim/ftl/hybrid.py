@@ -116,6 +116,9 @@ class _LogBlock:
 class HybridLogFTL(BaseFTL):
     """Block-mapped FTL with a page-mapped (or in-order) log-block pool."""
 
+    batch_read_capable = True
+    batch_write_capable = True
+
     _STATE_ATTRS = (
         "_data_map",
         "_free",
@@ -203,6 +206,43 @@ class HybridLogFTL(BaseFTL):
         cost.page_reads += 1
         return self._decode(self.chip.read(data, offset))
 
+    def locate(self, lpages: np.ndarray) -> np.ndarray:
+        """See :meth:`BaseFTL.locate`: the data block, overlaid by the
+        pending generations oldest to newest, then by the open log, so
+        the newest copy wins.
+
+        Every page of a mapped data block locates, filler and unwritten
+        pages too — :meth:`read_page` charges them and decodes them to
+        ERASED.
+        """
+        lpages = np.asarray(lpages, dtype=np.int64)
+        ppb = self.geometry.pages_per_block
+        lblocks = lpages // ppb
+        offsets = lpages - lblocks * ppb
+        data = self._data_map[lblocks]
+        ppages = np.where(data >= 0, data * ppb + offsets, -1)
+        for lblock in set(lblocks.tolist()):
+            logs = list(self._pending_by_lblock.get(lblock, ()))
+            open_log = self._open_seq.get(lblock) or self._open_rnd.get(lblock)
+            if open_log is not None:
+                logs.append(open_log)
+            if not logs:
+                continue
+            asked = lblocks == lblock
+            at = offsets[asked]
+            found = ppages[asked]
+            for log in logs:
+                pos = log.pos_of[at]
+                np.copyto(
+                    found, np.add(pos, log.pblock * ppb, dtype=np.int64), where=pos >= 0
+                )
+            ppages[asked] = found
+        return ppages
+
+    def _decode_many(self, raw: np.ndarray) -> np.ndarray:
+        """See :meth:`BaseFTL._decode_many`: filler reads as ERASED."""
+        return np.where(raw == FILLER_TOKEN, ERASED, raw)
+
     @staticmethod
     def _decode(token: int) -> int:
         """Map filler pages back to the 'never written' token."""
@@ -212,9 +252,17 @@ class HybridLogFTL(BaseFTL):
     # writes
     # ------------------------------------------------------------------
 
-    def write_pages(self, items, cost: CostAccumulator) -> None:
-        """Write a batch, classifying each consecutive run as sequential
-        stream traffic or random traffic (LAST-style routing).
+    def write_run(
+        self,
+        lpages: np.ndarray,
+        tokens: np.ndarray,
+        cost: CostAccumulator,
+        *,
+        ascending: bool = False,
+    ) -> None:
+        """See :meth:`BaseFTL.write_run`: classify each consecutive run
+        once as sequential stream traffic or random traffic (LAST-style
+        routing).
 
         The first page of each logical-block segment of a run goes
         through :meth:`write_page` (routing, promotion, stream restart,
@@ -223,41 +271,49 @@ class HybridLogFTL(BaseFTL):
         :attr:`~repro.flashsim.chip.FlashChip.reference` chip every page
         takes :meth:`write_page` — the scalar reference path.
         """
+        lpages = np.asarray(lpages, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        n = int(lpages.size)
+        if n == 0:
+            return
+        pages = lpages.tolist()
+        values = tokens.tolist()
+        if ascending and pages[-1] - pages[0] == n - 1:
+            bounds = [0, n]
+        else:
+            breaks = (k for k in range(1, n) if pages[k] != pages[k - 1] + 1)
+            bounds = [0, *breaks, n]
+        # pages before the first invalid token may append; write_page
+        # raises on that token
+        valid = n
+        if min(values) <= FILLER_TOKEN:
+            valid = next(k for k, token in enumerate(values) if token <= FILLER_TOKEN)
         scalar = self.chip.reference
-        run_start = 0
-        for position in range(1, len(items) + 1):
-            is_break = position == len(items) or (
-                items[position][0] != items[position - 1][0] + 1
-            )
-            if not is_break:
-                continue
-            run = items[run_start:position]
-            run_start = position
-            seq = self._classify_run(run[0][0], run[-1][0])
-            i = 0
-            while i < len(run):
-                lpage, token = run[i]
-                self.write_page(lpage, token, cost, seq_hint=seq)
+        for run_start, run_stop in zip(bounds, bounds[1:]):
+            seq = self._classify_run(pages[run_start], pages[run_stop - 1])
+            stop = min(run_stop, valid)
+            i = run_start
+            while i < run_stop:
+                self.write_page(pages[i], values[i], cost, seq_hint=seq)
                 i += 1
-                if not scalar:
-                    i += self._append(run, i, cost)
+                if not scalar and i < stop:
+                    i += self._append(pages[i], tokens[i:stop], cost)
 
-    def _append(self, run, i: int, cost: CostAccumulator) -> int:
-        """Append ``run[i:]`` to the log that just took ``run[i - 1]``.
+    def _append(self, lpage: int, tokens: np.ndarray, cost: CostAccumulator) -> int:
+        """Append a run of valid ``tokens`` from ``lpage`` on to the log
+        that just took ``lpage - 1``.
 
         Takes the pages that stay in that logical block, up to the log's
-        free positions (in-order-only logs: only when ``run[i]`` is the
+        free positions (in-order-only logs: only when ``lpage`` is the
         log's next position), as one :meth:`FlashChip.program_run` plus
         slice updates of the log's page map — exactly what
         :meth:`write_page` does page by page once routing is settled:
         later pages of a segment never promote, restart a stream or open
         a log.  Returns the number of pages taken (0 when the segment
-        ended, the log closed or it would close on ``run[i]``).
+        ended, the log closed or it would close on ``lpage``).
         """
-        if i == len(run):
-            return 0
         ppb = self.geometry.pages_per_block
-        lblock, offset = divmod(run[i][0], ppb)
+        lblock, offset = divmod(lpage, ppb)
         pool = self._pool_of(lblock) if offset else None
         if pool is None:
             return 0
@@ -265,18 +321,8 @@ class HybridLogFTL(BaseFTL):
         start = log.next_pos
         if not self.config.page_mapped_logs and offset != start:
             return 0
-        n = min(len(run) - i, ppb - offset, ppb - start)
-        tokens = np.fromiter(
-            (token for _, token in run[i : i + n]), dtype=np.int64, count=n
-        )
-        invalid = tokens <= FILLER_TOKEN
-        if invalid.any():
-            # write_page raises on the first invalid token
-            n = int(np.argmax(invalid))
-            tokens = tokens[:n]
-        if n == 0:
-            return 0
-        self.chip.program_run(log.pblock, start, tokens)
+        n = min(int(tokens.size), ppb - offset, ppb - start)
+        self.chip.program_run(log.pblock, start, tokens[:n])
         cost.page_programs += n
         # an in-order log maps offsets 0..start-1 to themselves, so the
         # run keeps it in order exactly when it starts at ``start``

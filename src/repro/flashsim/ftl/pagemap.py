@@ -245,15 +245,6 @@ class PageMapFTL(BaseFTL):
         if self.config.wear_threshold:
             self._maybe_wear_level(cost)
 
-    def write_pages(self, items, cost: CostAccumulator) -> None:
-        """Route batches (host IOs, cache destage groups) through the
-        vectorized run kernel."""
-        if not items:
-            return
-        lpages = np.fromiter((pair[0] for pair in items), dtype=np.int64, count=len(items))
-        tokens = np.fromiter((pair[1] for pair in items), dtype=np.int64, count=len(items))
-        self.write_run(lpages, tokens, cost)
-
     def write_run(
         self,
         lpages: np.ndarray,

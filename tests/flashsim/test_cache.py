@@ -1,10 +1,16 @@
-"""RAM write-back cache: hits, LRU groups, destage hysteresis, flush."""
+"""RAM write-back cache: hits, LRU groups, destage hysteresis, flush,
+and the run calls against the per-page calls."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import FTLError
 from repro.flashsim.cache import WriteBackCache
+from repro.flashsim.chip import ERASED
 from repro.flashsim.timing import CostAccumulator
+from tests.conftest import SMALL_GEOMETRY
 
 PPB = 8
 
@@ -104,3 +110,48 @@ def test_capacity_validation(geometry):
         WriteBackCache(geometry, geometry.page_size, low_watermark=0.0)
     with pytest.raises(FTLError):
         WriteBackCache(geometry, geometry.page_size, low_watermark=1.5)
+
+
+_runs = st.lists(
+    st.tuples(
+        st.booleans(),  # write?
+        st.integers(0, 6 * PPB - 1),  # first page: six blocks, so groups repeat
+        st.integers(1, 3 * PPB),  # pages: up to three block segments
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(runs=_runs)
+def test_run_calls_match_the_per_page_calls(runs):
+    """``write_run``/``read_run`` leave the groups (contents and LRU
+    order, group dict order included), dirty count and hit/miss
+    counters of the per-page ``write``/``read`` calls, and read the
+    same tokens."""
+    run_cache, page_cache = (
+        WriteBackCache(SMALL_GEOMETRY, 1 << 20) for _ in range(2)
+    )
+    token = 1
+    for write, first, count in runs:
+        if write:
+            tokens = np.arange(token, token + count, dtype=np.int64)
+            token += count
+            run_cache.write_run(first, tokens)
+            for lpage, value in zip(range(first, first + count), tokens.tolist()):
+                page_cache.write(lpage, value)
+        else:
+            tokens, cached = run_cache.read_run(first, count)
+            per_page = [page_cache.read(lpage) for lpage in range(first, first + count)]
+            assert cached.tolist() == [value is not None for value in per_page]
+            assert tokens.tolist() == [
+                ERASED if value is None else value for value in per_page
+            ]
+    run_state, page_state = run_cache.snapshot(), page_cache.snapshot()
+    assert [(b, list(g.items())) for b, g in run_state["groups"].items()] == [
+        (b, list(g.items())) for b, g in page_state["groups"].items()
+    ]
+    assert run_state == page_state
+    assert run_cache.metrics() == page_cache.metrics()
+    assert run_cache.dirty_pages == page_cache.dirty_pages

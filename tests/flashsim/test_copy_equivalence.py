@@ -3,7 +3,9 @@ invisible.
 
 Merges and block copies in the hybrid, block-map and FAST FTLs move
 whole page ranges with :meth:`FlashChip.copy_pages`, hybrid host writes
-land in their log as program runs, block-map in-order appends land as
+land in their log as program runs (through a RAM cache's run calls on a
+cached device, hybrid reads gather through its page locator),
+block-map in-order appends land as
 one program run, and page-map host writes are closed-form log appends
 that cross blocks and repeat lpages, with the real ``write_page`` at
 each GC watermark — the same primitives the closed-form kernels call
@@ -110,11 +112,15 @@ FAMILIES = {
 PAGEMAP_FAMILIES = ("pagemap", "pagemap-wear", "pagemap-cost-benefit")
 
 
-def _build(family: str, oracle: bool, mapping_unit: int = 0) -> FlashDevice:
+def _build(
+    family: str, oracle: bool, mapping_unit: int = 0, cache_bytes: int = 0
+) -> FlashDevice:
     chip = FlashChip(GEOMETRY, fault_injector=NoFaults() if oracle else None)
     ftl = FAMILIES[family](chip)
     controller = Controller(
-        GEOMETRY, ftl, ControllerConfig(mapping_unit=mapping_unit)
+        GEOMETRY,
+        ftl,
+        ControllerConfig(mapping_unit=mapping_unit, cache_bytes=cache_bytes),
     )
     return FlashDevice(
         name=f"copy-{family}",
@@ -164,11 +170,13 @@ def _observe(device: FlashDevice, trace) -> dict:
     }
 
 
-def _run_both(family: str, ios, mapping_unit: int = 0) -> tuple[dict, dict]:
+def _run_both(
+    family: str, ios, mapping_unit: int = 0, cache_bytes: int = 0
+) -> tuple[dict, dict]:
     program = _program(ios)
     observed = []
     for oracle in (False, True):
-        device = _build(family, oracle, mapping_unit)
+        device = _build(family, oracle, mapping_unit, cache_bytes)
         trace = SyncHost(device).run_program(program)
         device.drain()
         device.ftl.quiesce()
@@ -195,6 +203,45 @@ def test_hybrid_with_a_mapping_unit_matches_the_oracle(ios):
     """A 4 KiB mapping unit read-modify-writes partial edges."""
     fast, oracle = _run_both("hybrid", ios, mapping_unit=4 * KIB)
     assert fast == oracle
+
+
+@settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(ios=programs)
+def test_cached_in_order_hybrid_matches_the_oracle(ios):
+    """Shaped like ``samsung``: a RAM write-back cache (64 KiB, four
+    blocks' worth) over a 4 KiB mapping unit and in-order-only logs.
+    The cache's run writes and reads, its destages as sorted arrays and
+    the partial edges' read-modify-writes must leave the ``cache.*``
+    counters equal too — the flush at the end destages what is left."""
+    fast, oracle = _run_both(
+        "hybrid-in-order", ios, mapping_unit=4 * KIB, cache_bytes=64 * KIB
+    )
+    assert {k: v for k, v in fast["metrics"].items() if k.startswith("cache.")} == {
+        k: v for k, v in oracle["metrics"].items() if k.startswith("cache.")
+    }
+    assert "cache.hits" in fast["metrics"]
+    assert fast == oracle
+
+
+def test_cached_programs_hit_destage_and_gather_misses():
+    """Guards the cached programs above against testing nothing: large
+    writes overflow the cache (destaging sorted groups), then large
+    reads are served partly from the cache and partly gathered from
+    flash."""
+    block = GEOMETRY.block_size // SECTOR
+    ios = [(i * block, 2 * block, True, 0.0) for i in range(0, 24, 2)]
+    ios += [(i * block + 3, block + 5, True, 0.0) for i in range(20, 24)]
+    ios += [(i * block, 3 * block, False, 0.0) for i in range(0, 24, 3)]
+    fast, oracle = _run_both(
+        "hybrid-in-order", ios, mapping_unit=4 * KIB, cache_bytes=64 * KIB
+    )
+    assert fast == oracle
+    metrics = fast["metrics"]
+    assert metrics["cache.destaged_groups"] > 0
+    assert metrics["cache.hits"] > 0
+    assert metrics["cache.misses"] > 0
 
 
 #: zero-gap write programs: one read/write stretch long enough for
@@ -452,6 +499,21 @@ def _reference_copy(chip: FlashChip, sources, target: int, start: int):
     except (BadBlockError, ProgramError) as exc:
         raised = type(exc)
     return raised, _chip_state(chip)
+
+
+def test_mixed_copy_keeps_the_scalar_loops_counters():
+    """Missing (-1) sources, an ERASED source and pages from two source
+    blocks, copied into the middle of a partly written target: the
+    validated-once copy leaves the tokens, write points and chip
+    counters of the interleaved per-page loop."""
+    sources = [PPB + 2, -1, 3, PPB + 7, -1, 0, PPB + 1]
+    fast = _filled_chip()
+    fast.program_run(5, 0, np.array([41]))
+    reference = _filled_chip()
+    reference.program_run(5, 0, np.array([41]))
+    assert _copy_into(fast, sources, 5, 1) == _reference_copy(reference, sources, 5, 1)
+    assert fast.stats.page_reads == 5
+    assert fast.stats.page_programs == PPB + PPB // 2 + 1 + len(sources)
 
 
 def test_retired_source_block_raises_like_the_scalar_loop():

@@ -1,9 +1,15 @@
 """Hybrid FTL run-level behaviour: write_pages splitting, the stream
-tail table, and pool bookkeeping under mixed traffic."""
+tail table, pool bookkeeping under mixed traffic, and the page
+locator behind the batch reads."""
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.flashsim.chip import FlashChip
+from repro.errors import FTLError
+from repro.flashsim.chip import ERASED, FlashChip, NoFaults
+from repro.flashsim.ftl.base import FILLER_TOKEN
 from repro.flashsim.ftl.hybrid import HybridConfig, HybridLogFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
@@ -134,3 +140,64 @@ def test_open_log_counts_by_pool(ftl):
     assert len(ftl._open_rnd) == 1
     assert len(ftl._open_seq) == 1
     assert ftl.open_log_count() == 2
+
+
+def _layered_block(geometry, chip):
+    """Logical block 0 with a filler-padded data block, two pending
+    generations over it and an open log over those."""
+    ftl = HybridLogFTL(
+        geometry, chip, HybridConfig(seq_log_blocks=1, rnd_log_blocks=1)
+    )
+    cost = CostAccumulator()
+    ftl.write_page(5, 1, cost)  # out of order: the full merge pads 0-4
+    ftl.quiesce()
+    for token, (a, b) in enumerate(((3, 1), (1, 6)), start=2):
+        ftl.write_page(a, 10 * token, cost)
+        ftl.write_page(b, 10 * token + 1, cost)
+        ftl.write_page(PPB + 3, 10 * token + 2, cost)  # evicts block 0's log
+    ftl.write_page(2, 90, cost)
+    ftl.write_page(6, 91, cost)
+    return ftl
+
+
+def test_locate_matches_the_read_page_loop_over_layered_logs(geometry, chip):
+    ftl = _layered_block(geometry, chip)
+    assert len(ftl._pending_by_lblock[0]) >= 2
+    assert 0 in ftl._open_rnd
+    data = int(ftl._data_map[0])
+    assert chip.read_many([data * PPB])[0] == FILLER_TOKEN
+    lpages = np.arange(0, 2 * PPB, dtype=np.int64)
+    loop_cost, run_cost = CostAccumulator(), CostAccumulator()
+    reads = chip.stats.page_reads
+    expected = [ftl.read_page(int(lpage), loop_cost) for lpage in lpages]
+    loop_reads = chip.stats.page_reads - reads
+    tokens = ftl.read_pages(lpages, run_cost, ascending=True)
+    assert tokens.tolist() == expected
+    assert run_cost == loop_cost
+    assert chip.stats.page_reads - reads == 2 * loop_reads
+    # unsorted, repeated asks locate the same pages
+    shuffled = np.array([6, 0, 13, 6, 2, 11, 5], dtype=np.int64)
+    assert ftl.read_pages(shuffled, CostAccumulator()).tolist() == [
+        expected[lpage] for lpage in shuffled
+    ]
+    assert expected[:8] == [ERASED, 30, 90, 20, ERASED, 1, 91, ERASED]
+
+
+def test_invalid_token_mid_run_raises_where_the_scalar_path_does(geometry):
+    """A filler token inside a run: the log append stops before it and
+    ``write_page`` raises on it, leaving what the reference chip's
+    page-by-page path leaves."""
+    states = []
+    for injector in (None, NoFaults()):
+        chip = FlashChip(geometry, fault_injector=injector)
+        ftl = HybridLogFTL(
+            geometry, chip, HybridConfig(seq_log_blocks=2, rnd_log_blocks=4)
+        )
+        tokens = np.array([5, 6, 7, FILLER_TOKEN, 9], dtype=np.int64)
+        with pytest.raises(FTLError):
+            ftl.write_run(np.arange(2, 7), tokens, CostAccumulator(), ascending=True)
+        assert [ftl.read_token_quiet(lpage) for lpage in range(2, 7)] == [
+            5, 6, 7, ERASED, ERASED
+        ]
+        states.append((pickle.dumps(ftl.snapshot()), chip.snapshot()["tokens"].tobytes()))
+    assert states[0] == states[1]
