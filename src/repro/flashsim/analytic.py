@@ -189,11 +189,11 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
     measurement noise, a reference chip (fault injection), wear
     levelling and block health.
 
-    Covered families: the page-map and block-map FTLs; of their writes,
-    :func:`write_window` takes the page-map family's only.  The hybrid
-    FTL has a page locator and an array ``write_run`` too, but no
-    window schedule over its merges, so it declines (``ftl-family``)
-    and runs per IO through them.
+    Covered families: the page-map and block-map FTLs, the two with a
+    page locator; of their writes, :func:`write_window` takes the
+    page-map family's only.  The hybrid FTL has an array ``write_run``
+    but no locator and no window schedule over its merges, so it
+    declines (``ftl-family``) and runs per IO.
     """
     ftl = device.ftl
     if not isinstance(ftl, (PageMapFTL, BlockMapFTL)):

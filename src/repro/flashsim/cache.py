@@ -27,7 +27,6 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.errors import FTLError
-from repro.flashsim.chip import ERASED
 from repro.flashsim.ftl.base import BaseFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
@@ -125,35 +124,6 @@ class WriteBackCache:
             self._dirty_pages += added
             i += take
             lblock, offset = lblock + 1, 0
-
-    def read_run(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`read` of the ``count`` pages from ``first`` on, one
-        group lookup per logical-block segment.
-
-        Returns the tokens (ERASED where missed) and the hit mask; hits
-        and misses count as the per-page calls would.
-        """
-        ppb = self.geometry.pages_per_block
-        where: list[int] = []
-        found: list[int] = []
-        lblock, offset = divmod(first, ppb)
-        i = 0
-        while i < count:
-            take = min(ppb - offset, count - i)
-            group = self._groups.get(lblock)
-            if group:
-                for page in group.keys() & range(offset, offset + take):
-                    where.append(i + page - offset)
-                    found.append(group[page])
-            i += take
-            lblock, offset = lblock + 1, 0
-        tokens = np.full(count, ERASED, dtype=np.int64)
-        cached = np.zeros(count, dtype=bool)
-        tokens[where] = found
-        cached[where] = True
-        self.hits += len(where)
-        self.misses += count - len(where)
-        return tokens, cached
 
     # ------------------------------------------------------------------
     # snapshot / restore

@@ -254,9 +254,14 @@ class FlashChip:
                 f"while write point is {write_point} "
                 "(NAND pages must be programmed sequentially within a block)"
             )
+        self._store_run(block, start, tokens)
+
+    def _store_run(self, block: int, start: int, tokens: np.ndarray) -> None:
+        """Store a validated run: tokens, write point, program count."""
+        n = int(tokens.size)
         base = block * self.geometry.pages_per_block + start
         self._tokens[base : base + n] = tokens
-        self._write_point[block] = write_point + n
+        self._write_point[block] = start + n
         self.stats.page_programs += n
 
     def program_span(
@@ -351,11 +356,8 @@ class FlashChip:
             tokens = np.full(n, filler, dtype=np.int64)
             read = self._tokens[picked]
             tokens[has] = np.where(read == ERASED, filler, read)
-            base = target * ppb + start
-            self._tokens[base : base + n] = tokens
-            self._write_point[target] = start + n
             self.stats.page_reads += int(picked.size)
-            self.stats.page_programs += n
+            self._store_run(target, start, tokens)
             return int(picked.size)
         for i, source in enumerate(sources.tolist()):
             token = self.read(*divmod(source, ppb)) if source >= 0 else ERASED

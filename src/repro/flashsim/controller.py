@@ -14,11 +14,12 @@ Responsibilities:
 * maintain the *verification shadow* — the expected token of every
   logical page — so every read checks read-your-writes for free.
 
-Multi-page IOs move as arrays: one token range per write, through the
-cache's run calls (whose misses and destages reach the FTL as arrays
-too) or straight to a batch-capable FTL.  On a
-:attr:`~repro.flashsim.chip.FlashChip.reference` chip they take the
-per-page reference loop instead.
+Multi-page IOs move as arrays: a write mints one token range and hands
+it to a batch-capable FTL or, from ``CACHED_WRITE_MIN_PAGES`` pages on,
+to the cache's run write (whose destages reach the FTL as arrays too);
+a long read on an uncached device is one gather.  Shorter IOs, and
+every IO on a :attr:`~repro.flashsim.chip.FlashChip.reference` chip,
+take the per-page loop.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ from repro.flashsim.timing import CostAccumulator
 #: reads are faster page by page (measured crossover ≈ 14 pages on the
 #: page-map FTL); not a tuning knob
 BATCH_READ_MIN_PAGES = 16
+
+#: minimum span (pages) for the array *write* path on a device with a
+#: RAM cache: the token mint and one ``cache.write_run`` have a fixed
+#: cost the per-page ``cache.write`` loop does not, so 2-3 page writes
+#: are faster page by page, 4-6 are about even and 8 win on memoright,
+#: mtron and samsung (CPU time of alternating runs); not a tuning knob
+CACHED_WRITE_MIN_PAGES = 8
 
 
 @dataclass(frozen=True)
@@ -143,19 +151,12 @@ class Controller:
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         if (
             self.ftl.batch_read_capable
+            and self.cache is None
             and span.stop - span.start >= BATCH_READ_MIN_PAGES
             and not self.ftl.chip.reference
         ):
             lpages = np.arange(span.start, span.stop, dtype=np.int64)
-            if self.cache is None:
-                tokens = self.ftl.read_pages(lpages, cost, ascending=True)
-            else:
-                tokens, cached = self.cache.read_run(span.start, lpages.size)
-                if not cached.all():
-                    missed = ~cached
-                    tokens[missed] = self.ftl.read_pages(
-                        lpages[missed], cost, ascending=True
-                    )
+            tokens = self.ftl.read_pages(lpages, cost, ascending=True)
             if self.config.verify:
                 expected = self._shadow[span.start : span.stop]
                 if not np.array_equal(tokens, expected):
@@ -191,10 +192,11 @@ class Controller:
         span = self.geometry.page_span(expanded_start, expanded_end - expanded_start)
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         page_size = self.geometry.page_size
-        if (
-            (self.ftl.batch_write_capable or self.cache is not None)
-            and span.stop - span.start > 1
-            and not self.ftl.chip.reference
+        pages = span.stop - span.start
+        if not self.ftl.chip.reference and (
+            pages >= CACHED_WRITE_MIN_PAGES
+            if self.cache is not None
+            else self.ftl.batch_write_capable and pages > 1
         ):
             # Fully covered pages form one contiguous middle run: coverage
             # (lba <= page_start and page_end <= lba + size) is monotone in
@@ -205,7 +207,6 @@ class Controller:
             cov_hi = min(span.stop, (lba + size) // page_size)
             if cov_lo >= cov_hi:
                 cov_lo = cov_hi = span.start
-            pages = span.stop - span.start
             if cov_lo == span.start and cov_hi == span.stop:
                 # aligned whole-page extent: the fresh tokens ARE the run
                 tokens = np.arange(

@@ -171,11 +171,8 @@ class BaseFTL(ABC):
         self._check_lpage(hi)
         ppages = self.locate(lpages)
         charged = ppages >= 0
-        count = int(np.count_nonzero(charged))
-        if count == n:
-            cost.page_reads += n
-            return self._decode_many(self.chip.read_many(ppages))
         tokens = np.full(n, ERASED, dtype=np.int64)
+        count = int(charged.sum())
         if count:
             raw = self.chip.read_many(ppages[charged])
             tokens[charged] = self._decode_many(raw)

@@ -116,7 +116,6 @@ class _LogBlock:
 class HybridLogFTL(BaseFTL):
     """Block-mapped FTL with a page-mapped (or in-order) log-block pool."""
 
-    batch_read_capable = True
     batch_write_capable = True
 
     _STATE_ATTRS = (
@@ -205,43 +204,6 @@ class HybridLogFTL(BaseFTL):
             return ERASED
         cost.page_reads += 1
         return self._decode(self.chip.read(data, offset))
-
-    def locate(self, lpages: np.ndarray) -> np.ndarray:
-        """See :meth:`BaseFTL.locate`: the data block, overlaid by the
-        pending generations oldest to newest, then by the open log, so
-        the newest copy wins.
-
-        Every page of a mapped data block locates, filler and unwritten
-        pages too — :meth:`read_page` charges them and decodes them to
-        ERASED.
-        """
-        lpages = np.asarray(lpages, dtype=np.int64)
-        ppb = self.geometry.pages_per_block
-        lblocks = lpages // ppb
-        offsets = lpages - lblocks * ppb
-        data = self._data_map[lblocks]
-        ppages = np.where(data >= 0, data * ppb + offsets, -1)
-        for lblock in set(lblocks.tolist()):
-            logs = list(self._pending_by_lblock.get(lblock, ()))
-            open_log = self._open_seq.get(lblock) or self._open_rnd.get(lblock)
-            if open_log is not None:
-                logs.append(open_log)
-            if not logs:
-                continue
-            asked = lblocks == lblock
-            at = offsets[asked]
-            found = ppages[asked]
-            for log in logs:
-                pos = log.pos_of[at]
-                np.copyto(
-                    found, np.add(pos, log.pblock * ppb, dtype=np.int64), where=pos >= 0
-                )
-            ppages[asked] = found
-        return ppages
-
-    def _decode_many(self, raw: np.ndarray) -> np.ndarray:
-        """See :meth:`BaseFTL._decode_many`: filler reads as ERASED."""
-        return np.where(raw == FILLER_TOKEN, ERASED, raw)
 
     @staticmethod
     def _decode(token: int) -> int:

@@ -125,10 +125,10 @@ def test_small_devices_scalar_batch_identical(ftl_kind):
 
 @pytest.mark.parametrize("ftl_kind", ["pagemap", "hybrid"])
 def test_cache_enabled_scalar_batch_identical(ftl_kind):
-    """Through a write-back cache, multi-page IOs take the cache's run
-    calls (batch reads gather the misses, destages reach the FTL as
-    sorted arrays) against the oracle's per-page calls; counters must
-    agree."""
+    """Through a write-back cache, whole-block writes take the cache's
+    run write and short writes and reads go page by page (destages
+    reach the FTL as sorted arrays either way), against the oracle's
+    per-page calls; counters must agree."""
     scalar = oracle_device({"ftl_kind": ftl_kind, "cache_bytes": 64 * KIB})
     batch = make_device(ftl_kind=ftl_kind, cache_bytes=64 * KIB)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=13))

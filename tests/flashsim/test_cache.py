@@ -1,5 +1,5 @@
 """RAM write-back cache: hits, LRU groups, destage hysteresis, flush,
-and the run calls against the per-page calls."""
+and the run write against the per-page writes."""
 
 import hypothesis.strategies as st
 import numpy as np
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from repro.errors import FTLError
 from repro.flashsim.cache import WriteBackCache
-from repro.flashsim.chip import ERASED
 from repro.flashsim.timing import CostAccumulator
 from tests.conftest import SMALL_GEOMETRY
 
@@ -114,7 +113,6 @@ def test_capacity_validation(geometry):
 
 _runs = st.lists(
     st.tuples(
-        st.booleans(),  # write?
         st.integers(0, 6 * PPB - 1),  # first page: six blocks, so groups repeat
         st.integers(1, 3 * PPB),  # pages: up to three block segments
     ),
@@ -125,29 +123,20 @@ _runs = st.lists(
 
 @settings(max_examples=80, deadline=None)
 @given(runs=_runs)
-def test_run_calls_match_the_per_page_calls(runs):
-    """``write_run``/``read_run`` leave the groups (contents and LRU
-    order, group dict order included), dirty count and hit/miss
-    counters of the per-page ``write``/``read`` calls, and read the
-    same tokens."""
+def test_write_run_matches_the_per_page_writes(runs):
+    """``write_run`` leaves the groups (contents and LRU order, group
+    dict order included), dirty count and hit/miss counters of the
+    per-page ``write`` calls."""
     run_cache, page_cache = (
         WriteBackCache(SMALL_GEOMETRY, 1 << 20) for _ in range(2)
     )
     token = 1
-    for write, first, count in runs:
-        if write:
-            tokens = np.arange(token, token + count, dtype=np.int64)
-            token += count
-            run_cache.write_run(first, tokens)
-            for lpage, value in zip(range(first, first + count), tokens.tolist()):
-                page_cache.write(lpage, value)
-        else:
-            tokens, cached = run_cache.read_run(first, count)
-            per_page = [page_cache.read(lpage) for lpage in range(first, first + count)]
-            assert cached.tolist() == [value is not None for value in per_page]
-            assert tokens.tolist() == [
-                ERASED if value is None else value for value in per_page
-            ]
+    for first, count in runs:
+        tokens = np.arange(token, token + count, dtype=np.int64)
+        token += count
+        run_cache.write_run(first, tokens)
+        for lpage, value in zip(range(first, first + count), tokens.tolist()):
+            page_cache.write(lpage, value)
     run_state, page_state = run_cache.snapshot(), page_cache.snapshot()
     assert [(b, list(g.items())) for b, g in run_state["groups"].items()] == [
         (b, list(g.items())) for b, g in page_state["groups"].items()

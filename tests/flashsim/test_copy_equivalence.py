@@ -3,9 +3,8 @@ invisible.
 
 Merges and block copies in the hybrid, block-map and FAST FTLs move
 whole page ranges with :meth:`FlashChip.copy_pages`, hybrid host writes
-land in their log as program runs (through a RAM cache's run calls on a
-cached device, hybrid reads gather through its page locator),
-block-map in-order appends land as
+land in their log as program runs (through a RAM cache's run write on a
+cached device), block-map in-order appends land as
 one program run, and page-map host writes are closed-form log appends
 that cross blocks and repeat lpages, with the real ``write_page`` at
 each GC watermark — the same primitives the closed-form kernels call
@@ -212,8 +211,8 @@ def test_hybrid_with_a_mapping_unit_matches_the_oracle(ios):
 def test_cached_in_order_hybrid_matches_the_oracle(ios):
     """Shaped like ``samsung``: a RAM write-back cache (64 KiB, four
     blocks' worth) over a 4 KiB mapping unit and in-order-only logs.
-    The cache's run writes and reads, its destages as sorted arrays and
-    the partial edges' read-modify-writes must leave the ``cache.*``
+    The cache's run writes, its destages as sorted arrays and the
+    partial edges' read-modify-writes must leave the ``cache.*``
     counters equal too — the flush at the end destages what is left."""
     fast, oracle = _run_both(
         "hybrid-in-order", ios, mapping_unit=4 * KIB, cache_bytes=64 * KIB
@@ -225,11 +224,11 @@ def test_cached_in_order_hybrid_matches_the_oracle(ios):
     assert fast == oracle
 
 
-def test_cached_programs_hit_destage_and_gather_misses():
+def test_cached_programs_hit_and_destage():
     """Guards the cached programs above against testing nothing: large
-    writes overflow the cache (destaging sorted groups), then large
-    reads are served partly from the cache and partly gathered from
-    flash."""
+    writes (two blocks, on the cache's run write) overflow the cache,
+    destaging sorted groups, then large reads are served partly from
+    the cache and partly from flash."""
     block = GEOMETRY.block_size // SECTOR
     ios = [(i * block, 2 * block, True, 0.0) for i in range(0, 24, 2)]
     ios += [(i * block + 3, block + 5, True, 0.0) for i in range(20, 24)]

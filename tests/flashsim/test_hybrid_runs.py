@@ -1,6 +1,6 @@
 """Hybrid FTL run-level behaviour: write_pages splitting, the stream
-tail table, pool bookkeeping under mixed traffic, and the page
-locator behind the batch reads."""
+tail table, pool bookkeeping under mixed traffic, and an invalid token
+inside an array write run."""
 
 import pickle
 
@@ -140,47 +140,6 @@ def test_open_log_counts_by_pool(ftl):
     assert len(ftl._open_rnd) == 1
     assert len(ftl._open_seq) == 1
     assert ftl.open_log_count() == 2
-
-
-def _layered_block(geometry, chip):
-    """Logical block 0 with a filler-padded data block, two pending
-    generations over it and an open log over those."""
-    ftl = HybridLogFTL(
-        geometry, chip, HybridConfig(seq_log_blocks=1, rnd_log_blocks=1)
-    )
-    cost = CostAccumulator()
-    ftl.write_page(5, 1, cost)  # out of order: the full merge pads 0-4
-    ftl.quiesce()
-    for token, (a, b) in enumerate(((3, 1), (1, 6)), start=2):
-        ftl.write_page(a, 10 * token, cost)
-        ftl.write_page(b, 10 * token + 1, cost)
-        ftl.write_page(PPB + 3, 10 * token + 2, cost)  # evicts block 0's log
-    ftl.write_page(2, 90, cost)
-    ftl.write_page(6, 91, cost)
-    return ftl
-
-
-def test_locate_matches_the_read_page_loop_over_layered_logs(geometry, chip):
-    ftl = _layered_block(geometry, chip)
-    assert len(ftl._pending_by_lblock[0]) >= 2
-    assert 0 in ftl._open_rnd
-    data = int(ftl._data_map[0])
-    assert chip.read_many([data * PPB])[0] == FILLER_TOKEN
-    lpages = np.arange(0, 2 * PPB, dtype=np.int64)
-    loop_cost, run_cost = CostAccumulator(), CostAccumulator()
-    reads = chip.stats.page_reads
-    expected = [ftl.read_page(int(lpage), loop_cost) for lpage in lpages]
-    loop_reads = chip.stats.page_reads - reads
-    tokens = ftl.read_pages(lpages, run_cost, ascending=True)
-    assert tokens.tolist() == expected
-    assert run_cost == loop_cost
-    assert chip.stats.page_reads - reads == 2 * loop_reads
-    # unsorted, repeated asks locate the same pages
-    shuffled = np.array([6, 0, 13, 6, 2, 11, 5], dtype=np.int64)
-    assert ftl.read_pages(shuffled, CostAccumulator()).tolist() == [
-        expected[lpage] for lpage in shuffled
-    ]
-    assert expected[:8] == [ERASED, 30, 90, 20, ERASED, 1, 91, ERASED]
 
 
 def test_invalid_token_mid_run_raises_where_the_scalar_path_does(geometry):

@@ -113,7 +113,7 @@ SPEEDUP_GATES = (
 #: window setup can cost more than it saves, were the first case)
 FALLBACK_LIMIT = 1.25
 
-DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "transcend32", "kingston_dti")
+DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
 
 
 def _build(profile: str, logical_bytes: int, oracle: bool = False):
