@@ -46,8 +46,9 @@ keeping results bit-identical to ``jobs=1``:
   the resident (no rebuild), and a worker whose resident still sits at
   the cell's base state skips the restore outright;
 * **pipelined state preparation** — enforcement itself moves into the
-  workers: independent profiles enforce concurrently (publishing into
-  the snapshot store) while cells of already-prepared profiles execute.
+  workers: independent profiles enforce concurrently while cells of
+  already-prepared profiles execute; each enforced snapshot comes home
+  once and the parent publishes it into the snapshot store.
 
 Scheduling effects are visible in :attr:`CampaignExecutor.sched`
 (a :class:`SchedulerStats`) and, when metrics are installed, as
@@ -63,7 +64,6 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import pickle
 import time
 from collections import OrderedDict
 from concurrent.futures import (
@@ -92,7 +92,7 @@ from repro.flashsim.snapshot import (
     DeviceSnapshot,
     SnapshotStore,
     attach_segment,
-    publish_from_worker,
+    pack_snapshot,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
@@ -344,19 +344,16 @@ class _CellTask:
 class _PrepareTask:
     """One profile's state enforcement, moved into a worker process.
 
-    ``token`` names the parent's :class:`SnapshotStore`; the worker
-    publishes the enforced snapshot into shared memory and the envelope
-    carries only the segment name.  The freshly enforced device becomes
-    the worker's resident for the group — sitting exactly at the
-    published state, so the first cell dispatched to this worker skips
-    its restore.
+    The envelope carries the enforced snapshot home for the parent to
+    publish.  The freshly enforced device becomes the worker's resident
+    for the group — sitting exactly at the published state, so the
+    first cell dispatched to this worker skips its restore.
     """
 
     profile: str
     capacity: int | None
     enforce: bool
     seed: int
-    token: str
 
 
 #: resident built devices per (profile, capacity), newest last
@@ -463,15 +460,14 @@ def _execute_cell_fast(task: _CellTask, observe: Observe) -> dict:
 def _prepare_remote(task: _PrepareTask, observe: Observe) -> dict:
     """Worker-process entry point for one profile's state enforcement.
 
-    Builds the device, enforces the random state, publishes the snapshot
-    into the parent's shared-memory store and installs the device —
-    sitting exactly at the enforced state — as this worker's resident.
-    The envelope ships the segment name plus bookkeeping sizes home;
-    only when publishing was impossible does it carry the full snapshot.
+    Builds the device, enforces the random state and installs the
+    device — sitting exactly at the enforced state — as this worker's
+    resident.  The envelope carries the snapshot home once; the parent
+    publishes it into its shared-memory store, and this worker's cells
+    attach that segment like every other worker's.
     """
     tracer = obs_tracing.Tracer() if observe.tracing else None
     registry = obs_metrics.MetricsRegistry() if observe.metrics else None
-    wall_start = time.perf_counter()
     with obs_tracing.installed(tracer), obs_metrics.installed(registry):
         analytic_baseline = (
             analytic.STATS.counters() if registry is not None else None
@@ -484,25 +480,11 @@ def _prepare_remote(task: _PrepareTask, observe: Observe) -> dict:
             fingerprint = device.fingerprint()
         if registry is not None:
             analytic.publish_stats(registry, analytic_baseline)
-        segment = None
-        packed_bytes = 0
-        try:
-            shm, snapshot, segment, packed_bytes = publish_from_worker(
-                task.token, fingerprint, snapshot
-            )
-            _WORKER_ATTACHED[segment] = (shm, snapshot)
-        except (OSError, ValueError):  # no shared memory: ship inline
-            segment = None
         _install_resident((task.profile, task.capacity), device, fingerprint)
     envelope = {
-        "profile": task.profile,
         "capacity": device.capacity,
         "fingerprint": fingerprint,
-        "segment": segment,
-        "snapshot": None if segment is not None else snapshot,
-        "packed_bytes": packed_bytes,
-        "pickled_bytes": len(pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL)),
-        "wall_usec": (time.perf_counter() - wall_start) * 1e6,
+        "snapshot": snapshot,
     }
     envelope["spans"] = (
         [span.to_payload() for span in tracer.spans] if tracer is not None else []
@@ -682,9 +664,9 @@ class SchedulerStats:
     ``warm_hits`` / ``cold_builds`` split executed cells by whether the
     worker reused a resident device; ``restores_skipped`` counts cells
     that ran without even a restore (resident sat at the base state).
-    ``bytes_shipped`` is pickled snapshot volume sent through the pool
-    pipe; ``bytes_saved`` the volume segment-backed dispatches avoided
-    (one pickled-snapshot's worth per cell).  Mirrored into
+    ``bytes_shipped`` is snapshot volume sent through the pool pipe
+    with cells; ``bytes_saved`` the volume segment-backed dispatches
+    avoided (one packed snapshot's worth per cell).  Mirrored into
     ``core.executor.*`` counters when metrics are installed.
     """
 
@@ -694,7 +676,6 @@ class SchedulerStats:
     segments_published: int = 0
     bytes_shipped: int = 0
     bytes_saved: int = 0
-    prepared_evicted: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """The stats as a plain dict (benchmark/report serialization)."""
@@ -709,24 +690,20 @@ _SCHED_COUNTERS = {
     "segments_published": "core.executor.snapshot_segments",
     "bytes_shipped": "core.executor.snapshot_bytes_shipped",
     "bytes_saved": "core.executor.snapshot_bytes_saved",
-    "prepared_evicted": "core.executor.prepared_evicted",
 }
 
 
 @dataclass
 class _PreparedGroup:
-    """One (profile, capacity) group's enforced base state, as the
-    parent tracks it: the fingerprint always, plus whichever
-    distribution forms exist — a shared-memory ``segment`` and/or an
-    in-process ``snapshot`` (lazily fetched from the store when the
-    sequential path needs one)."""
+    """One (profile, capacity) group's enforced base state, held by the
+    parent whichever process enforced it.  Its shared-memory segment,
+    if published, is looked up in the store by ``fingerprint``;
+    ``nbytes`` is the packed snapshot size (0 until first sized)."""
 
     capacity: int
     fingerprint: str
-    snapshot: DeviceSnapshot | None = None
-    segment: str | None = None
-    packed_bytes: int = 0
-    pickled_bytes: int = 0
+    snapshot: DeviceSnapshot
+    nbytes: int = 0
 
 
 class CampaignExecutor:
@@ -744,7 +721,9 @@ class CampaignExecutor:
     dispatcher did.  Executors that shared snapshots own shared-memory
     segments — release them with :meth:`close` (or use the executor as
     a context manager); a finalizer and the resource tracker back the
-    explicit cleanup up.
+    explicit cleanup up.  The parent is the only process that creates
+    or unlinks segments, and its prepared groups are the one memo of
+    enforced states, whichever process enforced them.
 
     ``keep_traces`` makes cells keep and return their per-IO traces
     (columnar payloads); cache entries stored without traces then no
@@ -752,10 +731,6 @@ class CampaignExecutor:
     flight recorder to every cell device so the traces carry exact
     per-IO latency-attribution columns (implies ``keep_traces``; cache
     entries without attribution are likewise re-run).
-
-    ``max_states`` bounds both the executor's prepared-group memo and
-    its :class:`StatePool` to that many enforced states (LRU); evicted
-    groups re-enforce if they come back.
     """
 
     def __init__(
@@ -767,7 +742,6 @@ class CampaignExecutor:
         state_pool: StatePool | None = None,
         keep_traces: bool = False,
         attribution: bool = False,
-        max_states: int | None = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError("jobs must be >= 1")
@@ -777,13 +751,10 @@ class CampaignExecutor:
         self.enforce_seed = enforce_seed
         self.attribution = attribution
         self.keep_traces = keep_traces or attribution
-        self.max_states = max_states
         # an empty pool is falsy (StatePool defines __len__): test None
-        self._pool = (
-            state_pool if state_pool is not None else StatePool(max_states=max_states)
-        )
+        self._pool = state_pool if state_pool is not None else StatePool()
         self._store: SnapshotStore | None = None
-        self._prepared: "OrderedDict[tuple, _PreparedGroup]" = OrderedDict()
+        self._prepared: dict[tuple, _PreparedGroup] = {}
         #: what the dispatcher did, accumulated across execute() calls
         self.sched = SchedulerStats()
 
@@ -804,46 +775,10 @@ class CampaignExecutor:
             return device.capacity, state.snapshot, state.fingerprint
         return device.capacity, device.snapshot(), device.fingerprint()
 
-    def _remember_group(
-        self, group: tuple, prep: _PreparedGroup, protect: frozenset = frozenset()
-    ) -> None:
-        """Memoize a prepared group, evicting past ``max_states`` (LRU).
-
-        Groups in ``protect`` (those with cells in flight) are never
-        evicted; an evicted group's shared-memory segment is unlinked.
-        """
-        self._prepared[group] = prep
-        self._prepared.move_to_end(group)
-        if self.max_states is None:
-            return
-        while len(self._prepared) > self.max_states:
-            victim = next(
-                (g for g in self._prepared if g not in protect and g != group),
-                None,
-            )
-            if victim is None:
-                break
-            old = self._prepared.pop(victim)
-            if old.segment is not None and self._store is not None:
-                self._store.discard(old.fingerprint)
-            self.sched.prepared_evicted += 1
-
     def _prepared_group(self, cell: CampaignCell, report) -> _PreparedGroup:
-        """The cell's group with an in-process snapshot, preparing on miss.
-
-        Serves the sequential path, which restores from a parent-held
-        snapshot: a memoized segment-only group (left by a previous
-        parallel execute) fetches a copy out of the store rather than
-        re-enforcing.
-        """
+        """The cell's group's enforced state, preparing it on first use."""
         group = (cell.profile, cell.capacity)
         prep = self._prepared.get(group)
-        if prep is not None:
-            self._prepared.move_to_end(group)
-            if prep.snapshot is None and self._store is not None:
-                prep.snapshot = self._store.fetch(prep.fingerprint)
-            if prep.snapshot is None:
-                prep = None  # segment gone (store closed): re-prepare
         if prep is None:
             report(f"preparing enforced state for {cell.profile} ...")
             with obs_tracing.span("prepare", cat="executor", profile=cell.profile):
@@ -853,24 +788,24 @@ class CampaignExecutor:
             prep = _PreparedGroup(
                 capacity=capacity, fingerprint=fingerprint, snapshot=snapshot
             )
-            self._remember_group(group, prep)
+            self._prepared[group] = prep
         return prep
 
-    def _publish_group(self, prep: _PreparedGroup) -> None:
-        """Publish a parent-prepared group into the shared-memory store.
+    def _publish_group(self, prep: _PreparedGroup) -> str | None:
+        """The group's segment name, publishing its snapshot on first use.
 
-        Failure (no shared memory on this platform) is not an error —
-        the group's cells fall back to inline snapshots.
+        Failure (no shared memory on this platform) is not an error: it
+        returns None, and the group's cells fall back to inline
+        snapshots.
         """
-        if prep.segment is not None:
-            return
-        try:
-            name, nbytes = self._store.publish(prep.fingerprint, prep.snapshot)
-        except (OSError, ValueError):
-            return
-        prep.segment = name
-        prep.packed_bytes = nbytes
-        self.sched.segments_published += 1
+        name = self._store.get(prep.fingerprint)
+        if name is None:
+            try:
+                name, _ = self._store.publish(prep.fingerprint, prep.snapshot)
+            except (OSError, ValueError):
+                return None
+            self.sched.segments_published += 1
+        return name
 
     # ------------------------------------------------------------------
     # execution
@@ -1013,22 +948,21 @@ class CampaignExecutor:
         """The throughput dispatch (DESIGN.md §14).
 
         Groups cells by (profile, capacity) and, for groups without a
-        prepared state, enforces in the workers, which publish into the
-        shared-memory store.  As each group's state lands, its cells are
-        cache-checked and dispatched *contiguously*: the pool's FIFO
-        task queue then keeps consecutive same-group cells on the same
-        workers, which is what makes resident devices hit.  A single
-        wait-loop interleaves prepare completions and cell completions,
-        so early-prepared profiles execute while later ones still
-        enforce.
+        prepared state, enforces in the workers; the parent publishes
+        each landed snapshot into the shared-memory store, as it does
+        the states it prepared itself.  As each group's state lands,
+        its cells are cache-checked and dispatched *contiguously*: the
+        pool's FIFO task queue then keeps consecutive same-group cells
+        on the same workers, which is what makes resident devices hit.
+        A single wait-loop interleaves prepare completions and cell
+        completions, so early-prepared profiles execute while later
+        ones still enforce.
         """
         groups: "OrderedDict[tuple, list]" = OrderedDict()
         for index, cell in enumerate(cells):
             groups.setdefault((cell.profile, cell.capacity), []).append((index, cell))
         if self._store is None:
             self._store = SnapshotStore()
-        token = self._store.token
-        protect = frozenset(groups)
         workers = min(self.jobs, len(cells))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=_pool_context()
@@ -1038,25 +972,24 @@ class CampaignExecutor:
 
             def dispatch_group(group) -> None:
                 prep = self._prepared[group]
+                segment = self._publish_group(prep)
                 dispatched = 0
                 for index, cell in groups[group]:
                     key, entry = try_cache(cell, prep)
                     if entry is not None:
                         serve_cached(index, cell, entry)
                         continue
-                    if prep.pickled_bytes == 0 and prep.snapshot is not None:
-                        prep.pickled_bytes = len(
-                            pickle.dumps(prep.snapshot, pickle.HIGHEST_PROTOCOL)
-                        )
-                    if prep.segment is not None:
-                        self.sched.bytes_saved += prep.pickled_bytes
+                    if not prep.nbytes:
+                        prep.nbytes = pack_snapshot(prep.snapshot).nbytes
+                    if segment is not None:
+                        self.sched.bytes_saved += prep.nbytes
                     else:
-                        self.sched.bytes_shipped += prep.pickled_bytes
+                        self.sched.bytes_shipped += prep.nbytes
                     task = _CellTask(
                         cell=cell,
                         fingerprint=prep.fingerprint,
-                        segment=prep.segment,
-                        snapshot=None if prep.segment is not None else prep.snapshot,
+                        segment=segment,
+                        snapshot=None if segment is not None else prep.snapshot,
                     )
                     cell_futures[pool.submit(_execute_cell_fast, task, observe)] = (
                         index,
@@ -1071,12 +1004,7 @@ class CampaignExecutor:
                     )
 
             for group in groups:
-                prep = self._prepared.get(group)
-                if prep is not None and (
-                    prep.segment is not None or prep.snapshot is not None
-                ):
-                    self._prepared.move_to_end(group)
-                    self._publish_group(prep)
+                if group in self._prepared:
                     dispatch_group(group)
                 else:
                     report(f"preparing enforced state for {group[0]} ...")
@@ -1085,7 +1013,6 @@ class CampaignExecutor:
                         capacity=group[1],
                         enforce=self.enforce,
                         seed=self.enforce_seed,
-                        token=token,
                     )
                     prepare_futures[pool.submit(_prepare_remote, task, observe)] = group
 
@@ -1099,20 +1026,11 @@ class CampaignExecutor:
                         group = prepare_futures.pop(future)
                         envelope = future.result()
                         absorb(envelope)
-                        prep = _PreparedGroup(
+                        self._prepared[group] = _PreparedGroup(
                             capacity=envelope["capacity"],
                             fingerprint=envelope["fingerprint"],
                             snapshot=envelope["snapshot"],
-                            segment=envelope["segment"],
-                            packed_bytes=envelope["packed_bytes"],
-                            pickled_bytes=envelope["pickled_bytes"],
                         )
-                        if prep.segment is not None:
-                            self._store.adopt(
-                                prep.fingerprint, prep.segment, prep.packed_bytes
-                            )
-                            self.sched.segments_published += 1
-                        self._remember_group(group, prep, protect)
                         dispatch_group(group)
                     else:
                         index, cell, key = cell_futures.pop(future)
@@ -1133,21 +1051,15 @@ class CampaignExecutor:
 
     def close(self) -> None:
         """Release campaign resources: unlink every shared-memory
-        snapshot segment this executor published or adopted.
+        snapshot segment this executor published.
 
-        Idempotent; the executor stays usable (a later ``execute``
-        re-publishes what it needs).  Prepared groups that only existed
-        as segments are forgotten; those with in-process snapshots keep
-        them for sequential reuse.
+        Idempotent; the executor stays usable: prepared groups keep
+        their snapshots, and a later ``execute`` re-publishes what it
+        needs.
         """
         if self._store is not None:
             self._store.close()
             self._store = None
-        for group in [g for g, p in self._prepared.items() if p.snapshot is None]:
-            del self._prepared[group]
-        for prep in self._prepared.values():
-            prep.segment = None
-            prep.packed_bytes = 0
 
     def __enter__(self) -> "CampaignExecutor":
         """Context-manager support: segments are released on exit."""

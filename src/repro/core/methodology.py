@@ -16,7 +16,6 @@ reproduce (scaled for the simulated capacities).
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -161,23 +160,12 @@ class StatePool:
     capacity, method, coverage, seed); the first :meth:`ensure` for a
     key pays for the full fill, every later call restores the snapshot —
     the same reproducible state at constant cost.
-
-    ``max_states`` bounds the pool to that many memoized states
-    (least-recently-used eviction): long multi-profile or aging
-    campaigns touch many distinct states, and each holds a full device
-    snapshot.  Evicted states simply re-enforce if they come back;
-    :attr:`evictions` (mirrored as ``core.state_pool.evictions``)
-    counts how often that safety valve fired.
     """
 
-    def __init__(self, max_states: int | None = None) -> None:
-        if max_states is not None and max_states < 1:
-            raise ValueError("max_states must be >= 1 (or None for unbounded)")
-        self.max_states = max_states
-        self._states: "OrderedDict[tuple, EnforcedState]" = OrderedDict()
+    def __init__(self) -> None:
+        self._states: dict[tuple, EnforcedState] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._states)
@@ -200,7 +188,6 @@ class StatePool:
         registry = obs_metrics.current()
         if state is not None:
             self.hits += 1
-            self._states.move_to_end(key)
             if registry is not None:
                 registry.counter("core.state_pool.hits").inc()
             device.restore(state.snapshot)
@@ -231,12 +218,6 @@ class StatePool:
         if registry is not None:
             analytic.publish_stats(registry, baseline)
         self._states[key] = state
-        if self.max_states is not None:
-            while len(self._states) > self.max_states:
-                self._states.popitem(last=False)
-                self.evictions += 1
-                if registry is not None:
-                    registry.counter("core.state_pool.evictions").inc()
         return state
 
 

@@ -365,20 +365,18 @@ def _read_costs(device, lbas, sizes):
     :func:`run_program_queued`.
 
     Returns per-IO page reads, map misses, service times and page span
-    ends, plus how many leading IOs pass read-your-writes verification
-    (all of them when the controller does not verify); the IO after
-    them raises in the reference path.  The columns cover every IO, so
-    a caller that stops at the verified prefix slices them.
+    ends, plus how many leading IOs pass read-your-writes verification;
+    the IO after them raises in the reference path.  The columns cover
+    every IO, so a caller that stops at the verified prefix slices them.
     """
     s_pg, e_pg = _expand_spans(device, lbas, sizes, expand=False)
     lpage_flat, offsets = _flat_pages(s_pg, e_pg - s_pg)
     tokens, charged = _read_tokens(device, lpage_flat)
     verified = int(lbas.size)
-    if device.controller.config.verify:
-        bad = tokens != device.controller._shadow[lpage_flat]
-        if bool(bad.any()):
-            first_bad_page = int(np.argmax(bad))
-            verified = int(np.searchsorted(offsets, first_bad_page, side="right")) - 1
+    bad = tokens != device.controller._shadow[lpage_flat]
+    if bool(bad.any()):
+        first_bad_page = int(np.argmax(bad))
+        verified = int(np.searchsorted(offsets, first_bad_page, side="right")) - 1
     reads = np.add.reduceat(charged.astype(np.int64), offsets[:-1])
     miss = _map_misses(device, s_pg, e_pg)
     service = device.timing.service_usec(reads, 0, 0, 0, 0, sizes, miss)

@@ -547,10 +547,6 @@ class ChannelSet:
         """When the least-loaded channel frees."""
         return min(self._busy)
 
-    def reset(self) -> None:
-        """Clear all occupancy (fresh device / full drain)."""
-        self._busy = [0.0] * len(self._busy)
-
     def snapshot(self) -> tuple[float, ...]:
         """Opaque copy of the per-channel horizons."""
         return tuple(self._busy)

@@ -57,14 +57,10 @@ class ControllerConfig:
     ``mapping_unit`` (bytes, 0 = one page) is the granularity at which
     the FTL's map is maintained: writes are expanded to whole units.
     ``cache_bytes`` (0 = none) enables the RAM write-back cache.
-    ``verify`` keeps the read-your-writes shadow check on (cheap; only
-    benchmarks chasing raw simulator speed would disable it).
     """
 
     mapping_unit: int = 0
     cache_bytes: int = 0
-    cache_low_watermark: float = 0.75
-    verify: bool = True
 
     def __post_init__(self) -> None:
         if self.mapping_unit < 0 or self.cache_bytes < 0:
@@ -92,9 +88,7 @@ class Controller:
         self.mapping_unit = unit
         self.cache: WriteBackCache | None = None
         if self.config.cache_bytes:
-            self.cache = WriteBackCache(
-                geometry, self.config.cache_bytes, self.config.cache_low_watermark
-            )
+            self.cache = WriteBackCache(geometry, self.config.cache_bytes)
         self._shadow = np.full(geometry.logical_pages, ERASED, dtype=np.int64)
         self._next_token = 1
         self._last_end_page: int | None = None
@@ -157,19 +151,18 @@ class Controller:
         ):
             lpages = np.arange(span.start, span.stop, dtype=np.int64)
             tokens = self.ftl.read_pages(lpages, cost, ascending=True)
-            if self.config.verify:
-                expected = self._shadow[span.start : span.stop]
-                if not np.array_equal(tokens, expected):
-                    bad = int(np.flatnonzero(tokens != expected)[0])
-                    raise FTLError(
-                        f"read-your-writes violation at logical page {span.start + bad}: "
-                        f"device returned token {int(tokens[bad])}, "
-                        f"expected {int(expected[bad])}"
-                    )
+            expected = self._shadow[span.start : span.stop]
+            if not np.array_equal(tokens, expected):
+                bad = int(np.flatnonzero(tokens != expected)[0])
+                raise FTLError(
+                    f"read-your-writes violation at logical page {span.start + bad}: "
+                    f"device returned token {int(tokens[bad])}, "
+                    f"expected {int(expected[bad])}"
+                )
         else:
             for lpage in span:
                 token = self._read_page_token(lpage, cost)
-                if self.config.verify and token != int(self._shadow[lpage]):
+                if token != int(self._shadow[lpage]):
                     raise FTLError(
                         f"read-your-writes violation at logical page {lpage}: "
                         f"device returned token {token}, expected {int(self._shadow[lpage])}"

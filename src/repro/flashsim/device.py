@@ -221,15 +221,6 @@ class CommandQueue:
             )
         )
 
-    def reset(self) -> None:
-        """Forget all queue state (fresh device)."""
-        self.timeline = EventTimeline()
-        self._last_event = 0.0
-        self._depth_time = 0.0
-        self._active_time = 0.0
-        self._at_depth = {}
-        self._submitted = 0
-
     def snapshot(self) -> tuple:
         """Deep, picklable copy of the queue state."""
         return (
@@ -676,20 +667,14 @@ class FlashDevice:
         self._busy_until = state.busy_until
         self._bg_credit = state.bg_credit
         self._noise_rng.setstate(state.noise_state)
-        if state.channel_busy:
-            if len(state.channel_busy) != len(self._channels):
-                raise SnapshotError(
-                    f"snapshot carries {len(state.channel_busy)} channel "
-                    f"horizons but this device has {len(self._channels)} "
-                    "channels"
-                )
-            self._channels.restore(state.channel_busy)
-        else:  # pre-queue snapshot: all channel state folded in busy_until
-            self._channels.reset()
-        if state.queue is not None:
-            self._queue.restore(state.queue)
-        else:
-            self._queue.reset()
+        if len(state.channel_busy) != len(self._channels):
+            raise SnapshotError(
+                f"snapshot carries {len(state.channel_busy)} channel "
+                f"horizons but this device has {len(self._channels)} "
+                "channels"
+            )
+        self._channels.restore(state.channel_busy)
+        self._queue.restore(state.queue)
 
     def fingerprint(self) -> str:
         """Content hash of the current device state.

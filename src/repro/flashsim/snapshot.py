@@ -81,11 +81,10 @@ class DeviceSnapshot:
     busy_until: float
     bg_credit: float
     noise_state: tuple
-    #: per-channel busy horizons (empty = pre-queue snapshot, channels
-    #: reset on restore) and the command-queue state (timeline plus
-    #: occupancy counters; ``None`` = pre-queue snapshot, queue reset)
-    channel_busy: tuple = ()
-    queue: tuple | None = None
+    #: per-channel busy horizons (one per channel) and the command-queue
+    #: state (timeline plus occupancy counters)
+    channel_busy: tuple
+    queue: tuple
 
 
 # ----------------------------------------------------------------------
@@ -168,42 +167,6 @@ _MAGIC = b"UFSNAP01"
 _HEAD = struct.Struct("<QI")  # meta length, buffer count
 
 
-def _tracked_name(name: str) -> str:
-    """The name the resource tracker knows a POSIX segment by."""
-    return name if name.startswith("/") else "/" + name
-
-
-def _untrack(name: str) -> None:
-    """Drop this process's resource-tracker claim on a segment.
-
-    Attaching registers the segment with the process's resource tracker
-    (Python <= 3.12); a worker that merely *uses* a parent-owned segment
-    must release that claim, or a spawn-started worker's tracker would
-    unlink the segment when the worker exits.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.unregister(_tracked_name(name), "shared_memory")
-    except Exception:  # tracker gone / never registered: nothing to drop
-        pass
-
-
-def _track(name: str) -> None:
-    """Claim a segment with this process's resource tracker.
-
-    The owner of record holds exactly one claim: if the owning process
-    is killed outright, its tracker unlinks the segment — the leak
-    backstop behind the executor's explicit cleanup.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.register(_tracked_name(name), "shared_memory")
-    except Exception:  # pragma: no cover - tracker unavailable
-        pass
-
-
 def segment_bytes(packed: PackedSnapshot) -> int:
     """Size in bytes of the shared-memory segment ``packed`` needs."""
     header = len(_MAGIC) + _HEAD.size + 8 * len(packed.buffers)
@@ -274,13 +237,14 @@ def attach_segment(name: str):
 
     Worker-process entry point: the returned snapshot's arrays are
     read-only views into the mapping, and the handle must be kept alive
-    alongside it.  The attach drops its resource-tracker claim — the
-    publishing executor owns the segment's lifetime, not the attacher.
+    alongside it.  Attaching leaves the resource tracker alone: pool
+    workers share their parent's tracker, which already holds the
+    publishing store's one claim on the segment (see
+    :class:`SnapshotStore`).
     """
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=name)
-    _untrack(name)
     try:
         return shm, read_segment(shm)
     except Exception:
@@ -322,29 +286,32 @@ class SnapshotStore:
     ``token`` — so concurrent campaigns never collide, and one campaign
     publishing the same state twice reuses the first segment.
 
-    The store guarantees cleanup: every published **or adopted** segment
-    is unlinked by :meth:`close`, and a ``weakref`` finalizer (backed by
-    the interpreter's ``atexit`` machinery) unlinks whatever is left if
-    the owner forgets — including when worker processes crashed
-    mid-campaign.  A hard-killed owner is covered by the
-    ``multiprocessing`` resource tracker, with which the store keeps one
-    claim per segment.
+    The store's process is the only one that creates or unlinks its
+    segments; other processes only attach.  Cleanup is guaranteed:
+    every published segment is unlinked by :meth:`close`, and a
+    ``weakref`` finalizer (backed by the interpreter's ``atexit``
+    machinery) unlinks whatever is left if the owner forgets —
+    including when worker processes crashed mid-campaign.  A hard-killed
+    owner is covered by the ``multiprocessing`` resource tracker: the
+    create registers the segment's one claim, the unlink drops it, and
+    attaching workers share the owner's tracker, so they can at most
+    re-register that claim (a no-op), never drop it.
     """
 
     def __init__(self, token: str | None = None) -> None:
         self.token = token or secrets.token_hex(4)
-        #: name -> SharedMemory handle (None for adopted segments, whose
-        #: creating worker holds the only mapping)
-        self._segments: dict[str, object | None] = {}
+        #: name -> SharedMemory handle of every published segment
+        self._segments: dict[str, object] = {}
         self._by_fingerprint: dict[str, str] = {}
         #: bytes of packed snapshot payload currently published
         self.packed_bytes = 0
         self._names: list[str] = []  # shared with the finalizer
         self._finalizer = weakref.finalize(self, _unlink_segments, self._names)
-        # start the resource tracker *now*, in the store's owner: workers
-        # forked later share it, so their registrations collapse into one
-        # tracker instead of per-worker trackers that would unlink
-        # still-live segments when a worker exits
+        # start the resource tracker *now*, in the store's owner: pool
+        # workers started later share it (fork inherits its pipe, spawn
+        # is handed it), so an attach re-registers the owner's claim —
+        # a no-op, the tracker keeps a set — instead of starting a
+        # per-worker tracker that would unlink live segments on exit
         from multiprocessing import resource_tracker
 
         try:
@@ -397,62 +364,6 @@ class SnapshotStore:
         self.packed_bytes += packed.nbytes
         return name, packed.nbytes
 
-    def adopt(self, fingerprint: str, name: str, nbytes: int = 0) -> None:
-        """Take ownership of a segment a worker process published.
-
-        The worker dropped its resource-tracker claim when it created
-        the segment; adoption claims it here, so the store's owner both
-        unlinks it on :meth:`close` and backstops a hard kill.
-        """
-        if name in self._segments:
-            return
-        _track(name)
-        self._segments[name] = None
-        self._by_fingerprint[fingerprint] = name
-        self._names.append(name)
-        self.packed_bytes += nbytes
-
-    def fetch(self, fingerprint: str) -> DeviceSnapshot | None:
-        """An independent (fully copied) snapshot of a stored state.
-
-        Attaches to the fingerprint's segment, deep-copies the snapshot
-        out of the shared views and detaches — for consumers that need
-        the snapshot to outlive the store (e.g. adopting a
-        worker-enforced state into a parent-side pool).  Returns None
-        when the fingerprint is not stored.
-        """
-        from multiprocessing import shared_memory
-
-        name = self._by_fingerprint.get(fingerprint)
-        if name is None:
-            return None
-        handle = self._segments.get(name)
-        shm = handle
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=name)
-            _untrack(name)
-        try:
-            shared = read_segment(shm)
-            clone = pickle.loads(pickle.dumps(shared, protocol=5))
-            del shared
-            return clone
-        finally:
-            if handle is None:  # only close handles opened here
-                try:
-                    shm.close()
-                except BufferError:  # pragma: no cover - views still live
-                    pass
-
-    def discard(self, fingerprint: str) -> None:
-        """Unlink one fingerprint's segment (store-bound memory caps)."""
-        name = self._by_fingerprint.pop(fingerprint, None)
-        if name is None:
-            return
-        self._segments.pop(name, None)
-        if name in self._names:
-            self._names.remove(name)
-        _unlink_segments([name])
-
     def close(self) -> None:
         """Unlink every segment; idempotent, also runs at interpreter exit."""
         self._segments.clear()
@@ -470,48 +381,12 @@ class SnapshotStore:
         self.close()
 
 
-def publish_from_worker(token: str, fingerprint: str, snapshot: DeviceSnapshot):
-    """Publish a snapshot from a worker process into its parent's store.
-
-    Creates (or, racing another worker on the same content, reuses) the
-    store-deterministic segment for ``fingerprint`` and immediately
-    drops the worker's resource-tracker claim — the parent adopts the
-    segment when the prepare result arrives.  Returns
-    ``(shm, snapshot, name, packed_bytes)``; the worker must keep the
-    handle alive while any of its restores use the snapshot.  Raises
-    ``OSError`` where shared memory is unavailable.
-    """
-    from multiprocessing import shared_memory
-
-    name = f"ufsnp-{token}-{fingerprint[:16]}"
-    packed = pack_snapshot(snapshot)
-    try:
-        shm = shared_memory.SharedMemory(
-            name=name, create=True, size=max(segment_bytes(packed), 1)
-        )
-    except FileExistsError:
-        # same content published by a sibling worker: reuse it (the
-        # worker's own snapshot object serves for local restores)
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(name)
-        return shm, snapshot, name, packed.nbytes
-    _untrack(name)
-    try:
-        write_segment(shm, packed)
-    except Exception:
-        shm.unlink()
-        shm.close()
-        raise
-    return shm, snapshot, name, packed.nbytes
-
-
 __all__ = [
     "DeviceSnapshot",
     "PackedSnapshot",
     "SnapshotStore",
     "attach_segment",
     "pack_snapshot",
-    "publish_from_worker",
     "read_segment",
     "segment_bytes",
     "unpack_snapshot",

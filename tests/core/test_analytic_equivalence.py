@@ -402,7 +402,6 @@ def test_read_window_truncates_before_verification_failure():
     """The read window ends exactly before the IO whose read-your-writes
     verification would raise; the reference path raises on replay."""
     device = build_device("ideal_pagemap", logical_bytes=4 * MIB)
-    assert device.controller.config.verify
     page = device.geometry.page_size
     now = device.busy_until
     for i in range(4):

@@ -66,8 +66,7 @@ def test_jobs4_warm_dispatch_bit_identical_to_sequential():
         assert warm.sched.bytes_saved > 0
         # worker-side enforcement produced the same base states the
         # parent side did (fingerprints key the run cache, so this is
-        # what makes cache entries portable across dispatch modes);
-        # captured before close() forgets segment-only groups
+        # what makes cache entries portable across dispatch modes)
         assert group_fingerprints(warm) == group_fingerprints(sequential)
     finally:
         warm.close()
@@ -128,4 +127,28 @@ def test_warm_dispatch_identical_with_cache_round_trip(tmp_path):
     served = sequential.execute(cells)
     assert all(o.cached for o in served)
     for a, b in zip(cold, served):
+        assert a.payload == b.payload
+
+
+def test_inline_snapshots_when_shared_memory_is_unavailable(monkeypatch):
+    # where no segment can be created, the parent ships each group's
+    # snapshot with its cells instead; results stay bit-identical
+    from repro.flashsim.snapshot import SnapshotStore
+
+    def no_shared_memory(self, fingerprint, snapshot):
+        raise OSError("no shared memory")
+
+    monkeypatch.setattr(SnapshotStore, "publish", no_shared_memory)
+    cells = campaign_cells()
+    base = CampaignExecutor(jobs=1).execute(cells)
+    warm = CampaignExecutor(jobs=4)
+    try:
+        fast = warm.execute(cells)
+        assert warm.sched.segments_published == 0
+        assert warm.sched.bytes_shipped > 0
+        assert warm.sched.bytes_saved == 0
+        assert warm._store.segment_names() == ()
+    finally:
+        warm.close()
+    for a, b in zip(base, fast):
         assert a.payload == b.payload

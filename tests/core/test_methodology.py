@@ -122,15 +122,8 @@ def test_spec_with_run_control():
 
 
 # ----------------------------------------------------------------------
-# StatePool bounds (LRU)
+# StatePool memo
 # ----------------------------------------------------------------------
-
-def test_state_pool_rejects_nonpositive_cap():
-    from repro.core.methodology import StatePool
-
-    with pytest.raises(ValueError):
-        StatePool(max_states=0)
-
 
 def test_state_pool_unbounded_by_default():
     from repro.core.methodology import StatePool
@@ -140,46 +133,33 @@ def test_state_pool_unbounded_by_default():
     for seed in range(4):
         pool.ensure(device, coverage=0.25, seed=seed)
     assert len(pool) == 4
-    assert pool.evictions == 0
 
 
-def test_state_pool_lru_cap_evicts_oldest_and_counts():
+def test_state_pool_counts_hits_and_misses():
     from repro.core.methodology import StatePool
     from repro.obs import metrics as obs_metrics
 
     registry = obs_metrics.install()
     try:
-        pool = StatePool(max_states=2)
+        pool = StatePool()
         device = make_device()
         first = pool.ensure(device, coverage=0.25, seed=1)
         pool.ensure(device, coverage=0.25, seed=2)
-        # touching seed=1 makes seed=2 the LRU victim
         assert pool.ensure(device, coverage=0.25, seed=1) is first
-        pool.ensure(device, coverage=0.25, seed=3)
-        assert len(pool) == 2
-        assert pool.evictions == 1
-        snapshot = registry.snapshot()
-        assert snapshot.counters["core.state_pool.evictions"] == 1
-        # seed=1 survived (hit), seed=2 was evicted (re-enforces: miss)
-        hits_before = pool.hits
-        pool.ensure(device, coverage=0.25, seed=1)
-        assert pool.hits == hits_before + 1
-        misses_before = pool.misses
-        pool.ensure(device, coverage=0.25, seed=2)
-        assert pool.misses == misses_before + 1
+        assert (pool.hits, pool.misses) == (1, 2)
+        counters = registry.snapshot().counters
+        assert counters["core.state_pool.hits"] == 1
+        assert counters["core.state_pool.misses"] == 2
     finally:
         obs_metrics.uninstall()
 
 
-def test_state_pool_evicted_state_reenforces_identically():
+def test_state_pool_reenforced_state_has_the_same_fingerprint():
     # enforcement starts from an out-of-box device each time (as the
-    # executor's prepare() does), so an evicted state grows back with
-    # the same fingerprint
+    # executor's prepare() does), so a state enforced again by a fresh
+    # pool grows back with the same fingerprint
     from repro.core.methodology import StatePool
 
-    pool = StatePool(max_states=1)
-    first = pool.ensure(make_device(), coverage=0.25, seed=7)
-    fingerprint = first.fingerprint
-    pool.ensure(make_device(), coverage=0.25, seed=8)  # evicts seed=7
-    again = pool.ensure(make_device(), coverage=0.25, seed=7)
-    assert again.fingerprint == fingerprint
+    first = StatePool().ensure(make_device(), coverage=0.25, seed=7)
+    again = StatePool().ensure(make_device(), coverage=0.25, seed=7)
+    assert again.fingerprint == first.fingerprint

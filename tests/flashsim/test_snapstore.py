@@ -13,9 +13,15 @@ import gc
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.methodology import enforce_random_state
 from repro.flashsim.bitmap import PackedBits, pack_bits
 from repro.flashsim.profiles import build_device
@@ -94,7 +100,7 @@ def test_packed_bits_in_band_protocols_still_work():
 
 
 # ----------------------------------------------------------------------
-# store: publish / attach / fetch
+# store: publish / attach
 # ----------------------------------------------------------------------
 
 def test_store_publish_attach_restore_in_process():
@@ -129,21 +135,6 @@ def test_store_publish_is_content_addressed():
         assert again == name
         assert second == 0  # reused, not re-packed
         assert len(store) == 1
-    finally:
-        store.close()
-
-
-def test_store_fetch_returns_independent_copy():
-    device = enforced_device()
-    store = SnapshotStore()
-    try:
-        store.publish(device.fingerprint(), device.snapshot())
-        clone = store.fetch(device.fingerprint())
-        store.close()  # segment gone; the fetched copy must survive
-        other = build_device(PROFILE, logical_bytes=CAPACITY)
-        other.restore(clone)
-        assert other.fingerprint() == device.fingerprint()
-        assert store.fetch(device.fingerprint()) is None
     finally:
         store.close()
 
@@ -194,18 +185,6 @@ def test_store_close_unlinks_every_segment():
     store.close()  # idempotent
 
 
-def test_store_discard_unlinks_one_segment():
-    store = SnapshotStore()
-    try:
-        device = enforced_device()
-        name, _ = store.publish(device.fingerprint(), device.snapshot())
-        store.discard(device.fingerprint())
-        assert not segment_exists(name)
-        assert store.get(device.fingerprint()) is None
-    finally:
-        store.close()
-
-
 def test_store_finalizer_unlinks_on_garbage_collection():
     store = SnapshotStore()
     device = enforced_device()
@@ -214,6 +193,68 @@ def test_store_finalizer_unlinks_on_garbage_collection():
     del store
     gc.collect()
     assert not segment_exists(name)
+
+
+#: owner process for the kill test: publishes one segment, lets two
+#: forked workers attach it one after the other, prints its name and
+#: SIGKILLs itself, so only the resource tracker can still unlink it
+_KILLED_OWNER = """
+import multiprocessing, os, signal, sys
+from repro.flashsim.profiles import build_device
+from repro.flashsim.snapshot import SnapshotStore, attach_segment
+
+device = build_device(sys.argv[1], logical_bytes=int(sys.argv[2]))
+store = SnapshotStore()
+name, _ = store.publish(device.fingerprint(), device.snapshot())
+ctx = multiprocessing.get_context("fork")
+for _ in range(2):
+    worker = ctx.Process(target=attach_segment, args=(name,))
+    worker.start()
+    worker.join(60)
+    if worker.exitcode != 0:
+        sys.exit(3)
+print(name, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_killed_owner_leaves_no_segment_after_workers_attached(tmp_path):
+    # workers share the owner's resource tracker, which keeps one claim
+    # per name (a set, not a count): an attach that dropped a claim
+    # would leave a hard-killed owner's segment in /dev/shm for good
+    from multiprocessing import shared_memory
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the owner forks its workers")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    with open(tmp_path / "owner.err", "w") as err:
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_OWNER, PROFILE, str(CAPACITY)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=err,
+            text=True,
+        )
+        # the tracker inherits stdout, so read the one line, not to EOF
+        name = owner.stdout.readline().strip()
+        owner.wait(timeout=120)
+        owner.stdout.close()
+    assert owner.returncode == -signal.SIGKILL, (tmp_path / "owner.err").read_text()
+    assert name.startswith("ufsnp-")
+    try:
+        deadline = time.monotonic() + 10
+        while segment_exists(name) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not segment_exists(name)
+    finally:
+        if segment_exists(name):  # leaked: do not leave it behind
+            leaked = shared_memory.SharedMemory(name=name)
+            leaked.unlink()
+            leaked.close()
 
 
 def test_executor_close_unlinks_segments_after_normal_campaign():
@@ -238,9 +279,9 @@ def _crash_worker(task, observe):
 
 
 def test_executor_close_unlinks_segments_after_worker_crash(monkeypatch):
-    # a dying worker must not leak its published segments: the parent
-    # adopted them when the prepare envelope landed, so close() (or the
-    # finalizer / resource tracker behind it) still unlinks everything
+    # a dying worker must not leak segments: the parent published them
+    # when the prepare envelopes landed, so close() (or the finalizer /
+    # resource tracker behind it) still unlinks everything
     from concurrent.futures.process import BrokenProcessPool
 
     import repro.core.executor as executor_mod

@@ -10,6 +10,7 @@ paragraph of its docstring.  Run after API changes:
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -85,7 +86,8 @@ def render_tools() -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     parts = [
         "# API reference",
         "",
