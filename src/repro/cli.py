@@ -355,9 +355,9 @@ def _run_campaign(args: argparse.Namespace) -> int:
     all_outcomes = []
     try:
         # One cell list across every profile, executed in a single pass:
-        # with jobs > 1 the executor then enforces independent profiles
-        # concurrently while early-prepared profiles already run cells,
-        # instead of serializing the campaign profile by profile.
+        # with jobs > 1 the executor then enforces each next profile
+        # while the earlier profiles' cells run in the pool, instead of
+        # serializing the campaign profile by profile.
         cells = []
         for profile in profiles:
             cells.extend(

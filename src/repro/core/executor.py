@@ -13,7 +13,7 @@ measurements — which buys two things:
   sequentially (``jobs == 1`` uses the identical per-cell code path,
   inline);
 * **memoization** — a :class:`RunCache` stores finished cells on disk
-  keyed by (profile, state fingerprint, spec); a repeated campaign
+  keyed by (cell, state fingerprint, spec, model); a repeated campaign
   re-runs zero already-measured cells.
 
 Cells are described by picklable primitives only: experiments hold
@@ -25,34 +25,31 @@ as the archive's JSON payloads, which round-trip floats exactly.
 Campaign throughput (see DESIGN.md §14)
 ---------------------------------------
 
-uFLIP makes device state the dominant campaign cost, and a naive
-parallel dispatch re-pays it constantly: the parent enforces state
-serially before any cell runs, every submitted cell ships a full
-pickled snapshot through the pool pipe, and every worker rebuilds a
-device from scratch and restores cold.  The parallel dispatch
-(``jobs > 1``) removes that serial tax with three mechanisms while
-keeping results bit-identical to ``jobs=1``:
+One dispatch loop serves both modes.  It walks the cells' (profile,
+capacity) groups in input order; for each group the parent prepares
+the enforced state (through its :class:`StatePool`, the only enforcer),
+resolves the group's cache keys and serves the hits, and only then
+runs the misses — inline when ``jobs == 1`` or the campaign has one
+cell, otherwise on a process pool created on the first dispatched miss.
+A group's misses are submitted before the next group is prepared, so
+enforcement overlaps the cells already in the pool.  Two mechanisms
+keep the pooled handoff cheap:
 
-* **zero-copy snapshot distribution** — enforced snapshots are packed
-  once into a content-addressed shared-memory
+* **zero-copy snapshot distribution** — a group with misses has its
+  enforced snapshot packed once into a content-addressed shared-memory
   :class:`~repro.flashsim.snapshot.SnapshotStore` keyed by the state
   fingerprint; cells carry a segment *name* instead of a snapshot, and
   workers attach and restore from read-only views (per-cell snapshot
   bytes through the pipe drop to ~0);
 * **warm-worker scheduling** — each worker keeps a small LRU of
-  resident built devices per ``(profile, capacity)`` plus the base
-  fingerprint the resident is known to sit at; the executor dispatches
-  a group's cells contiguously so consecutive cells on a worker reuse
-  the resident (no rebuild), and a worker whose resident still sits at
-  the cell's base state skips the restore outright;
-* **pipelined state preparation** — enforcement itself moves into the
-  workers: independent profiles enforce concurrently while cells of
-  already-prepared profiles execute; each enforced snapshot comes home
-  once and the parent publishes it into the snapshot store.
+  resident built devices per ``(profile, capacity)``; a group's cells
+  are submitted contiguously, so consecutive cells on a worker reuse
+  the resident instead of rebuilding it.
 
-Scheduling effects are visible in :attr:`CampaignExecutor.sched`
+A fully cached campaign therefore starts no pool and publishes no
+segment.  Scheduling effects are visible in :attr:`CampaignExecutor.sched`
 (a :class:`SchedulerStats`) and, when metrics are installed, as
-``core.executor.warm_hits`` / ``cold_builds`` / ``restores_skipped`` /
+``core.executor.warm_hits`` / ``cold_builds`` / ``snapshot_segments`` /
 ``snapshot_bytes_shipped`` / ``snapshot_bytes_saved`` counters.
 ``tools/bench_campaign.py`` measures the end-to-end effect against the
 sequential ``jobs=1`` reference.
@@ -61,16 +58,14 @@ sequential ``jobs=1`` reference.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -82,7 +77,7 @@ from repro.core.archive import (
     result_to_payload,
 )
 from repro.core.experiment import Experiment, ExperimentResult, run_experiment
-from repro.core.methodology import StatePool, enforce_random_state
+from repro.core.methodology import StatePool
 from repro.core.microbench import BenchContext, build_microbenchmark
 from repro.core.plan import TargetAllocator
 from repro.errors import ExperimentError, PlanError
@@ -98,8 +93,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.obs.metrics import MetricsSnapshot, diff_counts
 from repro.units import SEC
-
-CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -123,10 +116,6 @@ class Observe:
     tracing: bool = False
     traces: bool = False
     attribution: bool = False
-
-
-#: the default: no observability channels recorded
-OBSERVE_NOTHING = Observe()
 
 
 # ----------------------------------------------------------------------
@@ -232,24 +221,19 @@ def _run_cell_body(
     attribution: bool = False,
     *,
     device=None,
-    skip_restore: bool = False,
 ) -> dict:
     """Execute one cell; returns an envelope of payload + observability.
 
-    The single per-cell code path: the sequential executor calls it
-    inline (under the parent's installed tracer/registry, if any),
-    worker processes call it via :func:`_execute_cell_fast` under their
-    own.  Determinism makes all executions bit-identical.
+    The single per-cell code path: the executor calls it inline (under
+    the parent's installed tracer/registry, if any), worker processes
+    call it via :func:`_execute_cell_fast` under their own.
+    Determinism makes all executions bit-identical.
 
     ``device`` lets a warm worker pass its resident built device instead
-    of paying a rebuild; ``skip_restore`` additionally skips the initial
-    snapshot restore when the caller *knows* the device already sits
-    exactly at the snapshot state (enforce just ran, or the previous
-    dispatch restored and did not run).  The snapshot must still be
-    supplied — the allocator-overflow guard restores from it.  Any
-    attached flight recorder is detached up front (device restores do
-    not clear recorders), so a recycled device records if and only if
-    this cell asks for attribution.
+    of paying a rebuild; it is restored from ``snapshot`` like a fresh
+    one.  Any attached flight recorder is detached up front (device
+    restores do not clear recorders), so a recycled device records if
+    and only if this cell asks for attribution.
 
     The envelope maps ``payload`` (the measurements, with columnar
     per-IO traces included when ``keep_traces``), ``metrics`` (the
@@ -266,8 +250,7 @@ def _run_cell_body(
     ):
         if device is None:
             device = build_device(cell.profile, logical_bytes=cell.capacity)
-        if not skip_restore:
-            device.restore(snapshot)
+        device.restore(snapshot)
         device.detach_recorder()
         if attribution:
             from repro.flashsim.recorder import FlightRecorder
@@ -309,15 +292,6 @@ def _run_cell_body(
     return envelope
 
 
-def run_cell(cell: CampaignCell, snapshot: DeviceSnapshot) -> dict:
-    """Execute one cell from a restored snapshot; returns the payload.
-
-    Compatibility front over :func:`_run_cell_body` for callers that
-    only want the measurements.
-    """
-    return _run_cell_body(cell, snapshot)["payload"]
-
-
 # ----------------------------------------------------------------------
 # warm workers: resident devices + shared-memory snapshot views
 # ----------------------------------------------------------------------
@@ -329,37 +303,16 @@ class _CellTask:
     Exactly one of ``segment`` (a shared-memory name the worker attaches
     and restores from, zero bytes through the pipe) and ``snapshot``
     (a full pickled snapshot, the fallback when shared memory is
-    unavailable) is set.  ``fingerprint`` identifies the base state, so
-    a warm worker whose resident device already sits there can skip the
-    restore.
+    unavailable) is set.
     """
 
     cell: CampaignCell
-    fingerprint: str
     segment: str | None = None
     snapshot: DeviceSnapshot | None = None
 
 
-@dataclass(frozen=True)
-class _PrepareTask:
-    """One profile's state enforcement, moved into a worker process.
-
-    The envelope carries the enforced snapshot home for the parent to
-    publish.  The freshly enforced device becomes the worker's resident
-    for the group — sitting exactly at the published state, so the
-    first cell dispatched to this worker skips its restore.
-    """
-
-    profile: str
-    capacity: int | None
-    enforce: bool
-    seed: int
-
-
 #: resident built devices per (profile, capacity), newest last
 _WORKER_RESIDENT: "OrderedDict[tuple, object]" = OrderedDict()
-#: base fingerprint each resident is known to sit at (None = dirty)
-_WORKER_AT: dict = {}
 #: shared-memory segments this worker has attached: name -> (shm, snapshot)
 _WORKER_ATTACHED: dict = {}
 #: residents kept per worker; devices beyond this are rebuilt on demand
@@ -379,18 +332,10 @@ def _worker_device(cell: CampaignCell):
         _WORKER_RESIDENT.move_to_end(key)
         return device, True
     device = build_device(cell.profile, logical_bytes=cell.capacity)
-    _install_resident(key, device, None)
-    return device, False
-
-
-def _install_resident(key: tuple, device, fingerprint: str | None) -> None:
-    """Insert/refresh one resident device, evicting past the LRU cap."""
     _WORKER_RESIDENT[key] = device
-    _WORKER_RESIDENT.move_to_end(key)
-    _WORKER_AT[key] = fingerprint
     while len(_WORKER_RESIDENT) > _RESIDENT_CAP:
-        evicted, _ = _WORKER_RESIDENT.popitem(last=False)
-        _WORKER_AT.pop(evicted, None)
+        _WORKER_RESIDENT.popitem(last=False)
+    return device, False
 
 
 def _task_snapshot(task: _CellTask) -> DeviceSnapshot:
@@ -426,70 +371,26 @@ def _execute_cell_fast(task: _CellTask, observe: Observe) -> dict:
     :class:`MetricsSnapshot`) for the parent to absorb.
 
     The device comes from the worker's resident LRU (rebuilt only on a
-    cold miss), the snapshot from the shared-memory store (zero-copy
-    views), and the restore is skipped when the resident is known to
-    sit at the cell's base fingerprint (i.e. enforcement just ran
-    here).  Running a cell dirties the resident, so the skip is claimed
-    at most once per enforcement.  The envelope's ``sched`` entry
-    reports what happened.
+    cold miss) and the snapshot from the shared-memory store (zero-copy
+    views).  The envelope's ``warm`` entry reports whether the resident
+    was reused.
     """
     tracer = obs_tracing.Tracer() if observe.tracing else None
     registry = obs_metrics.MetricsRegistry() if observe.metrics else None
     with obs_tracing.installed(tracer), obs_metrics.installed(registry):
-        key = (task.cell.profile, task.cell.capacity)
         device, warm = _worker_device(task.cell)
-        skip = warm and _WORKER_AT.get(key) == task.fingerprint
-        _WORKER_AT[key] = None  # the run below dirties the device
-        snapshot = _task_snapshot(task)
         envelope = _run_cell_body(
             task.cell,
-            snapshot,
+            _task_snapshot(task),
             keep_traces=observe.traces,
             attribution=observe.attribution,
             device=device,
-            skip_restore=skip,
         )
     envelope["spans"] = (
         [span.to_payload() for span in tracer.spans] if tracer is not None else []
     )
     envelope["registry"] = registry.snapshot() if registry is not None else None
-    envelope["sched"] = {"warm": warm, "skipped_restore": skip}
-    return envelope
-
-
-def _prepare_remote(task: _PrepareTask, observe: Observe) -> dict:
-    """Worker-process entry point for one profile's state enforcement.
-
-    Builds the device, enforces the random state and installs the
-    device — sitting exactly at the enforced state — as this worker's
-    resident.  The envelope carries the snapshot home once; the parent
-    publishes it into its shared-memory store, and this worker's cells
-    attach that segment like every other worker's.
-    """
-    tracer = obs_tracing.Tracer() if observe.tracing else None
-    registry = obs_metrics.MetricsRegistry() if observe.metrics else None
-    with obs_tracing.installed(tracer), obs_metrics.installed(registry):
-        analytic_baseline = (
-            analytic.STATS.counters() if registry is not None else None
-        )
-        with obs_tracing.span("prepare", cat="executor", profile=task.profile):
-            device = build_device(task.profile, logical_bytes=task.capacity)
-            if task.enforce:
-                enforce_random_state(device, seed=task.seed)
-            snapshot = device.snapshot()
-            fingerprint = device.fingerprint()
-        if registry is not None:
-            analytic.publish_stats(registry, analytic_baseline)
-        _install_resident((task.profile, task.capacity), device, fingerprint)
-    envelope = {
-        "capacity": device.capacity,
-        "fingerprint": fingerprint,
-        "snapshot": snapshot,
-    }
-    envelope["spans"] = (
-        [span.to_payload() for span in tracer.spans] if tracer is not None else []
-    )
-    envelope["registry"] = registry.snapshot() if registry is not None else None
+    envelope["warm"] = warm
     return envelope
 
 
@@ -497,14 +398,39 @@ def _prepare_remote(task: _PrepareTask, observe: Observe) -> dict:
 # run cache
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the ``repro`` package's Python sources (once per
+    process): any simulator code change is a different model."""
+    root = Path(__file__).resolve().parent.parent
+    hasher = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        hasher.update(path.relative_to(root).as_posix().encode())
+        hasher.update(path.read_bytes())
+    return hasher.hexdigest()
+
+
+def model_digest(profile: str) -> str:
+    """What one profile's simulated device *is*: its parameters (the
+    frozen :class:`~repro.flashsim.profiles.DeviceProfile` repr) and the
+    simulator code.  Part of every run-cache key, so a calibration or
+    code change that leaves the enforced state alone still misses."""
+    hasher = hashlib.sha256(_source_digest().encode())
+    hasher.update(repr(get_profile(profile)).encode())
+    return hasher.hexdigest()
+
+
 class RunCache:
     """On-disk memo of executed cells.
 
     Keys combine the cell description, the *spec digest* (the reprs of
     the actual pattern specs the experiment will run — so a code change
-    that alters patterns invalidates entries) and the device-state
-    fingerprint.  Entries are JSON files; floats round-trip exactly, so
-    a cache hit returns the same numbers the run produced.
+    that alters patterns invalidates entries), the device-state
+    fingerprint and the *model digest* (:func:`model_digest`: profile
+    parameters plus simulator sources).  Entries are JSON files; floats
+    round-trip exactly, so a cache hit returns the same numbers the run
+    produced.  An entry that does not parse, or carries no payload,
+    misses.
 
     Besides the global ``hits`` / ``misses`` / ``bytes_saved`` accounts
     the cache keeps a per-profile breakdown in :attr:`profiles` (hits,
@@ -532,14 +458,16 @@ class RunCache:
         )
 
     @staticmethod
-    def key(cell: CampaignCell, fingerprint: str, spec_digest: str) -> str:
-        """Cache key of one cell under one device state."""
+    def key(
+        cell: CampaignCell, fingerprint: str, spec_digest: str, model: str
+    ) -> str:
+        """Cache key of one cell under one device state and model."""
         blob = json.dumps(
             {
-                "version": CACHE_VERSION,
                 "cell": dataclasses.asdict(cell),
                 "fingerprint": fingerprint,
                 "specs": spec_digest,
+                "model": model,
             },
             sort_keys=True,
         )
@@ -586,18 +514,16 @@ class RunCache:
         path = self._path(key)
         try:
             entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             self._miss(cell)
             return None
-        if entry.get("version") != CACHE_VERSION:
+        if not isinstance(entry, dict) or not isinstance(entry.get("payload"), dict):
             self._miss(cell)
             return None
-        if require_traces and not payload_has_traces(entry.get("payload", {})):
+        if require_traces and not payload_has_traces(entry["payload"]):
             self._miss(cell)
             return None
-        if require_attribution and not payload_has_attribution(
-            entry.get("payload", {})
-        ):
+        if require_attribution and not payload_has_attribution(entry["payload"]):
             self._miss(cell)
             return None
         self.hits += 1
@@ -630,7 +556,6 @@ class RunCache:
         """
         payload_size = len(json.dumps(payload))
         entry = {
-            "version": CACHE_VERSION,
             "cell": dataclasses.asdict(cell),
             "payload": payload,
             "payload_bytes": payload_size,
@@ -661,18 +586,18 @@ def _pool_context():
 class SchedulerStats:
     """What the campaign dispatcher did, accumulated per executor.
 
-    ``warm_hits`` / ``cold_builds`` split executed cells by whether the
-    worker reused a resident device; ``restores_skipped`` counts cells
-    that ran without even a restore (resident sat at the base state).
-    ``bytes_shipped`` is snapshot volume sent through the pool pipe
-    with cells; ``bytes_saved`` the volume segment-backed dispatches
-    avoided (one packed snapshot's worth per cell).  Mirrored into
-    ``core.executor.*`` counters when metrics are installed.
+    ``warm_hits`` / ``cold_builds`` split pooled cells by whether the
+    worker reused a resident device.  ``segments_published`` counts
+    shared-memory snapshot segments created.  ``bytes_shipped`` is
+    snapshot volume sent through the pool pipe with cells;
+    ``bytes_saved`` the volume segment-backed dispatches avoided (one
+    packed snapshot's worth per cell).  Inline cells touch none of
+    them.  Mirrored into ``core.executor.*`` counters when metrics are
+    installed.
     """
 
     warm_hits: int = 0
     cold_builds: int = 0
-    restores_skipped: int = 0
     segments_published: int = 0
     bytes_shipped: int = 0
     bytes_saved: int = 0
@@ -686,7 +611,6 @@ class SchedulerStats:
 _SCHED_COUNTERS = {
     "warm_hits": "core.executor.warm_hits",
     "cold_builds": "core.executor.cold_builds",
-    "restores_skipped": "core.executor.restores_skipped",
     "segments_published": "core.executor.snapshot_segments",
     "bytes_shipped": "core.executor.snapshot_bytes_shipped",
     "bytes_saved": "core.executor.snapshot_bytes_saved",
@@ -696,13 +620,15 @@ _SCHED_COUNTERS = {
 @dataclass
 class _PreparedGroup:
     """One (profile, capacity) group's enforced base state, held by the
-    parent whichever process enforced it.  Its shared-memory segment,
-    if published, is looked up in the store by ``fingerprint``;
-    ``nbytes`` is the packed snapshot size (0 until first sized)."""
+    parent, with the profile's :func:`model_digest` for its cache keys.
+    Its shared-memory segment, if published, is looked up in the store
+    by ``fingerprint``; ``nbytes`` is the packed snapshot size (0 until
+    first sized)."""
 
     capacity: int
     fingerprint: str
     snapshot: DeviceSnapshot
+    model: str
     nbytes: int = 0
 
 
@@ -714,16 +640,17 @@ class CampaignExecutor:
     restored snapshot and runs the same code path, so the two modes
     produce identical results.
 
-    The parallel dispatch is the throughput architecture of DESIGN.md
-    §14: zero-copy shared-memory snapshot distribution, resident worker
-    devices with restore skipping, and state enforcement in workers,
-    concurrent across profiles.  :attr:`sched` reports what the
-    dispatcher did.  Executors that shared snapshots own shared-memory
-    segments — release them with :meth:`close` (or use the executor as
-    a context manager); a finalizer and the resource tracker back the
-    explicit cleanup up.  The parent is the only process that creates
-    or unlinks segments, and its prepared groups are the one memo of
-    enforced states, whichever process enforced them.
+    One dispatch loop serves both (DESIGN.md §14): per (profile,
+    capacity) group the parent enforces through its :class:`StatePool`,
+    serves the cache hits, and runs or submits the misses; a pool and a
+    shared-memory snapshot store exist only once a miss is dispatched
+    to a worker.  :attr:`sched` reports what the dispatcher did.
+    Executors that shared snapshots own shared-memory segments —
+    release them with :meth:`close` (or use the executor as a context
+    manager); a finalizer and the resource tracker back the explicit
+    cleanup up.  The parent is the only process that creates or unlinks
+    segments, and its prepared groups are the one memo of enforced
+    states.
 
     ``keep_traces`` makes cells keep and return their per-IO traces
     (columnar payloads); cache entries stored without traces then no
@@ -759,7 +686,7 @@ class CampaignExecutor:
         self.sched = SchedulerStats()
 
     # ------------------------------------------------------------------
-    # state preparation (parent side)
+    # state preparation
     # ------------------------------------------------------------------
 
     def prepare(self, profile: str, capacity: int | None):
@@ -786,7 +713,10 @@ class CampaignExecutor:
                     cell.profile, cell.capacity
                 )
             prep = _PreparedGroup(
-                capacity=capacity, fingerprint=fingerprint, snapshot=snapshot
+                capacity=capacity,
+                fingerprint=fingerprint,
+                snapshot=snapshot,
+                model=model_digest(cell.profile),
             )
             self._prepared[group] = prep
         return prep
@@ -798,14 +728,28 @@ class CampaignExecutor:
         returns None, and the group's cells fall back to inline
         snapshots.
         """
+        if self._store is None:
+            self._store = SnapshotStore()
         name = self._store.get(prep.fingerprint)
         if name is None:
             try:
-                name, _ = self._store.publish(prep.fingerprint, prep.snapshot)
+                name, prep.nbytes = self._store.publish(prep.fingerprint, prep.snapshot)
             except (OSError, ValueError):
                 return None
             self.sched.segments_published += 1
         return name
+
+    def _cell_task(self, cell: CampaignCell, prep: _PreparedGroup) -> _CellTask:
+        """A pooled cell's task: the group's segment name, or its whole
+        snapshot where no segment can be published."""
+        segment = self._publish_group(prep)
+        if not prep.nbytes:  # no segment: size the snapshot once here
+            prep.nbytes = pack_snapshot(prep.snapshot).nbytes
+        if segment is None:
+            self.sched.bytes_shipped += prep.nbytes
+            return _CellTask(cell=cell, snapshot=prep.snapshot)
+        self.sched.bytes_saved += prep.nbytes
+        return _CellTask(cell=cell, segment=segment)
 
     # ------------------------------------------------------------------
     # execution
@@ -819,55 +763,38 @@ class CampaignExecutor:
     ) -> list[CellOutcome]:
         """Run every cell; outcomes come back in the order given.
 
-        ``progress`` fires once per cell *as it lands* — cache hits as
-        soon as their group's state (hence cache key) is known, executed
-        cells in completion order (the parallel paths consume futures as
-        they complete, so one slow cell cannot block reporting of the
-        others).  The returned list always follows the input order
-        regardless.
+        Cells are handled group by group — (profile, capacity), in input
+        order: the parent prepares the group's enforced state, serves
+        its cache hits, then runs its misses inline (``jobs == 1``, or a
+        single cell) or submits them to a process pool created on the
+        first such miss.  A group's misses are submitted before the next
+        group is prepared, so enforcement overlaps pooled cells.
+
+        ``progress`` fires once per cell *as it lands* — cache hits and
+        inline cells as they are served, pooled cells in completion
+        order, so one slow cell cannot block reporting of the others.
+        The returned list always follows the input order regardless.
         """
         report = status or (lambda message: None)
         registry = obs_metrics.current()
         tracer = obs_tracing.current()
-        observe = Observe(
-            metrics=registry is not None,
-            tracing=tracer is not None,
-            traces=self.keep_traces,
-            attribution=self.attribution,
-        )
         total = len(cells)
+        inline = self.jobs == 1 or total <= 1
         done = 0
         outcomes: list[CellOutcome | None] = [None] * total
+        groups: dict[tuple, list] = {}
+        for index, cell in enumerate(cells):
+            groups.setdefault((cell.profile, cell.capacity), []).append((index, cell))
 
-        def notify(outcome: CellOutcome) -> None:
+        def land(index: int, outcome: CellOutcome) -> None:
             nonlocal done
+            outcomes[index] = outcome
             done += 1
             if progress is not None:
                 progress(outcome, done, total)
 
-        def serve_cached(index: int, cell: CampaignCell, entry: dict) -> None:
-            outcome = CellOutcome(
-                cell=cell,
-                payload=entry["payload"],
-                cached=True,
-                metrics=entry.get("metrics"),
-                wall_usec=0.0,
-            )
-            outcomes[index] = outcome
-            if registry is not None:
-                registry.counter("core.executor.cells_cached").inc()
-            notify(outcome)
-
         def finish(index: int, cell: CampaignCell, key: str | None, envelope: dict):
-            outcome = CellOutcome(
-                cell=cell,
-                payload=envelope["payload"],
-                cached=False,
-                metrics=envelope["metrics"],
-                wall_usec=envelope["wall_usec"],
-            )
-            outcomes[index] = outcome
-            if self.cache is not None and key is not None:
+            if self.cache is not None:
                 self.cache.put(
                     key,
                     cell,
@@ -879,35 +806,99 @@ class CampaignExecutor:
                 registry.histogram("core.executor.cell_wall_usec").observe(
                     envelope["wall_usec"]
                 )
-            notify(outcome)
-
-        def absorb(envelope: dict) -> None:
-            if tracer is not None and envelope.get("spans"):
-                tracer.absorb(envelope["spans"])
-            if registry is not None and envelope.get("registry") is not None:
-                registry.absorb(envelope["registry"])
-
-        def try_cache(cell: CampaignCell, prep: _PreparedGroup):
-            if self.cache is None:
-                return None, None
-            digest = self.cache.spec_digest(cell, prep.capacity)
-            key = self.cache.key(cell, prep.fingerprint, digest)
-            entry = self.cache.get_entry(
-                key,
-                cell,
-                require_traces=self.keep_traces,
-                require_attribution=self.attribution,
+            land(
+                index,
+                CellOutcome(
+                    cell=cell,
+                    payload=envelope["payload"],
+                    metrics=envelope["metrics"],
+                    wall_usec=envelope["wall_usec"],
+                ),
             )
-            return key, entry
+
+        def misses(prep: _PreparedGroup, members: list) -> list:
+            """Serve the group's cache hits; the rest as (index, cell, key)."""
+            if self.cache is None:
+                return [(index, cell, None) for index, cell in members]
+            pending = []
+            for index, cell in members:
+                digest = self.cache.spec_digest(cell, prep.capacity)
+                key = self.cache.key(cell, prep.fingerprint, digest, prep.model)
+                entry = self.cache.get_entry(
+                    key,
+                    cell,
+                    require_traces=self.keep_traces,
+                    require_attribution=self.attribution,
+                )
+                if entry is None:
+                    pending.append((index, cell, key))
+                    continue
+                if registry is not None:
+                    registry.counter("core.executor.cells_cached").inc()
+                land(
+                    index,
+                    CellOutcome(
+                        cell=cell,
+                        payload=entry["payload"],
+                        cached=True,
+                        metrics=entry.get("metrics"),
+                    ),
+                )
+            return pending
 
         sched_before = dataclasses.replace(self.sched)
-        with obs_tracing.span("campaign", cat="executor", cells=total):
-            if self.jobs == 1 or total <= 1:
-                self._run_sequential(cells, report, try_cache, serve_cached, finish)
-            else:
-                self._run_warm(
-                    cells, observe, report, try_cache, serve_cached, finish, absorb
+        observe = Observe(
+            metrics=registry is not None,
+            tracing=tracer is not None,
+            traces=self.keep_traces,
+            attribution=self.attribution,
+        )
+        futures: dict = {}
+        with ExitStack() as stack, obs_tracing.span(
+            "campaign", cat="executor", cells=total
+        ):
+            pool = None
+            for group, members in groups.items():
+                prep = self._prepared_group(members[0][1], report)
+                pending = misses(prep, members)
+                if not pending:
+                    continue
+                report(
+                    f"running {len(pending)} cell(s) for {group[0]} "
+                    f"with jobs={self.jobs}"
                 )
+                for index, cell, key in pending:
+                    if inline:
+                        envelope = _run_cell_body(
+                            cell,
+                            prep.snapshot,
+                            keep_traces=self.keep_traces,
+                            attribution=self.attribution,
+                        )
+                        finish(index, cell, key, envelope)
+                        continue
+                    if pool is None:
+                        pool = stack.enter_context(
+                            ProcessPoolExecutor(
+                                max_workers=min(self.jobs, total),
+                                mp_context=_pool_context(),
+                            )
+                        )
+                    task = self._cell_task(cell, prep)
+                    future = pool.submit(_execute_cell_fast, task, observe)
+                    futures[future] = (index, cell, key)
+            for future in as_completed(futures):
+                index, cell, key = futures[future]
+                envelope = future.result()
+                if tracer is not None and envelope["spans"]:
+                    tracer.absorb(envelope["spans"])
+                if registry is not None and envelope["registry"] is not None:
+                    registry.absorb(envelope["registry"])
+                if envelope["warm"]:
+                    self.sched.warm_hits += 1
+                else:
+                    self.sched.cold_builds += 1
+                finish(index, cell, key, envelope)
             if registry is not None:
                 registry.counter("core.executor.cells_total").inc(total)
                 for field_name, counter in _SCHED_COUNTERS.items():
@@ -917,133 +908,6 @@ class CampaignExecutor:
                     if delta:
                         registry.counter(counter).inc(delta)
         return [outcome for outcome in outcomes if outcome is not None]
-
-    def _run_sequential(self, cells, report, try_cache, serve_cached, finish) -> None:
-        """Inline execution: prepare, cache-check and run cell by cell."""
-        pending = 0
-        for index, cell in enumerate(cells):
-            prep = self._prepared_group(cell, report)
-            key, entry = try_cache(cell, prep)
-            if entry is not None:
-                serve_cached(index, cell, entry)
-                continue
-            if pending == 0:
-                report(f"running {len(cells) - index} cell(s) with jobs={self.jobs}")
-            pending += 1
-            finish(
-                index,
-                cell,
-                key,
-                _run_cell_body(
-                    cell,
-                    prep.snapshot,
-                    keep_traces=self.keep_traces,
-                    attribution=self.attribution,
-                ),
-            )
-
-    def _run_warm(
-        self, cells, observe, report, try_cache, serve_cached, finish, absorb
-    ) -> None:
-        """The throughput dispatch (DESIGN.md §14).
-
-        Groups cells by (profile, capacity) and, for groups without a
-        prepared state, enforces in the workers; the parent publishes
-        each landed snapshot into the shared-memory store, as it does
-        the states it prepared itself.  As each group's state lands,
-        its cells are cache-checked and dispatched *contiguously*: the
-        pool's FIFO task queue then keeps consecutive same-group cells
-        on the same workers, which is what makes resident devices hit.
-        A single wait-loop interleaves prepare completions and cell
-        completions, so early-prepared profiles execute while later
-        ones still enforce.
-        """
-        groups: "OrderedDict[tuple, list]" = OrderedDict()
-        for index, cell in enumerate(cells):
-            groups.setdefault((cell.profile, cell.capacity), []).append((index, cell))
-        if self._store is None:
-            self._store = SnapshotStore()
-        workers = min(self.jobs, len(cells))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=_pool_context()
-        ) as pool:
-            prepare_futures: dict = {}
-            cell_futures: dict = {}
-
-            def dispatch_group(group) -> None:
-                prep = self._prepared[group]
-                segment = self._publish_group(prep)
-                dispatched = 0
-                for index, cell in groups[group]:
-                    key, entry = try_cache(cell, prep)
-                    if entry is not None:
-                        serve_cached(index, cell, entry)
-                        continue
-                    if not prep.nbytes:
-                        prep.nbytes = pack_snapshot(prep.snapshot).nbytes
-                    if segment is not None:
-                        self.sched.bytes_saved += prep.nbytes
-                    else:
-                        self.sched.bytes_shipped += prep.nbytes
-                    task = _CellTask(
-                        cell=cell,
-                        fingerprint=prep.fingerprint,
-                        segment=segment,
-                        snapshot=None if segment is not None else prep.snapshot,
-                    )
-                    cell_futures[pool.submit(_execute_cell_fast, task, observe)] = (
-                        index,
-                        cell,
-                        key,
-                    )
-                    dispatched += 1
-                if dispatched:
-                    report(
-                        f"running {dispatched} cell(s) for {group[0]} "
-                        f"with jobs={self.jobs}"
-                    )
-
-            for group in groups:
-                if group in self._prepared:
-                    dispatch_group(group)
-                else:
-                    report(f"preparing enforced state for {group[0]} ...")
-                    task = _PrepareTask(
-                        profile=group[0],
-                        capacity=group[1],
-                        enforce=self.enforce,
-                        seed=self.enforce_seed,
-                    )
-                    prepare_futures[pool.submit(_prepare_remote, task, observe)] = group
-
-            while prepare_futures or cell_futures:
-                ready, _ = wait(
-                    set(prepare_futures) | set(cell_futures),
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in ready:
-                    if future in prepare_futures:
-                        group = prepare_futures.pop(future)
-                        envelope = future.result()
-                        absorb(envelope)
-                        self._prepared[group] = _PreparedGroup(
-                            capacity=envelope["capacity"],
-                            fingerprint=envelope["fingerprint"],
-                            snapshot=envelope["snapshot"],
-                        )
-                        dispatch_group(group)
-                    else:
-                        index, cell, key = cell_futures.pop(future)
-                        envelope = future.result()
-                        absorb(envelope)
-                        sched = envelope["sched"]
-                        if sched["warm"]:
-                            self.sched.warm_hits += 1
-                        else:
-                            self.sched.cold_builds += 1
-                        if sched["skipped_restore"]:
-                            self.sched.restores_skipped += 1
-                        finish(index, cell, key, envelope)
 
     # ------------------------------------------------------------------
     # resource management
@@ -1091,11 +955,10 @@ __all__ = [
     "CampaignExecutor",
     "CellOutcome",
     "Observe",
-    "OBSERVE_NOTHING",
     "RunCache",
     "SchedulerStats",
     "merge_outcome_metrics",
+    "model_digest",
     "plan_cells",
     "results_by_experiment",
-    "run_cell",
 ]

@@ -1,17 +1,19 @@
 """Equivalence suite: the parallel dispatch changes nothing but time.
 
-DESIGN.md §14's contract — warm-worker scheduling, shared-memory
-snapshot restore and pipelined worker-side enforcement must leave
-campaign outcomes **bit-identical** to the sequential executor: same
-payloads, same state fingerprints, same per-IO trace columns.  These
-tests pin that contract at ``--jobs 4`` against ``jobs=1``, with the
-scheduling machinery verifiably active (warm hits observed, zero
-snapshot bytes through the pipe).
+DESIGN.md §14's contract — pooled cells on warm workers, restored from
+shared-memory snapshots the parent enforced and published, must leave
+campaign outcomes **bit-identical** to the inline ``jobs=1`` run of the
+same dispatch loop: same payloads, same state fingerprints, same per-IO
+trace columns.  These tests pin that contract at ``--jobs 4`` against
+``jobs=1``, with the scheduling machinery verifiably active (warm hits
+observed, zero snapshot bytes through the pipe), and check that a
+fully cached parallel campaign starts no pool at all.
 """
 
 import pytest
 
 from repro.core.executor import CampaignExecutor, plan_cells
+from repro.obs import metrics as obs_metrics
 from repro.units import KIB, MIB, SEC
 
 PROFILES = ("kingston_dti", "memoright")
@@ -19,15 +21,15 @@ CAPACITY = 4 * MIB
 
 
 def campaign_cells(io_count: int = 8):
-    """A small two-profile campaign: enough cells per group for warm
-    reuse, two groups for pipelined enforcement."""
+    """A small two-profile campaign: two groups, each with more cells
+    (six) than the four workers, so some worker reuses a resident."""
     cells = []
     for profile in PROFILES:
         cells.extend(
             plan_cells(
                 profile,
                 CAPACITY,
-                ["granularity"],
+                ["granularity", "order"],
                 io_size=32 * KIB,
                 io_count=io_count,
                 pause_usec=0.1 * SEC,
@@ -57,16 +59,13 @@ def test_jobs4_warm_dispatch_bit_identical_to_sequential():
     try:
         fast = warm.execute(cells)
         # the machinery this suite guards must actually be engaged:
-        # resident devices hit, enforcement-fresh restores skipped, and
-        # zero snapshot bytes shipped through the pool pipe
+        # resident devices hit and zero snapshot bytes shipped through
+        # the pool pipe
         assert warm.sched.warm_hits > 0
-        assert warm.sched.restores_skipped > 0
         assert warm.sched.segments_published == len(PROFILES)
         assert warm.sched.bytes_shipped == 0
         assert warm.sched.bytes_saved > 0
-        # worker-side enforcement produced the same base states the
-        # parent side did (fingerprints key the run cache, so this is
-        # what makes cache entries portable across dispatch modes)
+        # both dispatch modes key the run cache on the same base states
         assert group_fingerprints(warm) == group_fingerprints(sequential)
     finally:
         warm.close()
@@ -112,6 +111,31 @@ def test_repeated_execute_reuses_prepared_states_and_stays_identical():
             assert a.payload == b.payload
     finally:
         warm.close()
+
+
+def test_fully_cached_parallel_campaign_starts_no_pool(tmp_path, monkeypatch):
+    # every cell is a hit: the parent serves them all without a worker
+    # process or a shared-memory segment
+    cells = campaign_cells()
+    CampaignExecutor(jobs=1, cache=tmp_path / "cache").execute(cells)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a fully cached campaign built a process pool")
+
+    monkeypatch.setattr("repro.core.executor.ProcessPoolExecutor", no_pool)
+    registry = obs_metrics.MetricsRegistry()
+    warm = CampaignExecutor(jobs=4, cache=tmp_path / "cache")
+    try:
+        with obs_metrics.installed(registry):
+            served = warm.execute(cells)
+        assert all(outcome.cached for outcome in served)
+        assert warm.sched.segments_published == 0
+        assert warm._store is None
+    finally:
+        warm.close()
+    counts = registry.snapshot().counters
+    assert counts.get("core.executor.snapshot_segments", 0) == 0
+    assert counts["core.executor.cells_cached"] == len(cells)
 
 
 def test_warm_dispatch_identical_with_cache_round_trip(tmp_path):

@@ -1,17 +1,17 @@
 """Campaign executor: cells, memoization, sequential/parallel parity."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core import executor as executor_mod
 from repro.core.executor import (
-    CACHE_VERSION,
     CampaignCell,
     CampaignExecutor,
     RunCache,
     plan_cells,
     results_by_experiment,
-    run_cell,
 )
 from repro.core.methodology import StatePool
 from repro.errors import ExperimentError
@@ -44,15 +44,13 @@ def test_executor_rejects_nonpositive_jobs():
         CampaignExecutor(jobs=0)
 
 
-def test_run_cell_rejects_unknown_experiment():
-    executor = CampaignExecutor(enforce=False)
-    _, snapshot, _ = executor.prepare(PROFILE, CAPACITY)
+def test_execute_rejects_unknown_experiment():
     bogus = CampaignCell(
         profile=PROFILE, capacity=CAPACITY, benchmark="order",
         experiment="order/NOPE", io_size=32 * KIB, io_count=8,
     )
     with pytest.raises(ExperimentError):
-        run_cell(bogus, snapshot)
+        CampaignExecutor(enforce=False).execute([bogus])
 
 
 def test_cache_misses_then_hits_with_identical_payloads(tmp_path):
@@ -76,14 +74,54 @@ def test_cache_misses_then_hits_with_identical_payloads(tmp_path):
     ]
 
 
-def test_cache_rejects_foreign_versions(tmp_path):
+def test_cache_misses_after_a_profile_change(tmp_path, monkeypatch):
+    # tripling memoright's read interference leaves the enforced state
+    # (and so the state fingerprint) alone but changes what mix cells
+    # measure: the cache must not serve the old payloads
+    from repro.flashsim import profiles
+
+    cells = plan_cells(
+        "memoright", 16 * MIB, ["mix"], io_size=32 * KIB, io_count=256, seed=1
+    )
+    stock = CampaignExecutor(jobs=1, cache=tmp_path / "cache")
+    before = stock.execute(cells)
+    profile = profiles.get_profile("memoright")
+    background = dataclasses.replace(
+        profile.background,
+        read_interference=3 * profile.background.read_interference,
+    )
+    monkeypatch.setitem(
+        profiles._REGISTRY,
+        "memoright",
+        dataclasses.replace(profile, background=background),
+    )
+    changed = CampaignExecutor(jobs=1, cache=tmp_path / "cache")
+    after = changed.execute(cells)
+    assert changed.cache.hits == 0
+    assert not any(outcome.cached for outcome in after)
+    assert [p.fingerprint for p in changed._prepared.values()] == [
+        p.fingerprint for p in stock._prepared.values()
+    ]
+    # the change moves results, so a hit would have served stale ones
+    assert [o.payload for o in after] != [o.payload for o in before]
+
+
+def test_cache_misses_after_a_source_change(tmp_path, monkeypatch):
+    cells = order_cells()
+    CampaignExecutor(jobs=1, cache=tmp_path / "cache").execute(cells)
+    monkeypatch.setattr(executor_mod, "_source_digest", lambda: "edited")
+    rerun = CampaignExecutor(jobs=1, cache=tmp_path / "cache")
+    assert not any(outcome.cached for outcome in rerun.execute(cells))
+
+
+@pytest.mark.parametrize("text", ("{not json", "[]", '{"cell": {}}', "\udcff"))
+def test_corrupt_cache_entries_miss(tmp_path, text):
     cache = RunCache(tmp_path)
     cell = order_cells()[0]
-    key = cache.key(cell, "fingerprint", "digest")
-    path = cache.put(key, cell, {"rows": []})
-    entry = json.loads(path.read_text())
-    entry["version"] = CACHE_VERSION + 1
-    path.write_text(json.dumps(entry))
+    key = cache.key(cell, "fingerprint", "digest", "model")
+    cache.put(key, cell, {"rows": []})
+    assert cache.get(key) == {"rows": []}
+    cache._path(key).write_text(text, errors="surrogateescape")
     assert cache.get(key) is None
     assert cache.misses == 1
 

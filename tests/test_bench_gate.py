@@ -2,7 +2,8 @@
 
 No workload may run more than ``FALLBACK_LIMIT`` times slower than its
 ``/fallback`` twin (the kernels declined) or its ``/oracle`` twin (the
-scalar reference on a ``NoFaults`` chip).
+scalar reference on a ``NoFaults`` chip).  ``/fallback`` twins are
+checked only where the kernels served the plain run.
 """
 
 from __future__ import annotations
@@ -39,4 +40,23 @@ def test_a_workload_losing_to_its_twin_fails_the_gate(tmp_path, suffix):
     assert bench.check_baseline(results, baseline) == [
         f"memoright: RR {slow / 17.0:.2f}x slower than RR/{suffix} "
         f"(> {bench.FALLBACK_LIMIT}x)"
+    ]
+
+
+def test_fallback_twins_are_gated_only_where_the_kernels_served(tmp_path):
+    # where every program declined the kernels, the plain key and its
+    # /fallback twin ran the same per-IO code: a gap is noise
+    bench = _bench_hotpath()
+    slow = 17.0 * bench.FALLBACK_LIMIT * 1.5
+    results = {
+        "kingston_dti/run_RW": {"usec_per_io": slow, "kernel_ios": 0},
+        "kingston_dti/run_RW/fallback": {"usec_per_io": 17.0},
+        "ideal_pagemap/run_RW": {"usec_per_io": slow, "kernel_ios": 128},
+        "ideal_pagemap/run_RW/fallback": {"usec_per_io": 17.0},
+    }
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text("{}")
+    assert bench.check_baseline(results, baseline) == [
+        f"ideal_pagemap: run_RW {slow / 17.0:.2f}x slower than "
+        f"run_RW/fallback (> {bench.FALLBACK_LIMIT}x)"
     ]

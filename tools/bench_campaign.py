@@ -4,9 +4,9 @@
 Times the same multi-profile campaign two ways (DESIGN.md §14):
 
 * **sequential**: ``jobs=1`` — the bit-identical reference;
-* **warm**: the parallel dispatch — zero-copy shared-memory snapshot
-  distribution, warm-worker scheduling and pipelined worker-side
-  enforcement.
+* **warm**: the parallel dispatch — the parent enforces each group and
+  submits its cells before enforcing the next, workers restore from
+  zero-copy shared-memory snapshots and reuse resident devices.
 
 The campaign is deliberately **distribution-bound**: a large
 page-mapped SSD state (multi-MiB snapshot, cheap closed-form
@@ -19,7 +19,7 @@ measure: the per-cell cost of handing device state to a worker.
 Each strategy is timed best-of-``--repeat`` on a fresh executor (fresh
 StatePool, no run cache), so every repetition pays the full cold-start
 cost the dispatch machinery is meant to hide.  The warm pass records
-its scheduler counters (warm hits, skipped restores, snapshot bytes
+its scheduler counters (warm hits, snapshot segments, snapshot bytes
 shipped vs saved) and the resulting **warm ratio** — the fraction of
 dispatched cells served by a resident warm device.  Payload equality
 between the two is asserted on every run, so a dispatch bug
@@ -55,8 +55,9 @@ from repro.units import KIB, MIB, SEC  # noqa: E402
 #: the campaign mix: (profile, capacity MiB, benchmarks, io_sizes KiB).
 #: ``ideal_pagemap`` carries the distribution load (its page-mapped
 #: snapshot is multi-MiB while closed-form enforcement stays cheap);
-#: ``kingston_dti`` adds a second, hybrid-FTL profile so pipelined
-#: enforcement and per-group affinity are exercised across groups.
+#: ``kingston_dti`` adds a second, hybrid-FTL profile, so the parent
+#: enforces it while the first group's cells run, and per-group
+#: affinity is exercised across groups.
 DEFAULT_CAMPAIGN = (
     (
         "ideal_pagemap",
