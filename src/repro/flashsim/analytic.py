@@ -23,8 +23,10 @@ restate none of it:
 
 The entry points are the hosts': :class:`~repro.flashsim.host.SyncHost`
 runs every synchronous program — measurements and state enforcement
-alike — through :func:`run_program_into`, and
-:class:`~repro.flashsim.host.AsyncHost` tries :func:`run_program_queued`.
+alike — through :func:`run_program_into`,
+:class:`~repro.flashsim.host.AsyncHost` tries :func:`run_program_queued`
+and :class:`~repro.flashsim.host.ParallelHost` tries
+:func:`run_programs_parallel`.
 
 Discipline:
 
@@ -52,6 +54,17 @@ Current coverage:
   form, and the depth-d completion chain (channel pick, queue
   occupancy integrals, completion pops) runs as a tight scalar event
   loop instead of the full per-IO dispatch machinery.
+* **paced programs** (Pause, Bursts) — a read stretch keeps its gaps
+  inside the read window (completion chain, trace columns, idle and
+  read credit grants) while no background work is pending; a write
+  with a gap runs per IO, since its gap grants background time, and
+  cuts its stretch, so a burst's zero-gap rest takes a write window
+  (the gap-forced writes count once per program as
+  ``program:paced-write``);
+* **parallel hosts** — zero-gap processes of one mode run as one merged
+  window in the reference loop's round-robin order, split back per
+  process (:func:`run_programs_parallel`); anything else declines the
+  whole run (``parallel:*``).
 
 Everything else (hybrid/FAST FTL families, caches, wear levelling,
 measurement noise) declines up front, once per program, and runs the
@@ -76,6 +89,8 @@ from repro.flashsim.ftl.pagemap import PageMapFTL
 from repro.flashsim.timing import CostAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from typing import Sequence
+
     from repro.core.generator import IOProgram
     from repro.flashsim.device import FlashDevice
     from repro.flashsim.trace import IOTrace
@@ -112,6 +127,10 @@ class KernelStats:
     #: whole queued programs taken by :func:`run_program_queued`
     queued_windows: int = 0
     queued_ios: int = 0
+    #: merged parallel windows (:func:`run_programs_parallel`, a subset
+    #: of the read and write windows) and their IOs
+    parallel_windows: int = 0
+    parallel_ios: int = 0
     declines: dict[str, int] = field(default_factory=dict)
 
     def decline(self, reason: str) -> None:
@@ -129,6 +148,8 @@ class KernelStats:
         self.epoch_collections = 0
         self.queued_windows = 0
         self.queued_ios = 0
+        self.parallel_windows = 0
+        self.parallel_ios = 0
         self.declines = {}
 
     def counters(self) -> dict[str, int]:
@@ -149,6 +170,8 @@ class KernelStats:
             "core.analytic.epoch_collections": self.epoch_collections,
             "core.analytic.queued_windows": self.queued_windows,
             "core.analytic.queued_ios": self.queued_ios,
+            "core.analytic.parallel_windows": self.parallel_windows,
+            "core.analytic.parallel_ios": self.parallel_ios,
         }
         for reason in sorted(self.declines):
             out[f"core.analytic.decline.{reason}"] = self.declines[reason]
@@ -273,6 +296,33 @@ def _chain(now, service):
     return np.add.accumulate(chain)[1:]
 
 
+def _paced_chain(now, gaps, service):
+    """Completion chain of a paced run: IO *i* starts at the previous
+    completion plus its gap, clamped at 0 as the synchronous host's
+    ``max(clock, scheduled)`` clamps it.
+
+    Interleaving gaps and services keeps it one strict left fold, so
+    each start is ``previous + gap`` and each completion
+    ``start + service`` in the scalar loop's float order.  Returns the
+    per-IO start (= submission) and completion columns.
+    """
+    chain = np.empty(2 * service.size + 1, dtype=np.float64)
+    chain[0] = now
+    chain[1::2] = np.maximum(gaps, 0.0)
+    chain[2::2] = service
+    chain = np.add.accumulate(chain)
+    return chain[1::2], chain[2::2]
+
+
+def _previous(now, completions):
+    """Per-IO submission column of a zero-gap run: ``now`` for the
+    first IO, the previous completion for every later one."""
+    submitted = np.empty(completions.size, dtype=np.float64)
+    submitted[0] = now
+    submitted[1:] = completions[:-1]
+    return submitted
+
+
 def _occupy_channels(device, completions):
     """Round-robin channel assignment, matching per-IO ``pick()``.
 
@@ -301,15 +351,10 @@ def _accumulate_busy(device, service):
     device.stats.busy_usec = busy
 
 
-def _record(trace, row0, lbas, sizes, write, now, sched0, completions, **columns):
-    """Record a sync window's trace rows: each IO after the first is
-    scheduled and submitted at the previous completion (a zero-gap
-    program), the first at ``now`` (scheduled at ``sched0``)."""
-    scheduled = np.empty(lbas.size, dtype=np.float64)
-    scheduled[0] = now if sched0 is None else sched0
-    scheduled[1:] = completions[:-1]
-    submitted = scheduled.copy()
-    submitted[0] = now
+def _record(trace, row0, lbas, sizes, write, scheduled, submitted, completions, **columns):
+    """Record a sync window's trace rows: each IO starts the moment it
+    is submitted (one IO in flight, the device idle since the previous
+    completion)."""
     trace.record_run(
         row0, lbas, sizes, write, scheduled, submitted, submitted, completions,
         bytes_transferred=sizes, **columns,
@@ -383,6 +428,21 @@ def _read_costs(device, lbas, sizes):
     return reads, miss, service, e_pg, verified
 
 
+def _window_reason(device, write: bool, now: float) -> str | None:
+    """Why a window of this mode starting at ``now`` must decline (None
+    = it may run): the device preconditions, then the mode's own."""
+    reason = device_decline_reason(device)
+    if reason is None and write and not isinstance(device.ftl, PageMapFTL):
+        reason = "ftl-family"
+    if reason is None and now != device._busy_until:
+        reason = "start-misaligned"
+    if reason is None and not write and device.ftl.background_work_pending():
+        # each read would suffer interference and feed credit grants
+        # that run background units: a real state transition per IO
+        reason = "background-pending"
+    return reason
+
+
 def write_window(
     device: "FlashDevice",
     lbas: np.ndarray,
@@ -390,7 +450,6 @@ def write_window(
     now: float,
     trace: "IOTrace | None" = None,
     row0: int = 0,
-    sched0: float | None = None,
 ) -> tuple[int, float]:
     """Simulate a window of back-to-back synchronous writes.
 
@@ -405,32 +464,26 @@ def write_window(
     appends are one program run each.
 
     When ``trace`` is given, rows ``row0..row0+count-1`` are recorded
-    with the synchronous host's timing columns (``sched0`` is the first
-    IO's scheduled time; later IOs are scheduled at the previous
-    completion, i.e. a zero-gap program).
+    with the synchronous host's timing columns: each IO is scheduled
+    and submitted at the previous completion (``now`` for the first),
+    i.e. a zero-gap program.
     """
-    reason = device_decline_reason(device)
-    if reason is None and not isinstance(device.ftl, PageMapFTL):
-        reason = "ftl-family"
+    reason = _window_reason(device, True, now)
     if reason is not None:
         return _decline("write", reason, now)
-    if now != device._busy_until:
-        return _decline("write", "start-misaligned", now)
 
     lbas = np.asarray(lbas, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     limit = _valid_prefix(device, lbas, sizes)
     if limit == 0:
         return _decline("write", "address", now)
-    end = _pagemap_write_window(
-        device, lbas[:limit], sizes[:limit], now, trace, row0, sched0
-    )
+    end = _pagemap_write_window(device, lbas[:limit], sizes[:limit], now, trace, row0)
     STATS.write_windows += 1
     STATS.write_ios += limit
     return limit, end
 
 
-def _pagemap_write_window(device, lbas, sizes, now, trace, row0, sched0):
+def _pagemap_write_window(device, lbas, sizes, now, trace, row0):
     """Page-map kernel: a whole write window, garbage collection included.
 
     Tokens, RMW edge reads and the controller's shadow commit are
@@ -540,8 +593,9 @@ def _pagemap_write_window(device, lbas, sizes, now, trace, row0, sched0):
     controller._last_end_page = int(e_pg[-1])
     _commit_window(device, service, completions, sizes, True)
     if trace is not None:
+        submitted = _previous(now, completions)
         _record(
-            trace, row0, lbas, sizes, True, now, sched0, completions,
+            trace, row0, lbas, sizes, True, submitted, submitted, completions,
             page_reads=reads_per_io, page_programs=n_pg, copy_reads=copy_reads,
             copy_programs=copy_programs, block_erases=block_erases,
             map_misses=miss, notes=notes or None,
@@ -560,9 +614,9 @@ def read_window(
     now: float,
     trace: "IOTrace | None" = None,
     row0: int = 0,
-    sched0: float | None = None,
+    gaps: np.ndarray | None = None,
 ) -> tuple[int, float]:
-    """Simulate a run of back-to-back synchronous reads in closed form.
+    """Simulate a run of synchronous reads in closed form.
 
     Reads never change FTL state, so the whole remaining run qualifies
     at once — *unless* background work is pending (each read would then
@@ -572,65 +626,90 @@ def read_window(
     truncated before the first verification failure so the fallback
     raises exactly where the reference would.
 
+    ``gaps`` (None = all zero) holds each IO's pause after the previous
+    completion (``now`` for the first); the window folds them into its
+    completion chain, its trace columns and its credit account.
+
     Returns ``(count, end)`` like :func:`write_window`.
     """
-    reason = device_decline_reason(device)
+    reason = _window_reason(device, False, now)
     if reason is not None:
         return _decline("read", reason, now)
-    if now != device._busy_until:
-        return _decline("read", "start-misaligned", now)
-    ftl = device.ftl
-    if ftl.background_work_pending():
-        return _decline("read", "background-pending", now)
 
     lbas = np.asarray(lbas, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     n_ios = _valid_prefix(device, lbas, sizes)
     if n_ios == 0:
         return _decline("read", "address", now)
-    lbas = lbas[:n_ios]
-    sizes = sizes[:n_ios]
-    reads_per_io, miss, service, e_pg, verified = _read_costs(device, lbas, sizes)
+    costs = _read_costs(device, lbas[:n_ios], sizes[:n_ios])
+    verified = costs[-1]
     if verified == 0:
         return _decline("read", "verify", now)
-    if verified < n_ios:
-        # truncate before the IO whose verification fails; the fallback
-        # replays it and raises the reference FTLError
-        n_ios = verified
-        lbas = lbas[:n_ios]
-        sizes = sizes[:n_ios]
-        reads_per_io = reads_per_io[:n_ios]
-        miss = miss[:n_ios]
-        service = service[:n_ios]
-    completions = _chain(now, service)
+    # truncate before the IO whose verification fails; the fallback
+    # replays it and raises the reference FTLError
+    n_ios = min(n_ios, verified)
+    if gaps is not None:
+        gaps = gaps[:n_ios] if bool(gaps[:n_ios].any()) else None
+    end = _read_commit(
+        device, lbas[:n_ios], sizes[:n_ios], now, gaps, costs, trace, row0
+    )
+    STATS.read_windows += 1
+    STATS.read_ios += n_ios
+    return n_ios, end
 
-    # commit ----------------------------------------------------------
+
+def _read_commit(device, lbas, sizes, now, gaps, costs, trace, row0):
+    """Commit a run of reads whose :func:`_read_costs` are known (they
+    may cover more IOs than ``lbas``): chip and controller counters,
+    background credit, device accounting and the trace rows.  Returns
+    the last completion."""
+    n_ios = int(lbas.size)
+    reads_per_io, miss, service, e_pg, _verified = costs
+    reads_per_io = reads_per_io[:n_ios]
+    miss = miss[:n_ios]
+    service = service[:n_ios]
+    if gaps is None:
+        completions = _chain(now, service)
+        submitted = scheduled = _previous(now, completions)
+    else:
+        submitted, completions = _paced_chain(now, gaps, service)
+        previous = _previous(now, completions)
+        # scheduled at the previous completion plus the raw gap (the
+        # submission clamps a negative one)
+        scheduled = previous + gaps
+
     device.chip.stats.page_reads += int(reads_per_io.sum())
     device.controller._last_end_page = int(e_pg[n_ios - 1])
 
-    # background credit: each read grants service * read_concurrency,
-    # clamped to the leftover maximum; with no work pending the grants
-    # only move the credit account (exact scalar fold, including the
-    # clamp ordering)
+    # background credit, per IO in the reference's order: the idle
+    # grant ``start - busy_until`` (a gap), then the read's grant of
+    # ``service * read_concurrency``, each clamped to the leftover
+    # maximum; with no work pending the grants only move the account
     concurrency = device.background.read_concurrency
-    if concurrency > 0.0:
+    if concurrency > 0.0 or gaps is not None:
         cap = device.background.max_leftover_credit_usec
         credit = device._bg_credit
-        for usec in service.tolist():
-            credit += usec * concurrency
-            credit = min(credit, cap)
+        grants = (service * concurrency).tolist()
+        if gaps is None:
+            for usec in grants:
+                if usec > 0.0:
+                    credit = min(credit + usec, cap)
+        else:
+            idles = (submitted - previous).tolist()
+            for idle, usec in zip(idles, grants):
+                if idle > 0.0:
+                    credit = min(credit + idle, cap)
+                if usec > 0.0:
+                    credit = min(credit + usec, cap)
         device._bg_credit = credit
 
     _commit_window(device, service, completions, sizes, False)
     if trace is not None:
         _record(
-            trace, row0, lbas, sizes, False, now, sched0, completions,
+            trace, row0, lbas, sizes, False, scheduled, submitted, completions,
             page_reads=reads_per_io, map_misses=miss,
         )
-
-    STATS.read_windows += 1
-    STATS.read_ios += n_ios
-    return n_ios, float(completions[-1])
+    return float(completions[-1])
 
 
 def run_program_into(
@@ -644,24 +723,28 @@ def run_program_into(
     kernels, falling back per IO where a window declines.
 
     Returns False — with *no* state touched — when the program shape
-    itself disqualifies (paced gaps, host overhead, queue-misaligned
-    start, no read/write stretch of ``MIN_KERNEL_STRETCH`` IOs, or a
+    itself disqualifies (host overhead, queue-misaligned start, no
+    stretch of ``MIN_KERNEL_STRETCH`` IOs a window could take, or a
     device-level decline); the synchronous host then runs its reference
     loop.  Returns True when the program completed: every IO was
     simulated either inside a closed-form window or through the
     ordinary :meth:`~repro.flashsim.device.FlashDevice.submit_into`
-    path.  The per-IO path is decided per stretch — for a stretch too
-    short for a window and for a write stretch whose window declines (a
-    block-map device), each counted once — and per IO at a read
+    path.
+
+    Gaps split the two modes.  A read stretch keeps them: the read
+    window folds each IO's gap into its completion chain, trace columns
+    and credit account.  A write with a gap runs per IO, because its
+    gap grants background time that may run GC before it; it cuts its
+    stretch, and the zero-gap rest of the burst may take a window.  The
+    per-IO path is decided per stretch — for a stretch too short for a
+    window and for a write stretch whose window declines (a block-map
+    device), each counted once, and for the writes gaps force, counted
+    once per program (``program:paced-write``) — and per IO at a read
     window's boundary (background work pending, verification about to
     fail), where it also re-raises exactly the reference errors.
     """
     if os_overhead != 0.0:
         STATS.decline("program:os-overhead")
-        return False
-    gaps = program.gaps
-    if gaps.size and bool((gaps != 0.0).any()):
-        STATS.decline("program:paced")
         return False
     if device._busy_until != start_at:
         STATS.decline("program:start-misaligned")
@@ -675,15 +758,22 @@ def run_program_into(
     sizes = program.sizes
     writes = np.asarray(program.writes, dtype=bool)
     count = len(program)
-    # homogeneous stretches: a window never crosses a read/write flip
-    flips = np.flatnonzero(writes[1:] != writes[:-1]) + 1
-    bounds = np.empty(flips.size + 1, dtype=np.int64)
-    bounds[: flips.size] = flips
-    bounds[-1] = count
+    # the host schedules the first IO at start_at, whatever its gap
+    gaps = np.array(program.gaps, dtype=np.float64)
+    gaps[0] = 0.0
+    paced_write = writes & (gaps != 0.0)
+    # stretches: a window never crosses a read/write flip, and a paced
+    # write is a one-IO stretch of its own
+    cuts = np.flatnonzero(paced_write)
+    bounds = np.union1d(np.flatnonzero(writes[1:] != writes[:-1]) + 1, cuts)
+    bounds = np.union1d(bounds, cuts + 1)
+    bounds = np.append(bounds[(bounds > 0) & (bounds < count)], count)
     lengths = np.diff(bounds, prepend=0)
     if int(lengths.max()) < MIN_KERNEL_STRETCH:
-        STATS.decline("program:short-stretch")
+        STATS.decline("program:paced-write" if cuts.size else "program:short-stretch")
         return False
+    if cuts.size:
+        STATS.decline("program:paced-write")
 
     clock = start_at
     i = 0
@@ -693,31 +783,37 @@ def run_program_into(
         if i >= end_i:
             end_i = int(bounds[np.searchsorted(bounds, i, side="right")])
             per_io = end_i - i < MIN_KERNEL_STRETCH
-            if per_io:
+            if per_io and not paced_write[i]:
                 STATS.decline("program:short-stretch")
-        sched0 = start_at if i == 0 else clock
         done = 0
         if not per_io:
-            kernel = write_window if writes[i] else read_window
-            done, clock_after = kernel(
-                device, lbas[i:end_i], sizes[i:end_i], clock,
-                trace=trace, row0=i, sched0=sched0,
-            )
-            # a write window runs to its stretch's end or to a bad
-            # address, so one that declines (a block-map device, an
-            # address that raises) leaves the whole rest of its stretch
-            # to the per-IO path; a read window is asked again after
-            # each fallback IO (pending background work may finish)
-            per_io = not done and bool(writes[i])
+            if writes[i]:
+                done, clock_after = write_window(
+                    device, lbas[i:end_i], sizes[i:end_i], clock,
+                    trace=trace, row0=i,
+                )
+                # a write window runs to its stretch's end or to a bad
+                # address, so one that declines (a block-map device, an
+                # address that raises) leaves the whole rest of its
+                # stretch to the per-IO path
+                per_io = not done
+            else:
+                # a read window is asked again after each fallback IO
+                # (pending background work may finish in a gap)
+                done, clock_after = read_window(
+                    device, lbas[i:end_i], sizes[i:end_i], clock,
+                    trace=trace, row0=i, gaps=gaps[i:end_i],
+                )
         if done:
             i += done
             clock = clock_after
         else:
-            # reference path for a per-IO stretch's IOs and for the one
-            # IO a read window refused (verification raises, ...)
+            # the host's own step, for a per-IO stretch's IOs and for
+            # the one IO a read window refused (verification raises, ...)
+            scheduled = clock + float(gaps[i])
             clock = device.submit_into(
                 trace, i, int(lbas[i]), int(sizes[i]), bool(writes[i]),
-                sched0, sched0,
+                max(clock, scheduled), scheduled,
             )
             i += 1
     return True
@@ -913,4 +1009,141 @@ def run_program_queued(
 
     STATS.queued_windows += 1
     STATS.queued_ios += count
+    return True
+
+
+class _ProcessRows:
+    """Trace sink of a merged parallel window: splits its rows back per
+    process.
+
+    The window records the merged run as one synchronous run (each IO
+    starts at the previous merged completion); each process's rows get
+    its own submission column instead — the completion of its previous
+    IO, ``start_at`` for its first — which is also when it was
+    scheduled (zero gaps).
+    """
+
+    def __init__(self, traces, counts, start_at: float) -> None:
+        self.traces = traces
+        self.start_at = start_at
+        counts = np.asarray(counts, dtype=np.int64)
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        total = int(self.offsets[-1])
+        process = np.repeat(np.arange(counts.size), counts)
+        position = np.arange(total, dtype=np.int64) - np.repeat(self.offsets[:-1], counts)
+        #: merged row -> program-order row (round robin: position first,
+        #: then process index) and its inverse
+        self.order = np.lexsort((process, position))
+        self.merged_row = np.empty(total, dtype=np.int64)
+        self.merged_row[self.order] = np.arange(total, dtype=np.int64)
+        self.submitted = self.started = None
+
+    def record_run(
+        self, row0, lbas, sizes, write, scheduled, submitted, started, completed,
+        *, notes=None, **columns,
+    ) -> None:
+        """Split a merged :meth:`IOTrace.record_run` (``row0`` is 0)."""
+        offsets = self.offsets
+        self.started = started
+        self.submitted = np.empty(completed.size, dtype=np.float64)
+        for k, trace in enumerate(self.traces):
+            rows = self.merged_row[offsets[k]:offsets[k + 1]]
+            if not rows.size:
+                continue
+            own = _previous(self.start_at, completed[rows])
+            self.submitted[rows] = own
+            own_notes = None
+            if notes:
+                own_notes = {
+                    r: notes[m] for r, m in enumerate(rows.tolist()) if m in notes
+                }
+            trace.record_run(
+                0, lbas[rows], sizes[rows], write, own, own, started[rows],
+                completed[rows], notes=own_notes,
+                **{name: column[rows] for name, column in columns.items()},
+            )
+
+
+def run_programs_parallel(
+    device: "FlashDevice",
+    programs: "Sequence[IOProgram]",
+    traces: "Sequence[IOTrace]",
+    start_at: float,
+    os_overhead: float,
+) -> bool:
+    """Run :class:`~repro.flashsim.host.ParallelHost`'s processes as one
+    merged window.
+
+    With zero gaps every process is ready the instant its previous IO
+    completes, and the device serialises service, so the reference loop
+    serves the processes round robin: the lowest index first, finished
+    processes dropping out.  That merged order is one synchronous run
+    — its completion chain, channel horizons, FTL work and credit
+    grants are a window's — so it goes through :func:`write_window`'s
+    or :func:`read_window`'s machinery as one window, and the rows are
+    split back per process (:class:`_ProcessRows`).  Each IO waits from
+    its process's previous completion to the previous merged
+    completion; ``stats.queued_ios``/``queue_wait_usec`` fold those
+    waits in merged order.
+
+    All or nothing: returns False, with no state touched and the reason
+    counted as ``parallel:<reason>``, unless every program has zero
+    gaps, all IOs share one mode, there is no host overhead, the start
+    is the busy horizon, the device qualifies and the window would take
+    every IO (none out of range, every read verifying, no block-map
+    write).  These checks run before anything is committed.
+    """
+    counts = [len(program) for program in programs]
+    total = sum(counts)
+    reason = None
+    if os_overhead != 0.0:
+        reason = "os-overhead"
+    elif total < MIN_KERNEL_STRETCH:
+        reason = "short-stretch"
+    elif any(bool((program.gaps[1:] != 0.0).any()) for program in programs):
+        reason = "paced"
+    if reason is None:
+        writes = np.concatenate([np.asarray(p.writes, dtype=bool) for p in programs])
+        write = bool(writes[0])
+        if bool((writes != write).any()):
+            reason = "mixed-modes"
+        elif not device.timing.controller_overhead > 0.0:
+            # a zero-cost IO would tie two processes' ready times, and
+            # the reference breaks ties by index, not round robin
+            reason = "zero-overhead"
+        else:
+            reason = _window_reason(device, write, start_at)
+    if reason is None:
+        sink = _ProcessRows(traces, counts, start_at)
+        lbas = np.concatenate([p.lbas for p in programs]).astype(np.int64)[sink.order]
+        sizes = np.concatenate([p.sizes for p in programs]).astype(np.int64)[sink.order]
+        if _valid_prefix(device, lbas, sizes) != total:
+            reason = "address"
+        elif not write:
+            costs = _read_costs(device, lbas, sizes)
+            if costs[-1] != total:
+                reason = "verify"
+    if reason is not None:
+        STATS.decline(f"parallel:{reason}")
+        return False
+
+    if write:
+        _pagemap_write_window(device, lbas, sizes, start_at, sink, 0)
+        STATS.write_windows += 1
+        STATS.write_ios += total
+    else:
+        _read_commit(device, lbas, sizes, start_at, None, costs, sink, 0)
+        STATS.read_windows += 1
+        STATS.read_ios += total
+    # each IO waited from its process's submission to its start
+    waits = sink.started - sink.submitted
+    stats = device.stats
+    queue_wait = stats.queue_wait_usec
+    queued = waits[sink.started > sink.submitted]
+    for usec in queued.tolist():
+        queue_wait += usec
+    stats.queued_ios += int(queued.size)
+    stats.queue_wait_usec = queue_wait
+    STATS.parallel_windows += 1
+    STATS.parallel_ios += total
     return True

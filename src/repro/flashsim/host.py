@@ -57,11 +57,12 @@ class SyncHost:
         the irreducible feedback step (``t(IOi)`` depends on
         ``rt(IOi-1)``, Table 1).
 
-        Back-to-back (zero-gap, zero-overhead) programs on qualifying
-        devices first try the closed-form run kernels
-        (:mod:`repro.flashsim.analytic`), which simulate whole
-        transition-free windows on columns and decay to this loop's
-        per-IO path at every window boundary.  The kernels return
+        Zero-overhead programs on qualifying devices first try the
+        closed-form run kernels (:mod:`repro.flashsim.analytic`), which
+        simulate whole transition-free windows on columns — read
+        stretches with their gaps, write stretches between paced
+        writes — and decay to this loop's per-IO path at every window
+        boundary.  The kernels return
         ``False`` without touching any state when the program or device
         disqualifies, so the reference loop below always starts clean.
         """
@@ -177,10 +178,14 @@ class ParallelHost:
     Each process blocks on its own outstanding IO; the device serialises
     service.  The loop picks, among ready processes, the one whose next
     IO has the earliest effective submission time; ties always go to the
-    lowest process index (a deterministic total order, *not* round-robin
-    — on a consecutive-timing pattern every process is ready the moment
-    the device frees, and the fixed scan order is what makes runs
-    reproducible).
+    lowest process index (a deterministic total order, so runs are
+    reproducible).  On a consecutive-timing pattern each process is
+    ready the instant its previous IO completes, so that order comes out
+    round robin — the lowest index first, finished processes dropping
+    out — and :func:`~repro.flashsim.analytic.run_programs_parallel`
+    serves such runs as one merged closed-form window, split back per
+    process.  Anything else (gaps, mixed modes, OS overhead, ...) runs
+    the event loop below.
     """
 
     def __init__(self, device: FlashDevice, os_overhead_usec: float = 0.0) -> None:
@@ -194,9 +199,19 @@ class ParallelHost:
 
         Each step submits the next IO of the process with the earliest
         effective submission time (lowest index on ties) and records it
-        straight into that process's columnar trace.
+        straight into that process's columnar trace.  The parallel
+        kernel is tried first; it returns ``False`` with no state (and
+        no trace) touched when the run disqualifies.
         """
-        states = [_ProgramState(program, start_at) for program in programs]
+        traces = [IOTrace(capacity=len(program)) for program in programs]
+        if analytic.run_programs_parallel(
+            self.device, programs, traces, start_at, self.os_overhead_usec
+        ):
+            return traces
+        states = [
+            _ProgramState(program, start_at, trace)
+            for program, trace in zip(programs, traces)
+        ]
         submit_into = self.device.submit_into
         overhead = self.os_overhead_usec
         while True:
@@ -231,7 +246,9 @@ class _ProgramState:
         "count", "position", "blocked_until", "scheduled", "trace",
     )
 
-    def __init__(self, program: "IOProgram", start_at: float) -> None:
+    def __init__(
+        self, program: "IOProgram", start_at: float, trace: IOTrace
+    ) -> None:
         self.lbas = program.lbas.tolist()
         self.sizes = program.sizes.tolist()
         self.writes = program.writes.tolist()
@@ -240,4 +257,4 @@ class _ProgramState:
         self.position = 0
         self.blocked_until = start_at
         self.scheduled = start_at
-        self.trace = IOTrace(capacity=self.count)
+        self.trace = trace

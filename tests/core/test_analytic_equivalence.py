@@ -420,26 +420,32 @@ def test_read_window_truncates_before_verification_failure():
 
 
 def test_paced_program_declines_but_matches_reference():
-    """Pause-timed runs (inter-IO gaps) disqualify the whole-program
-    kernel up front; the host's reference loop must take over with
-    identical results."""
+    """A pause write program still runs per IO (each gap grants
+    background time before its write) and declines up front as
+    ``program:paced-write``; a burst program's zero-gap stretches take
+    write windows.  Both match the reference bit for bit."""
     spec = PatternSpec(
         mode=Mode.WRITE,
         location=LocationKind.RANDOM,
         io_size=16 * KIB,
-        io_count=32,
+        io_count=64,
         target_size=2 * MIB,
-        timing=TimingKind.PAUSE,
-        pause_usec=500.0,
     )
-    kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
-    reference_engine = Engine(oracle_device("ideal_pagemap"))
-    kernel_run = kernel_engine.run(spec)
-    assert analytic.STATS.declines.get("program:paced", 0) > 0
-    reference_run = reference_engine.run(spec)
-    assert kernel_run.stats == reference_run.stats
-    assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
-    assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
+    for timing, windows in (
+        ({"timing": TimingKind.PAUSE, "pause_usec": 500.0}, 0),
+        ({"timing": TimingKind.BURST, "pause_usec": 500.0, "burst": 32}, 2),
+    ):
+        kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+        reference_engine = Engine(oracle_device("ideal_pagemap"))
+        analytic.STATS.reset()
+        kernel_run = kernel_engine.run(spec.with_(**timing))
+        assert analytic.STATS.declines == {"program:paced-write": 1}
+        assert analytic.STATS.write_windows == windows
+        assert analytic.STATS.write_ios == (32 + 31 if windows else 0)
+        reference_run = reference_engine.run(spec.with_(**timing))
+        assert kernel_run.stats == reference_run.stats
+        assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
+        assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
 
 
 @pytest.mark.parametrize("ratio", (3, 63))
@@ -480,3 +486,335 @@ def test_short_stretches_go_per_io_long_ones_take_windows(ratio):
     assert kernel_run.secondary_stats == reference_run.secondary_stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
     assert kernel_engine.device.fingerprint() == reference_engine.device.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# paced programs and parallel processes
+# ----------------------------------------------------------------------
+
+
+def _assert_twins(kernel_dev, reference_dev, kernel_traces, reference_traces):
+    """Trace bytes, device stats, state, counters and credit agree."""
+    assert [t.to_csv() for t in kernel_traces] == [
+        t.to_csv() for t in reference_traces
+    ]
+    assert kernel_dev.stats == reference_dev.stats
+    assert kernel_dev.fingerprint() == reference_dev.fingerprint()
+    assert kernel_dev.metrics() == reference_dev.metrics()
+    assert kernel_dev._bg_credit == reference_dev._bg_credit
+
+
+def _program(lbas, writes, gaps, size):
+    from repro.core.generator import IOProgram
+
+    lbas = np.asarray(lbas, dtype=np.int64)
+    return IOProgram(
+        lbas=lbas,
+        sizes=np.full(lbas.size, size, dtype=np.int64),
+        writes=np.broadcast_to(np.asarray(writes, dtype=bool), lbas.shape).copy(),
+        gaps=np.broadcast_to(np.asarray(gaps, dtype=np.float64), lbas.shape).copy(),
+    )
+
+
+def _tight_profile():
+    """ideal_pagemap with little spare, so 4 MiB runs collect garbage in
+    the foreground and in the background."""
+    from repro.flashsim.ftl.pagemap import PageMapConfig
+    from repro.flashsim.profiles import scaled_profile
+
+    return scaled_profile(
+        "ideal_pagemap",
+        name="pagemap-tight-bg",
+        spare_blocks=16,
+        pagemap=PageMapConfig(gc_low_blocks=4, bg_enabled=True, bg_target_blocks=10),
+    )
+
+
+def _pending_twins():
+    """A page-map device and its oracle, both with background GC
+    pending (the free pool sits below the background target)."""
+    twins = (
+        make_device(ftl_kind="pagemap", bg=True),
+        oracle_device({"ftl_kind": "pagemap", "bg": True}),
+    )
+    for device in twins:
+        page = device.geometry.page_size
+        cap = device.geometry.logical_bytes
+        now = device.busy_until
+        for i in range(2 * cap // page):
+            now = device.write((i * page) % cap, page, now).completed_at
+    assert twins[0].ftl.background_work_pending()
+    return twins
+
+
+def test_pause_reads_with_background_pending_run_per_io_then_windows():
+    """A pause read whose window would start with background work
+    pending runs per IO (its gap grants the credit that runs the work);
+    the kernel is asked again after it and takes the rest."""
+    from repro.flashsim.host import SyncHost
+
+    kernel_dev, reference_dev = _pending_twins()
+    page = kernel_dev.geometry.page_size
+    program = _program(np.arange(64) * page, False, 20_000.0, page)
+    analytic.STATS.reset()
+    kernel_trace = SyncHost(kernel_dev).run_program(
+        program, start_at=kernel_dev.busy_until
+    )
+    assert analytic.STATS.declines.get("read:background-pending", 0) >= 1
+    assert analytic.STATS.read_windows == 1
+    assert 0 < analytic.STATS.read_ios < 64
+    assert not kernel_dev.ftl.background_work_pending()
+    assert kernel_dev.stats.background_units > 0
+    reference_trace = SyncHost(reference_dev).run_program(
+        program, start_at=reference_dev.busy_until
+    )
+    _assert_twins(kernel_dev, reference_dev, [kernel_trace], [reference_trace])
+
+
+@pytest.mark.parametrize(
+    "concurrency", (1.0, 0.0), ids=("read-grants", "idle-grants-only")
+)
+@pytest.mark.parametrize("profile", ("ideal_pagemap", "kingston_dti"))
+def test_read_window_after_a_gap(profile, concurrency):
+    """A read stretch whose first IO has a gap (and later ones a mix of
+    gaps and none) takes one window: the gap lands in its chain, its
+    scheduled/submitted columns and its idle credit grant.  Without
+    read grants the idle grants alone move the credit account, which
+    they would otherwise saturate."""
+    from dataclasses import replace
+
+    from repro.flashsim.host import SyncHost
+    from repro.flashsim.profiles import get_profile, scaled_profile
+
+    base = get_profile(profile)
+    profile = scaled_profile(
+        profile, background=replace(base.background, read_concurrency=concurrency)
+    )
+    kernel_dev = profile.build(4 * MIB)
+    reference_dev = oracle_device(profile)
+    for device in (kernel_dev, reference_dev):
+        enforce_random_state(device, seed=9)
+    page = 16 * KIB
+    gaps = np.zeros(64)
+    gaps[32] = 700.0  # the read stretch's first IO
+    gaps[40::5] = 3.5
+    writes = np.arange(64) < 32
+    program = _program(np.arange(64) * page, writes, gaps, page)
+    analytic.STATS.reset()
+    kernel_trace = SyncHost(kernel_dev).run_program(
+        program, start_at=kernel_dev.busy_until
+    )
+    assert analytic.STATS.read_windows == 1
+    assert analytic.STATS.read_ios == 32
+    assert "program:paced-write" not in analytic.STATS.declines
+    reference_trace = SyncHost(reference_dev).run_program(
+        program, start_at=reference_dev.busy_until
+    )
+    _assert_twins(kernel_dev, reference_dev, [kernel_trace], [reference_trace])
+    scheduled = kernel_trace.column("scheduled_at")
+    completed = kernel_trace.column("completed_at")
+    assert scheduled[32] == completed[31] + 700.0
+    if not concurrency:
+        assert 0.0 < kernel_dev._bg_credit < base.background.max_leftover_credit_usec
+
+
+@pytest.mark.parametrize("kind", ("SW", "RW"))
+@pytest.mark.parametrize("burst", (10, 20, 640))
+def test_bursts_cross_gc_watermarks(kind, burst):
+    """SW/RW bursts long enough to run garbage collection on a device
+    with little spare: a burst of 10 leaves no zero-gap stretch a window
+    would take, 20 leaves 19 per burst, 640 (the whole run) has no gap
+    at all.  Each paced write runs per IO, after background collections
+    in its gap; every result matches the oracle."""
+    profile = _tight_profile()
+    spec = baselines(
+        io_size=16 * KIB,
+        io_count=640,
+        random_target_size=4 * MIB,
+        sequential_target_size=4 * MIB,
+    )[kind].with_(timing=TimingKind.BURST, pause_usec=5_000.0, burst=burst)
+    kernel_engine = Engine(profile.build(4 * MIB))
+    reference_engine = Engine(oracle_device(profile))
+    for engine in (kernel_engine, reference_engine):
+        enforce_random_state(engine.device, seed=4)
+    collections = kernel_engine.device.ftl.gc_collections
+    units = kernel_engine.device.stats.background_units
+    analytic.STATS.reset()
+    kernel_run = kernel_engine.run(spec)
+    assert kernel_engine.device.ftl.gc_collections > collections
+    if burst == 10:
+        assert analytic.STATS.write_windows == 0
+        assert analytic.STATS.declines == {"program:paced-write": 1}
+    elif burst == 20:
+        assert analytic.STATS.write_ios == 20 + 31 * 19
+        assert analytic.STATS.declines == {"program:paced-write": 1}
+    else:
+        assert analytic.STATS.write_ios == 640
+        assert analytic.STATS.epoch_windows == 1
+        assert analytic.STATS.declines == {}
+    if burst < 640:
+        assert kernel_engine.device.stats.background_units > units
+    reference_run = reference_engine.run(spec)
+    assert kernel_run.stats == reference_run.stats
+    _assert_twins(
+        kernel_engine.device, reference_engine.device,
+        [kernel_run.trace], [reference_run.trace],
+    )
+
+
+def _process_programs(degree, write, page, capacity, seed=0):
+    """``degree`` programs of unequal lengths over disjoint shares."""
+    rng = np.random.default_rng(seed + degree)
+    share = capacity // page // degree
+    programs = []
+    for k in range(degree):
+        count = 16 + 5 * k + (3 if write else 1) * (degree - k)
+        lbas = (k * share + rng.integers(0, share, count)) * page
+        programs.append(_program(lbas, write, 0.0, page))
+    return programs
+
+
+@pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
+@pytest.mark.parametrize("degree", (1, 2, 3, 7, 16))
+def test_parallel_processes_match_the_reference_loop(degree, write):
+    """ParallelHost at degrees 1-16 with unequal program lengths: the
+    merged round-robin window matches the reference event loop —
+    trace bytes per process, queue counters, channel horizons, credit.
+    The write programs cross GC watermarks."""
+    from repro.flashsim.host import ParallelHost
+
+    profile = _tight_profile()
+    kernel_dev = profile.build(4 * MIB)
+    reference_dev = oracle_device(profile)
+    for device in (kernel_dev, reference_dev):
+        enforce_random_state(device, seed=2)
+    page = 16 * KIB
+    programs = _process_programs(degree, write, page, 4 * MIB)
+    if write:
+        # repeat each program until the processes write ~3x the device
+        reps = max(1, 3 * (4 * MIB // page) // sum(len(p) for p in programs))
+        programs = [
+            _program(np.tile(p.lbas, reps), True, 0.0, page) for p in programs
+        ]
+    collections = kernel_dev.ftl.gc_collections
+    analytic.STATS.reset()
+    kernel_traces = ParallelHost(kernel_dev).run_programs(
+        programs, start_at=kernel_dev.busy_until
+    )
+    assert analytic.STATS.parallel_windows == 1
+    assert analytic.STATS.parallel_ios == sum(len(p) for p in programs)
+    assert analytic.STATS.declines == {}
+    if write:
+        assert kernel_dev.ftl.gc_collections > collections
+    if degree > 1:
+        assert kernel_dev.stats.queued_ios > 0
+    reference_traces = ParallelHost(reference_dev).run_programs(
+        programs, start_at=reference_dev.busy_until
+    )
+    _assert_twins(kernel_dev, reference_dev, kernel_traces, reference_traces)
+
+
+@pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
+def test_parallel_out_of_range_io_raises_the_reference_error(write):
+    """An out-of-range IO in one process declines the whole merged
+    window with nothing committed; the reference loop raises the same
+    AddressError at the same IO, leaving the same state."""
+    from repro.errors import AddressError
+    from repro.flashsim.host import ParallelHost
+
+    page = 16 * KIB
+    programs = _process_programs(4, write, page, 4 * MIB)
+    programs[2].lbas[3] = 4 * MIB  # the first page past the end
+    outcomes = []
+    for device in (
+        build_device("ideal_pagemap", logical_bytes=4 * MIB),
+        oracle_device("ideal_pagemap"),
+    ):
+        enforce_random_state(device, seed=2)
+        analytic.STATS.reset()
+        with pytest.raises(AddressError) as raised:
+            ParallelHost(device).run_programs(programs, start_at=device.busy_until)
+        outcomes.append((str(raised.value), device.fingerprint(), device.metrics()))
+        if not device.chip.reference:
+            assert analytic.STATS.declines == {"parallel:address": 1}
+    assert outcomes[0] == outcomes[1]
+
+
+def test_parallel_read_of_a_corrupted_page_raises_the_reference_error():
+    """A read that would fail read-your-writes verification declines
+    the merged window up front; the reference loop raises at that IO."""
+    from repro.flashsim.host import ParallelHost
+
+    page = 16 * KIB
+    programs = _process_programs(3, False, page, 4 * MIB)
+    outcomes = []
+    for device in (
+        build_device("ideal_pagemap", logical_bytes=4 * MIB),
+        oracle_device("ideal_pagemap"),
+    ):
+        enforce_random_state(device, seed=2)
+        lpages = programs[1].lbas // device.geometry.page_size
+        ppages = device.ftl._l2p[lpages[4:]]
+        device.chip._tokens[int(ppages[ppages >= 0][0])] ^= 1
+        analytic.STATS.reset()
+        with pytest.raises(Exception) as raised:
+            ParallelHost(device).run_programs(programs, start_at=device.busy_until)
+        outcomes.append(
+            (type(raised.value), str(raised.value), device.fingerprint(), device.metrics())
+        )
+        if not device.chip.reference:
+            assert analytic.STATS.declines == {"parallel:verify": 1}
+    assert outcomes[0] == outcomes[1]
+
+
+def test_parallel_mix_of_modes_declines_but_matches_reference():
+    """A ParallelMixSpec of a reader and a writer has mixed modes: the
+    parallel kernel declines and the reference loop runs it."""
+    from repro.core.patterns import ParallelMixSpec
+
+    reader = PatternSpec(
+        mode=Mode.READ,
+        location=LocationKind.RANDOM,
+        io_size=16 * KIB,
+        io_count=48,
+        target_size=2 * MIB,
+    )
+    writer = reader.with_(
+        mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, target_offset=2 * MIB
+    )
+    spec = ParallelMixSpec(components=(reader, writer))
+    kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device("ideal_pagemap"))
+    kernel_run = kernel_engine.run(spec)
+    assert analytic.STATS.declines == {"parallel:mixed-modes": 1}
+    assert analytic.STATS.parallel_windows == 0
+    reference_run = reference_engine.run(spec)
+    assert kernel_run.stats == reference_run.stats
+    _assert_twins(
+        kernel_engine.device, reference_engine.device,
+        [run.trace for run in kernel_run.runs],
+        [run.trace for run in reference_run.runs],
+    )
+
+
+def test_parallel_writes_of_zero_cost_decline():
+    """With no per-IO cost at all two processes are ready at the same
+    instant, and the reference serves the lower index again — not
+    round robin, so the pages land in another order.  The kernel
+    declines a device without per-IO overhead."""
+    from repro.flashsim.host import ParallelHost
+    from repro.flashsim.timing import TimingSpec
+
+    free = TimingSpec(
+        read_page=0.0, program_page=0.0, erase_block=0.0,
+        transfer_per_kib=0.0, controller_overhead=0.0,
+    )
+    kernel_dev = make_device(ftl_kind="pagemap", timing=free)
+    reference_dev = oracle_device({"ftl_kind": "pagemap", "timing": free})
+    page = kernel_dev.geometry.page_size
+    programs = [_program(np.arange(k, 32, 2) * page, True, 0.0, page) for k in (0, 1)]
+    kernel_traces = ParallelHost(kernel_dev).run_programs(programs)
+    assert analytic.STATS.declines == {"parallel:zero-overhead": 1}
+    reference_traces = ParallelHost(reference_dev).run_programs(programs)
+    _assert_twins(kernel_dev, reference_dev, kernel_traces, reference_traces)
+    assert kernel_traces[0].column("completed_at").max() == 0.0

@@ -60,3 +60,26 @@ def test_fallback_twins_are_gated_only_where_the_kernels_served(tmp_path):
         f"ideal_pagemap: run_RW {slow / 17.0:.2f}x slower than "
         f"run_RW/fallback (> {bench.FALLBACK_LIMIT}x)"
     ]
+
+
+def test_fallback_twins_run_no_kernel():
+    # a /fallback twin that still ran a kernel would time the kernel
+    # against itself; the burst and parallel runs are served when on
+    from repro.core.engine import Engine
+    from repro.flashsim import analytic
+    from repro.flashsim.profiles import build_device
+    from repro.units import MIB
+
+    bench = _bench_hotpath()
+    specs = bench._run_specs(4 * MIB, 64)
+    for name in ("run_parallel", "run_burst"):
+        for kernels in (True, False):
+            engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
+            before = bench._kernel_ios()
+            if kernels:
+                engine.run(specs[name])
+            else:
+                with bench._kernels_declined():
+                    engine.run(specs[name])
+            assert (bench._kernel_ios() > before) is kernels, (name, kernels)
+    assert analytic.run_programs_parallel.__name__ == "run_programs_parallel"

@@ -8,8 +8,9 @@ two phases that dominate real campaign time:
   covering the whole device, Section 4.1 methodology), the workload the
   vectorized run kernel targets;
 * **SR/RR/SW/RW**: the four baseline patterns of Section 3.1;
-* **run_{SR,RR,SW,RW,mix,parallel}**: measured runs through the
-  engine, each with a ``/fallback`` twin whose programs skip the
+* **run_{SR,RR,SW,RW,mix,parallel,burst}**: measured runs through the
+  engine (``run_burst`` is SW in bursts of 32 IOs), each with a
+  ``/fallback`` twin whose programs skip the
   closed-form kernels and run the hosts' per-IO loops (no fast key the
   kernels served may be more than ``FALLBACK_LIMIT`` times slower than
   its twin);
@@ -71,6 +72,7 @@ from repro.core.patterns import (  # noqa: E402
     MixSpec,
     ParallelSpec,
     PatternSpec,
+    TimingKind,
     baselines,
 )
 from repro.flashsim.ftl.pagemap import PageMapConfig  # noqa: E402
@@ -152,12 +154,15 @@ def _kernels_declined():
     batch paths stay on.  Enforcement runs its writes as a program
     through the same entry point, so the twins enforce outside this
     context."""
-    saved = analytic.run_program_into, analytic.run_program_queued
-    analytic.run_program_into = analytic.run_program_queued = _decline_program
+    names = ("run_program_into", "run_program_queued", "run_programs_parallel")
+    saved = [getattr(analytic, name) for name in names]
+    for name in names:
+        setattr(analytic, name, _decline_program)
     try:
         yield
     finally:
-        analytic.run_program_into, analytic.run_program_queued = saved
+        for name, kernel in zip(names, saved):
+            setattr(analytic, name, kernel)
 
 
 def _kernel_ios() -> int:
@@ -237,7 +242,8 @@ def bench_profile(
 
 
 def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
-    """The measured-run workloads: four baselines, a mix, a parallel."""
+    """The measured-run workloads: four baselines, a mix, a parallel
+    and a burst."""
     specs = baselines(
         io_size=16 * KIB,
         io_count=io_count,
@@ -269,6 +275,11 @@ def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
     workloads["run_parallel"] = ParallelSpec(
         base=specs["SW"], parallel_degree=4
     )
+    # a paced write runs per IO, the zero-gap rest of its burst takes a
+    # write window
+    workloads["run_burst"] = specs["SW"].with_(
+        timing=TimingKind.BURST, pause_usec=1_000.0, burst=32
+    )
     return workloads
 
 
@@ -277,7 +288,7 @@ def bench_measured_runs(
 ) -> dict[str, dict[str, float]]:
     """Best-of-``repeat`` timings of the engine's measured runs.
 
-    The same six workloads run with the closed-form kernels on (the
+    The same seven workloads run with the closed-form kernels on (the
     default, plain keys) and, with ``twins``, with every program
     declining them (``/fallback`` suffix — the hosts' per-IO loops),
     in alternating order (:func:`_paired`).  Both produce bit-identical
