@@ -45,13 +45,13 @@ def main() -> None:
     from repro.core.engine import execute
 
     run = execute(source, workload)
-    rows = IOTrace.parse_csv(run.trace.to_csv())
-    original_span = rows[-1].completed_at - rows[0].submitted_at
+    trace = IOTrace.from_csv(run.trace.to_csv())
+    original_span = trace[-1].completed_at - trace[0].submitted_at
 
     table = []
     for name in TARGETS:
         device = prepare(name)
-        result = replay(device, rows, mode=ReplayMode.CLOSED_LOOP)
+        result = replay(device, trace, mode=ReplayMode.CLOSED_LOOP)
         table.append(
             (
                 name,

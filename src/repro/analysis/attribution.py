@@ -1,8 +1,8 @@
 """Campaign-level latency attribution: ground truth behind the curves.
 
-uFLIP infers FTL mechanics from black-box response-time shapes; the
-flight recorder (:mod:`repro.flashsim.recorder`) records the ground
-truth per IO.  This module aggregates those per-IO decompositions over
+uFLIP infers FTL mechanics from black-box response-time shapes; a
+device with attribution on (:mod:`repro.flashsim.recorder`) records the
+ground truth per IO in its traces' ``attr_*`` columns.  This module aggregates those per-IO decompositions over
 a campaign's cells into:
 
 * an **attribution table** — per (profile, experiment) component shares
@@ -51,7 +51,7 @@ def outcome_component_totals(outcome) -> dict[str, int]:
     """Total integer µs per component across one cell's attributed IOs.
 
     Returns an empty dict when the outcome carries no attribution (the
-    cell ran without a flight recorder, e.g. an old cache entry).
+    cell ran without attribution, e.g. an old cache entry).
     """
     totals = dict.fromkeys(COMPONENTS, 0)
     ios = 0

@@ -494,15 +494,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.core.replay import ReplayMode, remap_rows, replay
     from repro.flashsim.trace import IOTrace
 
     device = _build_ready_device(args)
-    rows = IOTrace.load_csv(args.trace)
+    trace = IOTrace.from_csv(Path(args.trace).read_text())
     if args.remap:
-        rows = remap_rows(rows, device.capacity, device.geometry.block_size)
+        trace = remap_rows(trace, device.capacity, device.geometry.block_size)
     mode = ReplayMode.TIMED if args.timed else ReplayMode.CLOSED_LOOP
-    result = replay(device, rows, mode=mode, io_ignore=args.ignore)
+    result = replay(device, trace, mode=mode, io_ignore=args.ignore)
     print(
         f"replayed {len(result.trace)} IOs on {device.name} "
         f"({result.mode.value}): {result.stats.summary()}"
@@ -659,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_parser.add_argument(
         "--attribution", action="store_true",
-        help="attach a flight recorder to every cell: traces gain exact "
+        help="attribute every cell's IO latencies: traces gain exact "
              "per-IO latency-attribution columns, a campaign-end "
              "attribution table is printed, and --trace gains simulated "
              "device-time lanes",

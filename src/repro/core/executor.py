@@ -79,8 +79,8 @@ from repro.core.archive import (
 from repro.core.experiment import Experiment, ExperimentResult, run_experiment
 from repro.core.methodology import StatePool
 from repro.core.microbench import BenchContext, build_microbenchmark
-from repro.core.plan import TargetAllocator
-from repro.errors import ExperimentError, PlanError
+from repro.core.plan import TargetAllocator, restoring_allocator
+from repro.errors import ExperimentError
 from repro.flashsim import analytic
 from repro.flashsim.profiles import build_device, get_profile
 from repro.flashsim.snapshot import (
@@ -107,8 +107,8 @@ class Observe:
 
     ``traces`` asks the cell to keep and return its per-IO traces
     (columnar payloads inside the result) rather than statistics only.
-    ``attribution`` additionally attaches a flight recorder to the cell
-    device so every trace carries per-IO latency-attribution columns
+    ``attribution`` additionally switches on the cell device's latency
+    attribution so every trace carries per-IO latency-attribution columns
     (implies ``traces``).
     """
 
@@ -231,9 +231,9 @@ def _run_cell_body(
 
     ``device`` lets a warm worker pass its resident built device instead
     of paying a rebuild; it is restored from ``snapshot`` like a fresh
-    one.  Any attached flight recorder is detached up front (device
-    restores do not clear recorders), so a recycled device records if
-    and only if this cell asks for attribution.
+    one.  Its attribution switch is set from ``attribution`` (device
+    restores leave the switch alone), so a recycled device attributes if
+    and only if this cell asks for it.
 
     The envelope maps ``payload`` (the measurements, with columnar
     per-IO traces included when ``keep_traces``), ``metrics`` (the
@@ -251,27 +251,14 @@ def _run_cell_body(
         if device is None:
             device = build_device(cell.profile, logical_bytes=cell.capacity)
         device.restore(snapshot)
-        device.detach_recorder()
-        if attribution:
-            from repro.flashsim.recorder import FlightRecorder
-
-            device.attach_recorder(FlightRecorder())
+        device.attribution = attribution
         before = device.metrics() if registry is not None else None
         experiment = _cell_experiment(cell, device.capacity)
-        allocator = TargetAllocator(device.capacity, device.geometry.block_size)
-
-        def allocate(spec):
-            placed = allocator.place(spec)
-            if placed is None:
-                # runtime guard, mirroring BenchmarkPlan.execute: restore
-                # the enforced state and restart the target space
-                device.restore(snapshot)
-                allocator.reset()
-                placed = allocator.place(spec)
-                if placed is None:
-                    raise PlanError("spec does not fit even on a fresh device")
-            return placed
-
+        allocate = restoring_allocator(
+            device,
+            snapshot,
+            TargetAllocator(device.capacity, device.geometry.block_size),
+        )
         result = run_experiment(
             device,
             experiment,
@@ -654,8 +641,8 @@ class CampaignExecutor:
 
     ``keep_traces`` makes cells keep and return their per-IO traces
     (columnar payloads); cache entries stored without traces then no
-    longer satisfy a hit and are re-run.  ``attribution`` attaches a
-    flight recorder to every cell device so the traces carry exact
+    longer satisfy a hit and are re-run.  ``attribution`` switches on
+    every cell device's latency attribution so the traces carry exact
     per-IO latency-attribution columns (implies ``keep_traces``; cache
     entries without attribution are likewise re-run).
     """

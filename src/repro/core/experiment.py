@@ -116,16 +116,6 @@ class ExperimentResult:
         )
 
 
-def _reseed(spec: SpecLike, bump: int) -> SpecLike:
-    """A copy of the spec with shifted random seeds for a repetition.
-
-    Delegates to the engine's reseeder registry, which covers every
-    registered spec kind (including :class:`ParallelMixSpec`, which the
-    former isinstance ladder mishandled).
-    """
-    return reseed(spec, bump)
-
-
 def _trace_iops(trace: IOTrace) -> float:
     """Simulated IOPS of one run: IO count over the trace makespan.
 
@@ -170,7 +160,7 @@ def run_experiment(
         row = ExperimentRow(value=value, label=getattr(base_spec, "label", ""))
         iops_samples: list[float] = []
         for repetition in range(repetitions):
-            spec = _reseed(base_spec, repetition)
+            spec = reseed(base_spec, repetition)
             if allocate is not None:
                 spec = allocate(spec)
             run = execute(device, spec)

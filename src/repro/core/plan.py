@@ -29,6 +29,7 @@ from repro.core.patterns import (
 )
 from repro.errors import PlanError
 from repro.flashsim.device import FlashDevice
+from repro.flashsim.snapshot import DeviceSnapshot
 from repro.obs import tracing as obs_tracing
 from repro.units import SEC
 
@@ -149,6 +150,29 @@ class TargetAllocator:
         if offset is None:
             return None
         return pattern.with_(target_offset=offset)
+
+
+def restoring_allocator(
+    device: FlashDevice, state: DeviceSnapshot, allocator: TargetAllocator
+) -> Callable[[SpecLike], SpecLike]:
+    """``allocator.place`` with the runtime guard for a dry target space.
+
+    A spec that no longer fits restores the enforced ``state`` onto
+    ``device``, restarts the allocator and is placed again; one that
+    does not fit even then raises :class:`PlanError`.
+    """
+
+    def allocate(spec: SpecLike) -> SpecLike:
+        placed = allocator.place(spec)
+        if placed is None:
+            device.restore(state)
+            allocator.reset()
+            placed = allocator.place(spec)
+            if placed is None:
+                raise PlanError("spec does not fit even on a fresh device")
+        return placed
+
+    return allocate
 
 
 def _spec_io_count(spec: SpecLike) -> int:
@@ -305,25 +329,13 @@ class BenchmarkPlan:
         enforce_state(device)
         baseline = device.snapshot()
         allocator = TargetAllocator(self.capacity, self.align)
+        allocate = restoring_allocator(device, baseline, allocator)
         results: dict[str, ExperimentResult] = {}
-
-        def reset_state() -> None:
-            device.restore(baseline)
-            allocator.reset()
-
-        def allocate(spec: SpecLike) -> SpecLike:
-            placed = allocator.place(spec)
-            if placed is None:
-                reset_state()
-                placed = allocator.place(spec)
-                if placed is None:
-                    raise PlanError("spec does not fit even on a fresh device")
-            return placed
-
         for step in self.steps:
             if isinstance(step, StateReset):
                 with obs_tracing.span("state-reset", cat="plan"):
-                    reset_state()
+                    device.restore(baseline)
+                    allocator.reset()
                 continue
             with obs_tracing.span("experiment", cat="plan", experiment=step.name):
                 results[step.name] = run_experiment(

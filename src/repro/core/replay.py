@@ -16,13 +16,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+
+import numpy as np
 
 from repro.core.stats import RunStats, summarize
 from repro.errors import AnalysisError
 from repro.flashsim.device import FlashDevice
-from repro.flashsim.trace import IOTrace, TraceRow
-from repro.iotypes import Mode
+from repro.flashsim.trace import IOTrace
 
 
 class ReplayMode(enum.Enum):
@@ -56,40 +56,44 @@ class ReplayResult:
 
 def replay(
     device: FlashDevice,
-    rows: Sequence[TraceRow],
+    trace: IOTrace,
     mode: ReplayMode = ReplayMode.CLOSED_LOOP,
     io_ignore: int = 0,
 ) -> ReplayResult:
-    """Replay ``rows`` against ``device``.
+    """Replay ``trace`` (e.g. from :meth:`IOTrace.from_csv`) against
+    ``device``.
 
     Every replayed extent must fit the target device; replaying a trace
     captured on a bigger device onto a smaller one raises (remap the
-    LBAs first if that is what you want).  Each IO is recorded with its
-    recorded arrival offset (submit time relative to the first row) as
-    its scheduled time.
+    LBAs first with :func:`remap_rows` if that is what you want).  Each
+    IO is recorded with its recorded arrival offset (submit time
+    relative to the first row) as its scheduled time.
     """
-    if not rows:
+    if not len(trace):
         raise AnalysisError("cannot replay an empty trace")
-    for row in rows:
-        if row.size <= 0 or row.lba < 0 or row.lba + row.size > device.capacity:
+    lbas = trace.column("lba").tolist()
+    sizes = trace.column("size").tolist()
+    writes = trace.column("write").tolist()
+    submitted = trace.column("submitted_at").tolist()
+    for lba, size in zip(lbas, sizes):
+        if size <= 0 or lba < 0 or lba + size > device.capacity:
             raise AnalysisError(
-                f"trace extent [{row.lba}, +{row.size}) does not fit the "
+                f"trace extent [{lba}, +{size}) does not fit the "
                 f"target device's capacity {device.capacity}"
             )
-    origin = rows[0].submitted_at
+    origin = submitted[0]
     start = device.busy_until
     timed = mode is ReplayMode.TIMED
-    out = IOTrace(capacity=len(rows))
+    out = IOTrace(capacity=len(lbas))
     now = start
-    for position, row in enumerate(rows):
-        offset = row.submitted_at - origin
+    for position, (lba, size, write, submitted_at) in enumerate(
+        zip(lbas, sizes, writes, submitted)
+    ):
+        offset = submitted_at - origin
         submit_at = max(start + offset, start) if timed else now
-        now = device.submit_into(
-            out, position, row.lba, row.size, row.mode is Mode.WRITE,
-            submit_at, offset,
-        )
+        now = device.submit_into(out, position, lba, size, write, submit_at, offset)
     stats = summarize(out.response_times(), io_ignore)
-    original_span = rows[-1].completed_at - rows[0].submitted_at
+    original_span = float(trace.column("completed_at")[-1]) - origin
     replay_span = out[-1].completed_at - out[0].submitted_at
     return ReplayResult(
         mode=mode,
@@ -107,44 +111,26 @@ def replay_csv(
     io_ignore: int = 0,
 ) -> ReplayResult:
     """Replay a trace archived with :meth:`IOTrace.to_csv`."""
-    return replay(device, IOTrace.load_csv(path), mode=mode, io_ignore=io_ignore)
+    trace = IOTrace.from_csv(Path(path).read_text())
+    return replay(device, trace, mode=mode, io_ignore=io_ignore)
 
 
-def remap_rows(
-    rows: Sequence[TraceRow], target_capacity: int, align: int
-) -> list[TraceRow]:
+def remap_rows(trace: IOTrace, target_capacity: int, align: int) -> IOTrace:
     """Fold a trace's LBAs into a smaller target capacity.
 
     Extents are wrapped modulo the largest ``align``-aligned prefix of
     the target space; sizes are preserved.  Useful for driving a trace
     captured on a large device against a scaled one — the pattern's
     *locality structure* changes, so treat results as approximate.
+    Returns a new trace; every other column is copied unchanged.
     """
     if target_capacity < align or align <= 0:
         raise AnalysisError("target capacity must hold at least one aligned unit")
     usable = (target_capacity // align) * align
-    remapped = []
-    for row in rows:
-        size = min(row.size, usable)
-        lba = row.lba % usable
-        if lba + size > usable:
-            lba = usable - size
-        remapped.append(
-            TraceRow(
-                index=row.index,
-                mode=row.mode,
-                lba=lba,
-                size=size,
-                submitted_at=row.submitted_at,
-                started_at=row.started_at,
-                completed_at=row.completed_at,
-                response_usec=row.response_usec,
-                page_reads=row.page_reads,
-                page_programs=row.page_programs,
-                copy_reads=row.copy_reads,
-                copy_programs=row.copy_programs,
-                block_erases=row.block_erases,
-                notes=row.notes,
-            )
-        )
-    return remapped
+    sizes = np.minimum(trace.column("size"), usable)
+    lbas = trace.column("lba") % usable
+    np.minimum(lbas, usable - sizes, out=lbas)
+    payload = trace.to_payload()
+    payload["lba"] = lbas.tolist()
+    payload["size"] = sizes.tolist()
+    return IOTrace.from_payload(payload)

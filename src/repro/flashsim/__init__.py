@@ -50,15 +50,9 @@ from repro.flashsim.profiles import (
     profile_names,
     scaled_profile,
 )
-from repro.flashsim.recorder import (
-    COMPONENTS,
-    FlightRecorder,
-    IOEvent,
-    events_from_trace,
-    summarize_components,
-)
+from repro.flashsim.recorder import COMPONENTS
 from repro.flashsim.timing import MLC_TIMING, SLC_TIMING, CostAccumulator, TimingSpec
-from repro.flashsim.trace import ATTRIBUTION_COLUMNS, IOTrace, TraceRow
+from repro.flashsim.trace import ATTRIBUTION_COLUMNS, IOTrace
 from repro.flashsim.wear import (
     LifetimeProjection,
     WearReport,
@@ -86,9 +80,7 @@ __all__ = [
     "EventTimeline",
     "FlashChip",
     "FlashDevice",
-    "FlightRecorder",
     "Geometry",
-    "IOEvent",
     "IOTrace",
     "KernelStats",
     "PackedBits",
@@ -107,11 +99,9 @@ __all__ = [
     "SyncHost",
     "TABLE3_PROFILES",
     "TimingSpec",
-    "TraceRow",
     "WearReport",
     "WriteBackCache",
     "build_device",
-    "events_from_trace",
     "get_profile",
     "mask_from_indices",
     "pack_bits",
@@ -120,7 +110,6 @@ __all__ = [
     "measure_run_energy",
     "project_lifetime",
     "scaled_profile",
-    "summarize_components",
     "unpack_snapshot",
     "wear_report",
 ]

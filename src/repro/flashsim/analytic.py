@@ -208,7 +208,7 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
     """Why this device cannot take the analytic kernels (None = it can).
 
     These are *configuration* preconditions — properties that cannot
-    change mid-run: the FTL family, the RAM cache, the flight recorder,
+    change mid-run: the FTL family, the RAM cache, latency attribution,
     measurement noise, a reference chip (fault injection), wear
     levelling and block health.
 
@@ -223,8 +223,8 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
         return "ftl-family"
     if device.controller.cache is not None:
         return "cache"
-    if device.recorder is not None:
-        return "recorder"
+    if device.attribution:
+        return "attribution"
     if device.noise.jitter:
         return "noise"
     if device.chip.reference:
@@ -846,7 +846,7 @@ def run_program_queued(
     background work, a possible verification failure, or a device-level
     decline); the async host then runs its reference loop.  Trace rows
     land in submission order with final timings, identical to the
-    reference's tag-sorted ``record_at`` rows.
+    reference's tag-ordered ``record`` rows.
     """
     if os_overhead != 0.0:
         STATS.decline("queued:os-overhead")

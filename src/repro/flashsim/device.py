@@ -31,7 +31,7 @@ from repro.flashsim.clock import EventTimeline
 from repro.flashsim.controller import Controller
 from repro.flashsim.ftl.base import BaseFTL
 from repro.flashsim.geometry import Geometry
-from repro.flashsim.recorder import IOEvent, attribute_io
+from repro.flashsim.recorder import attribute_io
 from repro.flashsim.timing import CostAccumulator, TimingSpec
 from repro.iotypes import CompletedIO, IORequest, Mode
 
@@ -277,7 +277,12 @@ class FlashDevice:
         self._bg_credit = 0.0
         self._channels = ChannelSet(timing.channels)
         self._queue = CommandQueue(queue_depth)
-        self._recorder = None  # opt-in flight recorder (observability)
+        #: per-IO latency attribution (observability, not state): while
+        #: set, each dispatched IO's cost carries its decomposition
+        #: (:mod:`repro.flashsim.recorder`), which traces keep as their
+        #: ``attr_*`` columns.  It never changes timing and stays out of
+        #: snapshots and fingerprints.
+        self.attribution = False
 
     # ------------------------------------------------------------------
     # the block interface
@@ -321,9 +326,9 @@ class FlashDevice:
             self.stats.queue_wait_usec += start - now
         self._grant_background(max(0.0, start - self._busy_until))
 
-        recorder = self._recorder
+        attribution = self.attribution
         cost = CostAccumulator()
-        if recorder is not None:
+        if attribution:
             cost.scopes = []  # enable provenance scopes for this IO
         interfered = False
         if not write:
@@ -348,10 +353,16 @@ class FlashDevice:
         if completion > self._busy_until:
             self._busy_until = completion
         self._account(write, size, service, interfered)
-        if recorder is not None:
-            self._record_flight(
-                recorder, lba, size, write, now, start, completion,
-                cost, service_base, service_scaled, service, channel,
+        if attribution:
+            cost.attribution = attribute_io(
+                self.timing,
+                cost,
+                wait=start - now,
+                service_base=service_base,
+                service_scaled=service_scaled,
+                service_final=service,
+                response=completion - now,
+                channel=channel,
             )
         return start, completion, cost, channel
 
@@ -536,73 +547,6 @@ class FlashDevice:
         total.add(self.ftl.drain_background())
         self._bg_credit = 0.0
         return total
-
-    # ------------------------------------------------------------------
-    # flight recorder (opt-in per-IO latency attribution)
-    # ------------------------------------------------------------------
-
-    @property
-    def recorder(self):
-        """The attached flight recorder, or ``None``."""
-        return self._recorder
-
-    def attach_recorder(self, recorder) -> None:
-        """Enable per-IO latency attribution.
-
-        While attached, every dispatched IO is decomposed into named
-        components (see :mod:`repro.flashsim.recorder`), the
-        decomposition is stamped on the IO's cost accumulator (from
-        where traces pick it up) and an event is pushed into the
-        recorder's ring.  The recorder is observability, not state: it
-        never changes timing, is excluded from snapshots and
-        fingerprints, and detaching restores the zero-cost path.
-        """
-        self._recorder = recorder
-
-    def detach_recorder(self):
-        """Disable attribution; returns the recorder that was attached."""
-        recorder, self._recorder = self._recorder, None
-        return recorder
-
-    def _record_flight(
-        self,
-        recorder,
-        lba: int,
-        size: int,
-        write: bool,
-        now: float,
-        start: float,
-        completion: float,
-        cost: CostAccumulator,
-        service_base: float,
-        service_scaled: float,
-        service_final: float,
-        channel: int,
-    ) -> None:
-        """Decompose one dispatched IO and record it (recorder path)."""
-        attribution = attribute_io(
-            self.timing,
-            cost,
-            wait=start - now,
-            service_base=service_base,
-            service_scaled=service_scaled,
-            service_final=service_final,
-            response=completion - now,
-            channel=channel,
-        )
-        cost.attribution = attribution
-        recorder.record(
-            IOEvent(
-                lba=lba,
-                size=size,
-                write=write,
-                submitted_at=now,
-                started_at=start,
-                completed_at=completion,
-                channel=channel,
-                components=attribution[1:],
-            )
-        )
 
     # ------------------------------------------------------------------
     # snapshot / restore

@@ -160,7 +160,7 @@ class AsyncHost:
                 i += 1
             else:
                 entry = device.pop_next_completion()
-                trace.record_at(
+                trace.record(
                     entry.tag, entry.lba, entry.size, entry.write,
                     entry.scheduled_at, entry.submitted_at,
                     entry.started_at, entry.completed_at, entry.cost,

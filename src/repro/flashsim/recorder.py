@@ -1,13 +1,14 @@
-"""The device flight recorder: per-IO latency attribution.
+"""Per-IO latency attribution.
 
 uFLIP *infers* FTL mechanics — startup phases, merge costs, pause
 absorption — from black-box response-time curves (Sections 3-5).  The
-simulator knows the ground truth and, until now, threw it away: only
-sparse note strings survived into the trace.  This module keeps it.
+simulator knows the ground truth; this module keeps it.
 
-A :class:`FlightRecorder` is an opt-in, bounded ring buffer attached to
-a :class:`~repro.flashsim.device.FlashDevice`.  While attached, every
-dispatched IO is decomposed into named latency components:
+While a :class:`~repro.flashsim.device.FlashDevice` has its
+``attribution`` switch on, every dispatched IO is decomposed into named
+latency components, stamped on the IO's cost accumulator and kept by
+the trace as its ``attr_*`` columns
+(:data:`~repro.flashsim.trace.ATTRIBUTION_COLUMNS`):
 
 ========================  ============================================
 ``wait``                  queue wait (start − submission): device or
@@ -45,17 +46,14 @@ FTLs, controller and cache populate; work no scope claims falls into
 the host-level components, so the invariant is structural — mislabeled
 work can never unbalance it.
 
-The recorder itself is observability, not device state: it is excluded
-from snapshots and fingerprints, and a device with a recorder attached
-evolves bit-identically to one without.
+Attribution is observability, not device state: the switch is excluded
+from snapshots and fingerprints, and a device with it on evolves
+bit-identically to one with it off.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
 
 from repro.flashsim.timing import CostAccumulator, TimingSpec
 
@@ -231,140 +229,9 @@ def _apportion(components: list[float], target: int) -> tuple[int, ...]:
     return tuple(floors)
 
 
-@dataclass(slots=True, frozen=True)
-class IOEvent:
-    """One decomposed IO in the flight-recorder ring."""
-
-    lba: int
-    size: int
-    write: bool
-    submitted_at: float
-    started_at: float
-    completed_at: float
-    channel: int
-    #: integer µs per :data:`COMPONENTS` entry; sums to the response time
-    components: tuple[int, ...]
-
-    @property
-    def response_usec(self) -> float:
-        """Response time (completion − submission) in microseconds."""
-        return self.completed_at - self.submitted_at
-
-    def component(self, name: str) -> int:
-        """One named component's share in integer microseconds."""
-        return self.components[_COMPONENT_INDEX[name]]
-
-    def as_dict(self) -> dict:
-        """JSON-friendly form (Chrome trace args, reports)."""
-        payload = {
-            "lba": self.lba,
-            "size": self.size,
-            "mode": "write" if self.write else "read",
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "completed_at": self.completed_at,
-            "channel": self.channel,
-        }
-        payload.update(zip(COMPONENTS, self.components))
-        return payload
-
-
-class FlightRecorder:
-    """A bounded ring of decomposed IO events.
-
-    Attach with :meth:`FlashDevice.attach_recorder`; while attached the
-    device computes an exact latency attribution for every IO, pushes
-    an :class:`IOEvent` here and stamps the decomposition onto the IO's
-    :class:`~repro.flashsim.timing.CostAccumulator`, from where the
-    columnar trace picks it up.  The ring is bounded (``capacity``
-    events; the oldest drop first) so long campaigns cannot grow it
-    without limit — the per-IO trace columns are the unbounded channel.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
-        self.capacity = capacity
-        self._events: deque[IOEvent] = deque(maxlen=capacity)
-        self.recorded = 0
-
-    def record(self, event: IOEvent) -> None:
-        """Push one decomposed IO (oldest event drops when full)."""
-        self._events.append(event)
-        self.recorded += 1
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self):
-        return iter(self._events)
-
-    def events(self) -> list[IOEvent]:
-        """The retained events, oldest first."""
-        return list(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Events pushed out of the ring by newer ones."""
-        return self.recorded - len(self._events)
-
-    def clear(self) -> None:
-        """Empty the ring (counters keep accumulating)."""
-        self._events.clear()
-
-
-def events_from_trace(trace) -> list[IOEvent]:
-    """Rebuild flight-recorder events from an attributed trace.
-
-    The trace's attribution columns carry the same decomposition the
-    ring held, without the bound — this is how campaign tooling (Chrome
-    device lanes, the attribution report) consumes worker-produced
-    traces that never shipped a recorder across the process boundary.
-    Raises :class:`ValueError` when the trace has no attribution.
-    """
-    if not trace.has_attribution:
-        raise ValueError("trace carries no attribution columns")
-    matrix = trace.attribution_matrix()
-    events = []
-    lbas = trace.column("lba")
-    sizes = trace.column("size")
-    writes = trace.column("write")
-    submitted = trace.column("submitted_at")
-    started = trace.column("started_at")
-    completed = trace.column("completed_at")
-    for i in range(len(trace)):
-        row = matrix[i]
-        events.append(
-            IOEvent(
-                lba=int(lbas[i]),
-                size=int(sizes[i]),
-                write=bool(writes[i]),
-                submitted_at=float(submitted[i]),
-                started_at=float(started[i]),
-                completed_at=float(completed[i]),
-                channel=int(row[0]),
-                components=tuple(int(v) for v in row[1:]),
-            )
-        )
-    return events
-
-
-def summarize_components(events: Iterable[IOEvent]) -> dict[str, int]:
-    """Total integer µs per component across ``events``."""
-    totals = dict.fromkeys(COMPONENTS, 0)
-    for event in events:
-        for name, value in zip(COMPONENTS, event.components):
-            totals[name] += value
-    return totals
-
-
 __all__ = [
     "COMPONENTS",
     "SCOPE_COMPONENTS",
-    "FlightRecorder",
-    "IOEvent",
     "attribute_io",
-    "events_from_trace",
-    "summarize_components",
     "unattributed_usec",
 ]

@@ -134,8 +134,8 @@ class TimingSpec:
     ):
         """Service time of one IO's operation counts, in microseconds.
 
-        The one cost formula: :meth:`CostAccumulator.total`, the flight
-        recorder and the closed-form kernels all call it.  The counts
+        The one cost formula: :meth:`CostAccumulator.total`, latency
+        attribution and the closed-form kernels all call it.  The counts
         may be Python scalars or index-aligned numpy columns (one
         service time per IO), and so may the arguments of the composite
         costs it sums; either way the additions run left to right in
@@ -198,9 +198,9 @@ class CostAccumulator:
     #: sub-accumulators whose totals are folded back with a ``(tag, sub)``
     #: entry here.  Excluded from equality — it is observability, not work.
     scopes: list | None = field(default=None, compare=False, repr=False)
-    #: per-IO latency decomposition attached by the device when a flight
-    #: recorder is enabled: ``(channel, component_usec...)`` integers in
-    #: :data:`repro.flashsim.recorder.COMPONENTS` order.
+    #: per-IO latency decomposition attached by the device while its
+    #: ``attribution`` switch is on: ``(channel, component_usec...)``
+    #: integers in :data:`repro.flashsim.recorder.COMPONENTS` order.
     attribution: tuple | None = field(default=None, compare=False, repr=False)
 
     def add(self, other: "CostAccumulator") -> None:
@@ -219,7 +219,7 @@ class CostAccumulator:
         """Record a qualitative event (e.g. ``"full-merge"``) for traces."""
         self.notes.append(tag)
 
-    # -- provenance scopes (the flight recorder's attribution channel) ---
+    # -- provenance scopes (the attribution channel) ---
 
     def begin_scope(self) -> "CostAccumulator":
         """Open a provenance scope for a unit of internal work.

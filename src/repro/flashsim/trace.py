@@ -3,28 +3,26 @@
 The paper's design principle 1 (Section 3.2): *for each run, we measure
 and record the response time for individual IOs*.  :class:`IOTrace` is
 that record — one row per IO with its four defining attributes, the
-measured response time and the physical work performed — plus CSV
-round-tripping so results can be archived and re-analysed (the authors
-published tens of millions of data points this way).
+measured response time, the physical work performed and, on attributed
+runs, the IO's latency decomposition — plus CSV round-tripping so
+results can be archived and re-analysed (the authors published tens of
+millions of data points this way).
 
 Storage is columnar: one preallocated numpy array per field (geometric
 growth), with cost notes in a sparse ``{row: [note, ...]}`` dict since
-notes are rare.  The hot path appends scalars straight into the arrays
+notes are rare.  The hot path writes scalars straight into the arrays
 (:meth:`IOTrace.record`); analysis reads whole columns
-(:meth:`IOTrace.response_times` returns a cached ndarray).  Row access
-stays compatible with the legacy object-backed trace: ``trace[i]`` and
-iteration build :class:`~repro.iotypes.CompletedIO` views on demand,
-and a row view's ``cost.notes`` list is shared with the trace so
-``trace[i].cost.note(...)`` persists.  Pickling packs the columns as
-raw buffers (:func:`_trace_from_packed`), which is what keeps process-
-pool transfers and run-cache entries small.
+(:meth:`IOTrace.response_times` returns a cached ndarray).  ``trace[i]``
+and iteration build :class:`~repro.iotypes.CompletedIO` views on
+demand, and a row view's ``cost.notes`` list is shared with the trace
+so ``trace[i].cost.note(...)`` persists.  Traces cross process and
+cache boundaries as :meth:`IOTrace.to_payload` JSON.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -50,7 +48,7 @@ _FIELDS = (
     "notes",
 )
 
-#: column name -> dtype, in packing order (pickle / payload format)
+#: column name -> dtype, in payload order
 _COLUMNS = (
     ("index", np.int64),
     ("lba", np.int64),
@@ -74,11 +72,10 @@ _INT_COLUMNS = frozenset(
     name for name, dtype in _COLUMNS if dtype is np.int64
 )
 
-#: lazily-allocated attribution columns (flight-recorder runs only), in
+#: lazily-allocated attribution columns (attributed runs only), in
 #: :data:`repro.flashsim.recorder.COMPONENTS` order after ``channel``.
 #: Integer microseconds; the ``attr_*`` columns sum to the rounded
-#: response time of every row — the flight recorder's exactness
-#: invariant.
+#: response time of every row — the attribution's exactness invariant.
 ATTRIBUTION_COLUMNS = (
     "channel",
     "attr_wait_usec",
@@ -101,8 +98,7 @@ def _escape_notes(notes: Iterable[str]) -> str:
     r"""Join cost notes into one CSV field, ``;``-separated.
 
     ``\`` and ``;`` inside a note are backslash-escaped so a note
-    containing the separator round-trips (the legacy writer corrupted
-    such notes by splitting them on parse)."""
+    containing the separator round-trips."""
     return ";".join(
         note.replace("\\", "\\\\").replace(";", "\\;") for note in notes
     )
@@ -137,26 +133,6 @@ def _quote_csv_field(field: str) -> str:
     if any(ch in field for ch in ',"\r\n'):
         return '"' + field.replace('"', '""') + '"'
     return field
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    """One archived IO (a parsed CSV row)."""
-
-    index: int
-    mode: Mode
-    lba: int
-    size: int
-    submitted_at: float
-    started_at: float
-    completed_at: float
-    response_usec: float
-    page_reads: int
-    page_programs: int
-    copy_reads: int
-    copy_programs: int
-    block_erases: int
-    notes: tuple[str, ...]
 
 
 class IOTrace:
@@ -202,7 +178,7 @@ class IOTrace:
 
     def record(
         self,
-        index: int,
+        row: int,
         lba: int,
         size: int,
         write: bool,
@@ -212,16 +188,24 @@ class IOTrace:
         completed_at: float,
         cost: CostAccumulator,
     ) -> None:
-        """Append one completed IO as scalars (the hot recording path).
+        """Record one completed IO as scalars at ``row`` (the hot path).
+
+        ``row`` is the IO's submission index, which is also its
+        ``index`` column.  The synchronous hosts write rows in order;
+        the async host's completions arrive out of submission order, and
+        writing each at its own row keeps the trace in submission order
+        regardless of the completion interleaving.  The trace grows to
+        cover ``row``.  Each row must be non-negative and recorded
+        exactly once (columns are zero-initialised, not cleared on
+        re-record).
 
         ``cost`` counters are copied into the columns; its ``notes``
         list (when non-empty) is stored *by reference*, so later
         ``cost.note(...)`` calls remain visible through row views.
         """
-        row = self._n
         if row >= self._capacity:
             self._grow(row + 1)
-        self._index[row] = index
+        self._index[row] = row
         self._lba[row] = lba
         self._size[row] = size
         if write:
@@ -250,66 +234,13 @@ class IOTrace:
         if cost.notes:
             self._notes[row] = cost.notes
         if cost.attribution is not None:
-            self._record_attr(row, cost.attribution)
-        self._n = row + 1
-        self._response_cache = None
-
-    def record_at(
-        self,
-        row: int,
-        lba: int,
-        size: int,
-        write: bool,
-        scheduled_at: float,
-        submitted_at: float,
-        started_at: float,
-        completed_at: float,
-        cost: CostAccumulator,
-    ) -> None:
-        """Record one completed IO at an explicit ``row``.
-
-        The async host's completions arrive out of submission order;
-        writing each at ``row = submission index`` keeps the trace in
-        submission order regardless of the completion interleaving, so
-        analysis and CSV output are independent of dispatch timing.
-        Each row must be recorded exactly once (columns are
-        zero-initialised, not cleared on re-record).
-        """
-        if row < 0:
-            raise IndexError("trace row must be non-negative")
-        if row >= self._capacity:
-            self._grow(row + 1)
+            if self._attr is None:  # first attributed row: allocate
+                self._attr = np.zeros(
+                    (self._capacity, len(ATTRIBUTION_COLUMNS)), dtype=np.int64
+                )
+            self._attr[row] = cost.attribution
         if row >= self._n:
             self._n = row + 1
-        self._index[row] = row
-        self._lba[row] = lba
-        self._size[row] = size
-        if write:
-            self._write[row] = True
-        self._scheduled_at[row] = scheduled_at
-        self._submitted_at[row] = submitted_at
-        self._started_at[row] = started_at
-        self._completed_at[row] = completed_at
-        if cost.page_reads:
-            self._page_reads[row] = cost.page_reads
-        if cost.page_programs:
-            self._page_programs[row] = cost.page_programs
-        if cost.copy_reads:
-            self._copy_reads[row] = cost.copy_reads
-        if cost.copy_programs:
-            self._copy_programs[row] = cost.copy_programs
-        if cost.block_erases:
-            self._block_erases[row] = cost.block_erases
-        if cost.bytes_transferred:
-            self._bytes_transferred[row] = cost.bytes_transferred
-        if cost.map_misses:
-            self._map_misses[row] = cost.map_misses
-        if cost.extra_usec:
-            self._extra_usec[row] = cost.extra_usec
-        if cost.notes:
-            self._notes[row] = cost.notes
-        if cost.attribution is not None:
-            self._record_attr(row, cost.attribution)
         self._response_cache = None
 
     def record_run(
@@ -334,7 +265,7 @@ class IOTrace:
     ) -> None:
         """Record a contiguous run of same-mode IOs from column arrays.
 
-        The bulk counterpart of :meth:`record_at` used by the analytic
+        The bulk counterpart of :meth:`record` used by the analytic
         run kernels (:mod:`repro.flashsim.analytic`): rows
         ``row0 .. row0+n-1`` are filled in one vectorized store per
         column, with ``index = row``.  Omitted cost columns stay zero;
@@ -343,7 +274,7 @@ class IOTrace:
         ``notes`` mapping of *relative* row to that IO's provenance notes
         (e.g. ``["gc"]`` per collection), stored exactly as the per-IO
         path would have.  Each row must be recorded exactly once, like
-        :meth:`record_at`.
+        :meth:`record`.
         """
         n = int(lbas.size)
         if n == 0:
@@ -384,20 +315,13 @@ class IOTrace:
                     self._notes[row0 + rel] = row_notes
         self._response_cache = None
 
-    def _record_attr(self, row: int, attribution: tuple) -> None:
-        """Store one IO's latency decomposition (lazy first allocation)."""
-        if self._attr is None:
-            self._attr = np.zeros(
-                (self._capacity, len(ATTRIBUTION_COLUMNS)), dtype=np.int64
-            )
-        self._attr[row] = attribution
-
     def append(self, completed: CompletedIO) -> None:
         """Record one :class:`~repro.iotypes.CompletedIO` (what
-        :meth:`~repro.flashsim.device.FlashDevice.submit` returns)."""
+        :meth:`~repro.flashsim.device.FlashDevice.submit` returns) as the
+        next row."""
         request = completed.request
         self.record(
-            request.index,
+            self._n,
             request.lba,
             request.size,
             request.mode is Mode.WRITE,
@@ -408,13 +332,8 @@ class IOTrace:
             completed.cost,
         )
 
-    def extend(self, completed: Iterable[CompletedIO]) -> None:
-        """Record a batch of completed IOs in order."""
-        for item in completed:
-            self.append(item)
-
     # ------------------------------------------------------------------
-    # row views (legacy-compatible access)
+    # row views
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -492,7 +411,7 @@ class IOTrace:
         return view
 
     # ------------------------------------------------------------------
-    # attribution columns (flight-recorder runs)
+    # attribution columns (attributed runs)
     # ------------------------------------------------------------------
 
     @property
@@ -504,7 +423,7 @@ class IOTrace:
         """Read-only ``(len(self), len(ATTRIBUTION_COLUMNS))`` int64
         matrix of the per-IO decomposition (column order is
         :data:`ATTRIBUTION_COLUMNS`).  Raises when the trace was
-        recorded without a flight recorder attached.
+        recorded without attribution.
         """
         if self._attr is None:
             raise ValueError("trace carries no attribution columns")
@@ -519,7 +438,7 @@ class IOTrace:
     def attribution_balance(self) -> np.ndarray:
         """Per-row residual: component sum − rounded response time.
 
-        The flight recorder's invariant is that this is all-zero for
+        The attribution's invariant is that this is all-zero for
         every attributed trace; the attribution test suite pins it
         across all execution pipelines.
         """
@@ -537,8 +456,8 @@ class IOTrace:
 
         Columns are formatted vectorised (whole-column number
         formatting, one join per row); the output is byte-identical to
-        the legacy row-by-row ``csv.writer`` for traces whose notes
-        contain no CSV- or separator-special characters.
+        a row-by-row ``csv.writer`` for traces whose notes contain no
+        CSV- or separator-special characters.
         """
         n = self._n
         lines = [",".join(_FIELDS)]
@@ -584,32 +503,6 @@ class IOTrace:
         if path is not None:
             Path(path).write_text(text)
         return text
-
-    @staticmethod
-    def parse_csv(text: str) -> list[TraceRow]:
-        """Parse a CSV produced by :meth:`to_csv` into trace rows."""
-        reader = csv.DictReader(io.StringIO(text))
-        rows = []
-        for record in reader:
-            rows.append(
-                TraceRow(
-                    index=int(record["index"]),
-                    mode=Mode(record["mode"]),
-                    lba=int(record["lba"]),
-                    size=int(record["size"]),
-                    submitted_at=float(record["submitted_at"]),
-                    started_at=float(record["started_at"]),
-                    completed_at=float(record["completed_at"]),
-                    response_usec=float(record["response_usec"]),
-                    page_reads=int(record["page_reads"]),
-                    page_programs=int(record["page_programs"]),
-                    copy_reads=int(record["copy_reads"]),
-                    copy_programs=int(record["copy_programs"]),
-                    block_erases=int(record["block_erases"]),
-                    notes=_split_notes(record["notes"]),
-                )
-            )
-        return rows
 
     @classmethod
     def from_csv(cls, text: str) -> "IOTrace":
@@ -659,13 +552,8 @@ class IOTrace:
         trace._n = n
         return trace
 
-    @staticmethod
-    def load_csv(path: str | Path) -> list[TraceRow]:
-        """Load an archived trace from disk."""
-        return IOTrace.parse_csv(Path(path).read_text())
-
     # ------------------------------------------------------------------
-    # columnar interchange (JSON payloads, pickle)
+    # columnar interchange (JSON payloads)
     # ------------------------------------------------------------------
 
     def to_payload(self) -> dict:
@@ -697,8 +585,8 @@ class IOTrace:
     def from_payload(cls, payload: dict) -> "IOTrace":
         """Rebuild a trace from :meth:`to_payload` output.
 
-        Payloads written before the flight recorder existed carry no
-        ``attribution`` key and load as unattributed traces.
+        Payloads of unattributed runs carry no ``attribution`` key and
+        load as unattributed traces.
         """
         n = len(payload["index"])
         trace = cls(capacity=n)
@@ -720,78 +608,3 @@ class IOTrace:
                 )
         trace._n = n
         return trace
-
-    def __reduce__(self):
-        """Pickle as packed raw column buffers (slim IPC format).
-
-        All-zero columns (most cost counters, most of the time) are
-        elided entirely; integer columns are losslessly downcast to the
-        narrowest dtype that holds their range.  Timestamps stay
-        float64, so the round-trip is bit-exact.
-        """
-        n = self._n
-        packed = tuple(
-            _pack_column(getattr(self, "_" + name)[:n]) for name, _ in _COLUMNS
-        )
-        notes = {
-            row: list(tags)
-            for row, tags in self._notes.items()
-            if tags and row < n
-        }
-        if self._attr is None:
-            return (_trace_from_packed, (n, packed, notes))
-        attr_packed = tuple(
-            _pack_column(np.ascontiguousarray(self._attr[:n, i]))
-            for i in range(len(ATTRIBUTION_COLUMNS))
-        )
-        return (_trace_from_packed, (n, packed, notes, attr_packed))
-
-
-def _pack_column(column: np.ndarray) -> tuple[str, bytes] | None:
-    """One column as ``(dtype_str, raw_bytes)``; ``None`` if all-zero."""
-    if column.size == 0 or not column.any():
-        return None
-    if column.dtype.kind == "i":
-        lo, hi = int(column.min()), int(column.max())
-        for narrow in (np.int8, np.int16, np.int32):
-            info = np.iinfo(narrow)
-            if info.min <= lo and hi <= info.max:
-                return (np.dtype(narrow).str, column.astype(narrow).tobytes())
-    return (column.dtype.str, column.tobytes())
-
-
-def _trace_from_packed(
-    n: int,
-    packed: tuple[tuple[str, bytes] | None, ...],
-    notes: dict[int, list[str]],
-    attr_packed: tuple[tuple[str, bytes] | None, ...] | None = None,
-) -> IOTrace:
-    """Unpickle helper: rebuild an :class:`IOTrace` from packed columns.
-
-    ``attr_packed`` (absent in pre-flight-recorder pickles) carries the
-    attribution columns in :data:`ATTRIBUTION_COLUMNS` order, packed
-    like the core columns.
-    """
-    trace = IOTrace(capacity=n)
-    for (name, dtype), entry in zip(_COLUMNS, packed):
-        if entry is None:
-            continue  # freshly allocated columns are already zero
-        dtype_str, buffer = entry
-        getattr(trace, "_" + name)[:n] = np.frombuffer(
-            buffer, dtype=np.dtype(dtype_str)
-        )
-    trace._notes = dict(notes)
-    if attr_packed is not None:
-        trace._attr = np.zeros(
-            (max(n, trace._capacity), len(ATTRIBUTION_COLUMNS)),
-            dtype=np.int64,
-        )
-        for i, entry in enumerate(attr_packed):
-            if entry is None:
-                continue
-            dtype_str, buffer = entry
-            trace._attr[:n, i] = np.frombuffer(
-                buffer, dtype=np.dtype(dtype_str)
-            )
-    trace._n = n
-    return trace

@@ -1,11 +1,10 @@
 """Lightweight metrics: counters, gauges, histograms and snapshots.
 
 A :class:`MetricsRegistry` holds named instruments; a
-:class:`MetricsSnapshot` is a plain, picklable copy of their values that
-supports ``delta`` (what happened between two samples) and ``merge``
-(fold per-cell or per-worker snapshots into a campaign-wide view) — the
-two operations a parallel campaign needs, since worker processes cannot
-share live instruments across a process boundary.
+:class:`MetricsSnapshot` is a plain, picklable copy of their values.
+Worker processes cannot share live instruments across a process
+boundary, so a parallel campaign ships snapshots home and
+:meth:`MetricsRegistry.absorb` folds them into the parent's registry.
 
 Enabling is explicit: :func:`install` makes a registry the process
 default and instrumented call sites fetch it with :func:`current`, which
@@ -180,58 +179,19 @@ class HistogramState:
         """Estimated ``q``-quantile; see :meth:`Histogram.percentile`."""
         return _bucket_percentile(self.bounds, self.counts, self.count, q)
 
-    def delta(self, earlier: "HistogramState") -> "HistogramState":
-        """Observations recorded between ``earlier`` and this state."""
-        if earlier.bounds != self.bounds:
-            raise ValueError("histogram deltas need identical bucket bounds")
-        return HistogramState(
-            bounds=self.bounds,
-            counts=tuple(a - b for a, b in zip(self.counts, earlier.counts)),
-            total=self.total - earlier.total,
-            count=self.count - earlier.count,
-        )
-
-    def merge(self, other: "HistogramState") -> "HistogramState":
-        """Combine two independent histograms bucket-wise."""
-        if other.bounds != self.bounds:
-            raise ValueError("histogram merges need identical bucket bounds")
-        return HistogramState(
-            bounds=self.bounds,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            total=self.total + other.total,
-            count=self.count + other.count,
-        )
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Plain-data copy of a registry's values at one instant.
 
-    Snapshots are picklable and JSON-friendly, so they cross process
-    boundaries in worker results and ride along in run-cache entries.
+    Snapshots are picklable, so they cross process boundaries in worker
+    results.  Run-cache entries store no snapshot, only the cell's
+    device-counter delta (:func:`diff_counts`).
     """
 
     counters: dict = field(default_factory=dict)
     gauges: dict = field(default_factory=dict)
     histograms: dict = field(default_factory=dict)
-
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """What happened between ``earlier`` and this snapshot.
-
-        Counters and histograms subtract; gauges are levels, not flows,
-        so the later sample's values are kept as-is.
-        """
-        counters = {
-            name: value - earlier.counters.get(name, 0.0)
-            for name, value in self.counters.items()
-        }
-        histograms = {}
-        for name, state in self.histograms.items():
-            before = earlier.histograms.get(name)
-            histograms[name] = state.delta(before) if before else state
-        return MetricsSnapshot(
-            counters=counters, gauges=dict(self.gauges), histograms=histograms
-        )
 
     def scoped(self, prefix: str) -> "MetricsSnapshot":
         """The snapshot restricted to instruments named under ``prefix``.
@@ -256,55 +216,6 @@ class MetricsSnapshot:
                 name: state
                 for name, state in self.histograms.items()
                 if name.startswith(prefix)
-            },
-        )
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Fold an independent snapshot (another cell, another worker)
-        into this one: counters and histograms add, gauges keep the
-        maximum level observed."""
-        counters = dict(self.counters)
-        for name, value in other.counters.items():
-            counters[name] = counters.get(name, 0.0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges.get(name, value), value)
-        histograms = dict(self.histograms)
-        for name, state in other.histograms.items():
-            mine = histograms.get(name)
-            histograms[name] = mine.merge(state) if mine else state
-        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (run-cache entries, artifacts)."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: {
-                    "bounds": list(state.bounds),
-                    "counts": list(state.counts),
-                    "total": state.total,
-                    "count": state.count,
-                }
-                for name, state in self.histograms.items()
-            },
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping) -> "MetricsSnapshot":
-        """Inverse of :meth:`to_dict`."""
-        return MetricsSnapshot(
-            counters=dict(payload.get("counters", {})),
-            gauges=dict(payload.get("gauges", {})),
-            histograms={
-                name: HistogramState(
-                    bounds=tuple(entry["bounds"]),
-                    counts=tuple(entry["counts"]),
-                    total=entry["total"],
-                    count=entry["count"],
-                )
-                for name, entry in payload.get("histograms", {}).items()
             },
         )
 

@@ -1,4 +1,4 @@
-"""The flight recorder's exactness invariant, in every pipeline.
+"""Latency attribution's exactness invariant, in every pipeline.
 
 The decomposition's contract (``repro.flashsim.recorder``) is that the
 integer components of every IO sum *exactly* to the rounded response
@@ -8,8 +8,8 @@ families, calibrated profiles (with measurement noise), the write-back
 cache, sync vs queued hosts at depth 1, engine recording vs a per-IO
 submit loop, and the fast paths vs the ``NoFaults`` oracle twin — plus
 the float-residual oracle, the apportionment edge cases, trace
-round-trips and the recorder's pure-observability guarantee (a device
-with a recorder attached must evolve bit-identically to one without).
+round-trips and attribution's pure-observability guarantee (a device
+with attribution on must evolve bit-identically to one with it off).
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ from repro.flashsim import build_device
 from repro.flashsim.host import AsyncHost, SyncHost
 from repro.flashsim.recorder import (
     COMPONENTS,
-    FlightRecorder,
     _apportion,
     attribute_io,
-    events_from_trace,
-    summarize_components,
     unattributed_usec,
 )
 from repro.flashsim.timing import CostAccumulator, TimingSpec
@@ -54,20 +51,21 @@ EXPECTED_INTERNAL = {
 
 
 def _drive(device, ios):
+    """Run ``ios`` one :meth:`FlashDevice.submit` at a time; returns the
+    trace of the completed IOs."""
+    trace = IOTrace()
     for mode, lba, size in ios:
         if mode == "r":
-            device.read(lba, size)
+            trace.append(device.read(lba, size))
         else:
-            device.write(lba, size)
+            trace.append(device.write(lba, size))
+    return trace
 
 
-def _assert_events_balanced(events):
-    assert events, "recorder captured nothing"
-    for event in events:
-        assert sum(event.components) == round(event.response_usec), (
-            f"unbalanced IO lba={event.lba}: {event.components} "
-            f"vs {event.response_usec}"
-        )
+def _component_totals(trace):
+    """Total integer µs per component across an attributed trace."""
+    totals = trace.attribution_matrix()[:, 1:].sum(axis=0)
+    return dict(zip(COMPONENTS, totals.tolist()))
 
 
 def _assert_trace_balanced(trace):
@@ -160,32 +158,26 @@ def test_synthetic_decomposition_residual_is_float_noise():
 @pytest.mark.parametrize("ftl_kind", FTL_KINDS)
 def test_ftl_families_balance_exactly(ftl_kind):
     device = make_device(ftl_kind=ftl_kind)
-    recorder = FlightRecorder(capacity=10_000)
-    device.attach_recorder(recorder)
-    _drive(device, _io_mix(SMALL_GEOMETRY, seed=11))
-    _assert_events_balanced(recorder.events())
-    totals = summarize_components(recorder.events())
-    assert totals[EXPECTED_INTERNAL[ftl_kind]] > 0
+    device.attribution = True
+    trace = _drive(device, _io_mix(SMALL_GEOMETRY, seed=11))
+    _assert_trace_balanced(trace)
+    assert _component_totals(trace)[EXPECTED_INTERNAL[ftl_kind]] > 0
 
 
 def test_cache_device_attributes_destage_work():
     device = make_device(ftl_kind="hybrid", cache_bytes=64 * KIB)
-    recorder = FlightRecorder(capacity=10_000)
-    device.attach_recorder(recorder)
-    _drive(device, _io_mix(SMALL_GEOMETRY, seed=13))
-    _assert_events_balanced(recorder.events())
-    totals = summarize_components(recorder.events())
-    assert totals["cache"] > 0
+    device.attribution = True
+    trace = _drive(device, _io_mix(SMALL_GEOMETRY, seed=13))
+    _assert_trace_balanced(trace)
+    assert _component_totals(trace)["cache"] > 0
 
 
 @pytest.mark.parametrize("profile", ("memoright", "kingston_dti", "mtron"))
 def test_profiles_balance_exactly(profile):
     """Calibrated profiles bring interference and noise into play."""
     device = build_device(profile, logical_bytes=4 * MIB)
-    recorder = FlightRecorder(capacity=10_000)
-    device.attach_recorder(recorder)
-    _drive(device, _io_mix(device.geometry, seed=7))
-    _assert_events_balanced(recorder.events())
+    device.attribution = True
+    _assert_trace_balanced(_drive(device, _io_mix(device.geometry, seed=7)))
 
 
 @pytest.mark.parametrize("ftl_kind", FTL_KINDS)
@@ -197,8 +189,8 @@ def test_sync_async_depth1_attribution_identical(ftl_kind, kind):
     )[kind]
     sync_device = make_device(ftl_kind=ftl_kind)
     async_device = make_device(ftl_kind=ftl_kind)
-    sync_device.attach_recorder(FlightRecorder())
-    async_device.attach_recorder(FlightRecorder())
+    sync_device.attribution = True
+    async_device.attribution = True
     sync_trace = SyncHost(sync_device).run_program(
         PatternGenerator(spec).program()
     )
@@ -219,11 +211,11 @@ def test_engine_attribution_matches_a_per_io_submit_loop(profile):
     trace."""
     spec = baselines(io_size=16 * KIB, io_count=64)["RW"]
     device = build_device(profile, logical_bytes=4 * MIB)
-    device.attach_recorder(FlightRecorder())
+    device.attribution = True
     columnar = Engine(device).run(spec).trace
 
     device = build_device(profile, logical_bytes=4 * MIB)
-    device.attach_recorder(FlightRecorder())
+    device.attribution = True
     program = PatternGenerator(spec).program()
     per_io = IOTrace()
     clock = device.busy_until
@@ -245,18 +237,16 @@ def test_engine_attribution_matches_a_per_io_submit_loop(profile):
 def test_scalar_batch_attribution_identical(ftl_kind):
     scalar = oracle_device({"ftl_kind": ftl_kind})
     batch = make_device(ftl_kind=ftl_kind)
-    scalar_rec = FlightRecorder(capacity=10_000)
-    batch_rec = FlightRecorder(capacity=10_000)
-    scalar.attach_recorder(scalar_rec)
-    batch.attach_recorder(batch_rec)
+    scalar.attribution = True
+    batch.attribution = True
     ios = _io_mix(SMALL_GEOMETRY, seed=11)
-    _drive(scalar, ios)
-    _drive(batch, ios)
-    _assert_events_balanced(scalar_rec.events())
-    _assert_events_balanced(batch_rec.events())
-    assert [e.components for e in scalar_rec] == [
-        e.components for e in batch_rec
-    ]
+    scalar_trace = _drive(scalar, ios)
+    batch_trace = _drive(batch, ios)
+    _assert_trace_balanced(scalar_trace)
+    _assert_trace_balanced(batch_trace)
+    assert np.array_equal(
+        scalar_trace.attribution_matrix(), batch_trace.attribution_matrix()
+    )
 
 
 def test_queued_contention_attributes_wait():
@@ -267,30 +257,34 @@ def test_queued_contention_attributes_wait():
     submitted at t=0) forces later IOs onto still-busy channels.
     """
     device = build_device("memoright", logical_bytes=4 * MIB)
-    recorder = FlightRecorder()
-    device.attach_recorder(recorder)
+    device.attribution = True
     size = 16 * KIB
     assert device.queue_depth > device.timing.channels
     for tag in range(device.queue_depth):
         device.submit_async(tag * size, size, False, now=0.0, tag=tag)
-    for _ in range(device.queue_depth):
-        device.pop_next_completion()
-    events = recorder.events()
-    _assert_events_balanced(events)
-    assert sum(event.component("wait") for event in events) > 0
+    completions = [
+        device.pop_next_completion() for _ in range(device.queue_depth)
+    ]
+    wait = 0
+    for entry in completions:
+        components = entry.cost.attribution[1:]
+        assert sum(components) == round(entry.completed_at - entry.submitted_at)
+        wait += components[COMPONENTS.index("wait")]
+    assert wait > 0
 
 
 # ----------------------------------------------------------------------
-# pure observability: the recorder must not perturb the simulation
+# pure observability: attribution must not perturb the simulation
 # ----------------------------------------------------------------------
 
 def test_recorder_does_not_perturb_the_device():
     plain = make_device(ftl_kind="hybrid")
     observed = make_device(ftl_kind="hybrid")
-    observed.attach_recorder(FlightRecorder())
+    observed.attribution = True
     ios = _io_mix(SMALL_GEOMETRY, seed=19)
-    _drive(plain, ios)
-    _drive(observed, ios)
+    plain_trace = _drive(plain, ios)
+    observed_trace = _drive(observed, ios)
+    assert plain_trace.to_csv() == observed_trace.to_csv()
     assert plain.fingerprint() == observed.fingerprint()
     assert plain.metrics() == observed.metrics()
     assert plain.stats == observed.stats
@@ -298,55 +292,23 @@ def test_recorder_does_not_perturb_the_device():
 
 def test_recorder_excluded_from_snapshots():
     device = make_device(ftl_kind="pagemap")
-    device.attach_recorder(FlightRecorder())
+    device.attribution = True
     ios = _io_mix(SMALL_GEOMETRY, seed=23)
     half = len(ios) // 2
     _drive(device, ios[:half])
     snapshot = device.snapshot()
     fresh = make_device(ftl_kind="pagemap")
     fresh.restore(snapshot)
-    assert fresh.recorder is None
+    assert not fresh.attribution
     assert fresh.fingerprint() == device.fingerprint()
 
 
 def test_detach_stops_recording():
     device = make_device()
-    recorder = FlightRecorder()
-    device.attach_recorder(recorder)
-    device.write(0, 4 * KIB)
-    seen = len(recorder)
-    device.detach_recorder()
-    assert device.recorder is None
-    device.write(0, 4 * KIB)
-    assert len(recorder) == seen
-
-
-# ----------------------------------------------------------------------
-# the ring buffer
-# ----------------------------------------------------------------------
-
-def test_ring_bounds_and_dropped_count():
-    device = make_device()
-    recorder = FlightRecorder(capacity=8)
-    device.attach_recorder(recorder)
-    page = SMALL_GEOMETRY.page_size
-    for i in range(20):
-        device.write((i * page) % SMALL_GEOMETRY.logical_bytes, page)
-    assert len(recorder) == 8
-    assert recorder.recorded == 20
-    assert recorder.dropped == 12
-    # the ring keeps the newest events
-    assert recorder.events()[-1].completed_at == max(
-        e.completed_at for e in recorder
-    )
-    recorder.clear()
-    assert len(recorder) == 0
-    assert recorder.recorded == 20
-
-
-def test_recorder_rejects_nonpositive_capacity():
-    with pytest.raises(ValueError):
-        FlightRecorder(capacity=0)
+    device.attribution = True
+    assert device.write(0, 4 * KIB).cost.attribution is not None
+    device.attribution = False
+    assert device.write(0, 4 * KIB).cost.attribution is None
 
 
 # ----------------------------------------------------------------------
@@ -354,15 +316,15 @@ def test_recorder_rejects_nonpositive_capacity():
 # ----------------------------------------------------------------------
 
 def _traced_pair(spec):
-    """The same spec with and without a recorder; returns both traces."""
+    """The same spec with attribution off and on; returns both traces."""
     plain = make_device(ftl_kind="hybrid")
     observed = make_device(ftl_kind="hybrid")
-    observed.attach_recorder(FlightRecorder(capacity=10_000))
+    observed.attribution = True
     plain_trace = SyncHost(plain).run_program(PatternGenerator(spec).program())
     observed_trace = SyncHost(observed).run_program(
         PatternGenerator(spec).program()
     )
-    return plain_trace, observed_trace, observed
+    return plain_trace, observed_trace
 
 
 def _small_spec():
@@ -373,7 +335,7 @@ def _small_spec():
 
 
 def test_recorder_off_trace_has_no_attribution():
-    plain_trace, observed_trace, _ = _traced_pair(_small_spec())
+    plain_trace, observed_trace = _traced_pair(_small_spec())
     assert not plain_trace.has_attribution
     assert "attribution" not in plain_trace.to_payload()
     assert observed_trace.has_attribution
@@ -382,7 +344,7 @@ def test_recorder_off_trace_has_no_attribution():
 
 
 def test_trace_payload_round_trips_attribution():
-    _, trace, _ = _traced_pair(_small_spec())
+    _, trace = _traced_pair(_small_spec())
     payload = trace.to_payload()
     assert "attribution" in payload
     rebuilt = IOTrace.from_payload(payload)
@@ -394,7 +356,7 @@ def test_trace_payload_round_trips_attribution():
 
 
 def test_trace_pickle_round_trips_attribution():
-    _, trace, _ = _traced_pair(_small_spec())
+    _, trace = _traced_pair(_small_spec())
     rebuilt = pickle.loads(pickle.dumps(trace))
     assert rebuilt.has_attribution
     assert np.array_equal(
@@ -402,17 +364,9 @@ def test_trace_pickle_round_trips_attribution():
     )
 
 
-def test_events_from_trace_matches_ring():
-    _, trace, device = _traced_pair(_small_spec())
-    rebuilt = events_from_trace(trace)
-    ring = device.recorder.events()
-    assert len(rebuilt) == len(trace)
-    # the ring holds the same decompositions the trace carries
-    assert [e.components for e in rebuilt] == [e.components for e in ring]
-    assert [e.channel for e in rebuilt] == [e.channel for e in ring]
-
-
-def test_events_from_trace_rejects_unattributed():
-    plain_trace, _, _ = _traced_pair(_small_spec())
+def test_unattributed_trace_rejects_attribution_reads():
+    plain_trace, _ = _traced_pair(_small_spec())
     with pytest.raises(ValueError):
-        events_from_trace(plain_trace)
+        plain_trace.attribution_matrix()
+    with pytest.raises(ValueError):
+        plain_trace.attribution_balance()

@@ -37,36 +37,39 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     text = trace.to_csv(path)
     assert path.read_text() == text
-    rows = IOTrace.load_csv(path)
+    rows = IOTrace.from_csv(path.read_text())
     assert len(rows) == 5
     for completed, row in zip(trace, rows):
-        assert row.index == completed.request.index
-        assert row.lba == completed.request.lba
-        assert row.size == completed.request.size
-        assert row.mode is Mode.WRITE
+        assert row.request.index == completed.request.index
+        assert row.request.lba == completed.request.lba
+        assert row.request.size == completed.request.size
+        assert row.request.mode is Mode.WRITE
         assert row.response_usec == round(completed.response_usec, 3)
-        assert row.page_programs == completed.cost.page_programs
+        assert row.cost.page_programs == completed.cost.page_programs
 
 
 def test_csv_preserves_notes():
     trace = run_some_ios(3)
     trace[0].cost.note("switch-merge")
-    rows = IOTrace.parse_csv(trace.to_csv())
-    assert "switch-merge" in rows[0].notes
+    rows = IOTrace.from_csv(trace.to_csv())
+    assert "switch-merge" in rows[0].cost.notes
 
 
 def test_csv_round_trips_multiple_notes_as_tuple():
     trace = run_some_ios(3)
     trace[0].cost.note("switch-merge")
     trace[0].cost.note("gc")
-    rows = IOTrace.parse_csv(trace.to_csv())
-    assert rows[0].notes == ("switch-merge", "gc")
-    empty = [row.notes for row in rows if not row.notes]
-    assert empty and all(notes == () for notes in empty)
+    rows = IOTrace.from_csv(trace.to_csv())
+    assert rows[0].cost.notes == ["switch-merge", "gc"]
+    empty = [row.cost.notes for row in rows if not row.cost.notes]
+    assert empty and all(notes == [] for notes in empty)
 
 
 def test_extend():
+    """Appending another trace's rows extends it row by row."""
     trace = run_some_ios(2)
     other = IOTrace()
-    other.extend(list(trace))
+    for completed in trace:
+        other.append(completed)
     assert len(other) == 2
+    assert list(other) == list(trace)

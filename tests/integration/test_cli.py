@@ -207,3 +207,29 @@ def test_replay_subcommand(capsys, tmp_path):
     assert code == 0
     assert "replayed 24 IOs on memoright" in out
     assert "speedup" in out
+
+
+def test_replay_remap_subcommand(capsys, tmp_path):
+    """A trace captured on a 32 MiB device needs ``--remap`` to replay
+    on an 8 MiB one: without it the oversized extents are rejected."""
+    from repro.core import baselines, execute
+    from repro.errors import AnalysisError
+    from repro.flashsim import build_device
+    from repro.units import KIB, MIB
+
+    source = build_device("mtron", logical_bytes=32 * MIB)
+    spec = baselines(
+        io_size=32 * KIB, io_count=24,
+        random_target_size=source.capacity,
+    )["RW"]
+    run = execute(source, spec)
+    assert max(run.trace.column("lba")) >= 8 * MIB
+    trace_path = tmp_path / "trace.csv"
+    run.trace.to_csv(trace_path)
+
+    argv = ("replay", str(trace_path), "--device", "memoright", "--capacity", "8M")
+    with pytest.raises(AnalysisError):
+        run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv, "--remap")
+    assert code == 0
+    assert "replayed 24 IOs on memoright" in out

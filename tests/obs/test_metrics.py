@@ -1,4 +1,4 @@
-"""Metrics: instrument semantics, snapshot delta/merge, pickling."""
+"""Metrics: instrument semantics, snapshots, pickling."""
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -9,9 +9,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    HistogramState,
     MetricsRegistry,
-    MetricsSnapshot,
     current,
     diff_counts,
     install,
@@ -61,77 +59,11 @@ def test_histogram_needs_bounds():
         Histogram(bounds=())
 
 
-def test_histogram_state_delta_and_merge():
-    histogram = Histogram(bounds=(10.0,))
-    histogram.observe(5)
-    earlier = histogram.state()
-    histogram.observe(50)
-    later = histogram.state()
-    delta = later.delta(earlier)
-    assert delta.counts == (0, 1)
-    assert delta.count == 1
-    assert delta.total == 50.0
-    merged = earlier.merge(delta)
-    assert merged.counts == later.counts
-    assert merged.count == later.count
-
-
-def test_histogram_state_rejects_mismatched_bounds():
-    a = Histogram(bounds=(10.0,)).state()
-    b = Histogram(bounds=(20.0,)).state()
-    with pytest.raises(ValueError):
-        a.delta(b)
-    with pytest.raises(ValueError):
-        a.merge(b)
-
-
 def test_registry_returns_same_instrument():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
     assert registry.gauge("g") is registry.gauge("g")
     assert registry.histogram("h") is registry.histogram("h")
-
-
-def test_snapshot_delta_counters_subtract_gauges_keep_later():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(2)
-    registry.gauge("g").set(5)
-    earlier = registry.snapshot()
-    registry.counter("c").inc(3)
-    registry.gauge("g").set(1)
-    delta = registry.snapshot().delta(earlier)
-    assert delta.counters["c"] == 3.0
-    assert delta.gauges["g"] == 1.0
-
-
-def test_snapshot_merge_counters_add_gauges_max():
-    a = MetricsSnapshot(counters={"c": 2.0}, gauges={"g": 5.0})
-    b = MetricsSnapshot(counters={"c": 3.0, "d": 1.0}, gauges={"g": 1.0})
-    merged = a.merge(b)
-    assert merged.counters == {"c": 5.0, "d": 1.0}
-    assert merged.gauges == {"g": 5.0}
-
-
-def test_snapshot_merge_histograms_add():
-    left = Histogram(bounds=(10.0,))
-    left.observe(5)
-    right = Histogram(bounds=(10.0,))
-    right.observe(50)
-    merged = MetricsSnapshot(histograms={"h": left.state()}).merge(
-        MetricsSnapshot(histograms={"h": right.state()})
-    )
-    assert merged.histograms["h"].counts == (1, 1)
-    assert merged.histograms["h"].count == 2
-
-
-def test_snapshot_dict_round_trip():
-    registry = MetricsRegistry()
-    registry.counter("c").inc(4)
-    registry.gauge("g").set(2)
-    registry.histogram("h", bounds=(10.0,)).observe(3)
-    snapshot = registry.snapshot()
-    restored = MetricsSnapshot.from_dict(snapshot.to_dict())
-    assert restored == snapshot
 
 
 def test_snapshot_pickles():

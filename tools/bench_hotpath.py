@@ -82,7 +82,6 @@ from repro.flashsim.profiles import (  # noqa: E402
     profile_names,
     scaled_profile,
 )
-from repro.flashsim.recorder import FlightRecorder  # noqa: E402
 from repro.iotypes import Mode  # noqa: E402
 from repro.units import KIB, MIB  # noqa: E402
 
@@ -437,18 +436,20 @@ def bench_gc_epochs(
     return _entries(best_sec, served, io_count)
 
 
-def bench_recorder(
+def bench_attribution(
     profile: str, logical_bytes: int, io_count: int, repeat: int
 ) -> dict[str, dict[str, float]]:
-    """Best-of-``repeat`` timings of the RW run with/without the recorder.
+    """Best-of-``repeat`` timings of the RW run with attribution off/on.
 
-    ``run_RW_recorder_off`` is the plain hot path on a device that never
-    had a flight recorder attached — committed to the baseline so the
-    gate pins the disabled-recorder cost (one attribute check per
+    ``run_RW_recorder_off`` is the plain hot path on a device whose
+    ``attribution`` switch was never set — committed to the baseline so
+    the gate pins the disabled-attribution cost (one attribute check per
     dispatch) at parity.  ``run_RW_recorder_on`` measures the full
     attribution pipeline (provenance scopes, partition walk,
     apportionment, trace columns) for the report; attribution is an
-    opt-in campaign mode, so its absolute cost is informational.
+    opt-in campaign mode, so its absolute cost is informational.  The
+    key names predate the switch and are kept so committed baselines
+    still match.
     """
     spec = baselines(
         io_size=16 * KIB,
@@ -457,15 +458,14 @@ def bench_recorder(
     )["RW"]
     best_sec: dict[str, float] = {}
     for _ in range(max(repeat, 1)):
-        for attached in (False, True):
+        for attributed in (False, True):
             device = build_device(profile, logical_bytes=logical_bytes)
-            if attached:
-                device.attach_recorder(FlightRecorder())
+            device.attribution = attributed
             engine = Engine(device)
             start = time.perf_counter()
             engine.run(spec)
             elapsed = time.perf_counter() - start
-            key = f"{profile}/run_RW_recorder_{'on' if attached else 'off'}"
+            key = f"{profile}/run_RW_recorder_{'on' if attributed else 'off'}"
             best_sec[key] = min(best_sec.get(key, elapsed), elapsed)
     return {key: _entry(sec, io_count) for key, sec in best_sec.items()}
 
@@ -664,9 +664,9 @@ def main(argv: list[str] | None = None) -> int:
         results.update(
             bench_gc_epochs(profile, logical, io_count, args.repeat)
         )
-        print(f"benchmarking {profile} flight recorder ...", flush=True)
+        print(f"benchmarking {profile} latency attribution ...", flush=True)
         results.update(
-            bench_recorder(profile, logical, io_count, args.repeat)
+            bench_attribution(profile, logical, io_count, args.repeat)
         )
         print(f"benchmarking {profile} snapshot packing ...", flush=True)
         results.update(
@@ -699,7 +699,7 @@ def main(argv: list[str] | None = None) -> int:
                 / max(results[rec_off]["usec_per_io"], 1e-9)
             )
             print(
-                f"{profile}: flight-recorder attribution costs "
+                f"{profile}: latency attribution costs "
                 f"{overhead:.2f}x on RW (opt-in)"
             )
         qd_low = f"{profile}/run_RR_qd{QUEUE_DEPTHS[0]}"
