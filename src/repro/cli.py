@@ -4,7 +4,8 @@ Subcommands mirror the benchmarking workflow:
 
 * ``devices`` — list the Table 2 device profiles;
 * ``run`` — execute one pattern against a device and print its stats;
-* ``microbench`` — run one of the nine micro-benchmarks;
+* ``microbench`` — run one of the nine micro-benchmarks plus the
+  queue-depth sweep;
 * ``phases`` — measure start-up/running phases of the four baselines;
 * ``pause`` — run the Figure 5 interference probe;
 * ``table3`` — derive the Table 3 summary for one or more devices;
@@ -556,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=_cmd_run)
 
     micro_parser = subparsers.add_parser(
-        "microbench", help="run one of the nine micro-benchmarks"
+        "microbench",
+        help="run one of the nine micro-benchmarks plus the queue-depth sweep",
     )
     _add_device_argument(micro_parser)
     micro_parser.add_argument("name", choices=tuple(MICROBENCHMARKS))

@@ -1,9 +1,10 @@
 """``repro.core`` — the uFLIP benchmark (the paper's contribution).
 
 IO pattern algebra (:mod:`~repro.core.patterns`), execution
-(:mod:`~repro.core.engine`), the nine micro-benchmarks
-(:mod:`~repro.core.microbench`), and the benchmarking methodology:
-state enforcement (:mod:`~repro.core.methodology`), two-phase analysis
+(:mod:`~repro.core.engine`), the nine micro-benchmarks plus the
+queue-depth sweep (:mod:`~repro.core.microbench`), and the
+benchmarking methodology: state enforcement
+(:mod:`~repro.core.methodology`), two-phase analysis
 (:mod:`~repro.core.phases`), interference probing
 (:mod:`~repro.core.interference`) and benchmark planning
 (:mod:`~repro.core.plan`).

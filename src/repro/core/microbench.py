@@ -508,7 +508,8 @@ MICROBENCHMARKS: dict[str, Callable[..., MicroBenchmark]] = {
 
 
 def build_microbenchmark(name: str, ctx: BenchContext, **kwargs) -> MicroBenchmark:
-    """Build one of the nine micro-benchmarks by name."""
+    """Build one of the nine micro-benchmarks plus the queue-depth
+    sweep by name."""
     try:
         builder = MICROBENCHMARKS[name]
     except KeyError:

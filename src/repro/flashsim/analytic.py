@@ -41,26 +41,24 @@ Current coverage:
 
 * **page-map FTL** (the "modern SSD" profile family) — reads of any mix
   and write windows of any length, garbage collection included
-  (``epoch_windows`` counts the windows that ran at least one
+  (``epoch_windows`` counts the write passes that ran at least one
   collection);
 * **block-map FTL** (USB/SD/IDE profile family) — reads in closed form;
   a write stretch declines once (``write:ftl-family``) and runs per IO
   through ``Controller.write``, whose in-order appends the block-map
   ``write_run`` lands as one program run each (a closed-form dispatch
   around that same loop left end-to-end wall time unchanged);
-* **queued hosts** — homogeneous zero-gap read programs at any queue
-  depth evaluate as a vectorized event schedule
-  (:func:`run_program_queued`): per-IO services come from the closed
-  form, and the depth-d completion chain (channel pick, queue
-  occupancy integrals, completion pops) runs as a tight scalar event
-  loop instead of the full per-IO dispatch machinery.
-* **paced programs** (Pause, Bursts) — a read stretch keeps its gaps
-  inside the read window (completion chain, trace columns, idle and
-  read credit grants) while no background work is pending; a write
-  with a gap runs per IO, since its gap grants background time, and
-  cuts its stretch, so a burst's zero-gap rest takes a write window
-  (the gap-forced writes count once per program as
-  ``program:paced-write``);
+* **queued hosts** — zero-gap programs of one mode at any queue depth
+  evaluate as a vectorized event schedule (:func:`run_program_queued`):
+  per-IO services come from the closed form (reads) or the page-map
+  write pass (writes), and the depth-d completion chain (channel pick,
+  queue occupancy integrals, completion pops) runs as a tight scalar
+  event loop instead of the full per-IO dispatch machinery;
+* **paced programs** (Pause, Bursts) — a stretch keeps its gaps inside
+  its window (completion chain, trace columns, idle and read credit
+  grants).  A read window runs while no background work is pending; a
+  write window also runs the background units its gaps buy, through
+  the device's own grant, between its page appends;
 * **parallel hosts** — zero-gap processes of one mode run as one merged
   window in the reference loop's round-robin order, split back per
   process (:func:`run_programs_parallel`); anything else declines the
@@ -119,8 +117,9 @@ class KernelStats:
     write_ios: int = 0
     read_windows: int = 0
     read_ios: int = 0
-    #: write windows that ran at least one garbage collection (a subset
-    #: of ``write_windows``), their IOs and their collections
+    #: page-map write passes (write windows and queued write programs)
+    #: that ran at least one garbage collection, their IOs and their
+    #: collections
     epoch_windows: int = 0
     epoch_ios: int = 0
     epoch_collections: int = 0
@@ -450,8 +449,9 @@ def write_window(
     now: float,
     trace: "IOTrace | None" = None,
     row0: int = 0,
+    gaps: np.ndarray | None = None,
 ) -> tuple[int, float]:
-    """Simulate a window of back-to-back synchronous writes.
+    """Simulate a window of synchronous writes.
 
     ``lbas``/``sizes`` are int64 columns, the first IO submitted at
     ``now``.  Returns ``(count, end)``: ``count`` IOs were simulated
@@ -463,10 +463,17 @@ def write_window(
     and runs per IO through ``Controller.write``, whose in-order
     appends are one program run each.
 
+    ``gaps`` (None = all zero) holds each IO's pause after the previous
+    completion (``now`` for the first).  A gap's idle time is granted
+    to the background engine as in the reference: in closed form while
+    no background work is pending or the credit stays in debt, and
+    through the device's own ``_grant_background`` — between the
+    window's page appends — at each IO whose gap runs a collection
+    (:func:`_paced_stream`).
+
     When ``trace`` is given, rows ``row0..row0+count-1`` are recorded
-    with the synchronous host's timing columns: each IO is scheduled
-    and submitted at the previous completion (``now`` for the first),
-    i.e. a zero-gap program.
+    with the synchronous host's timing columns: each IO is scheduled at
+    the previous completion (``now`` for the first) plus its gap.
     """
     reason = _window_reason(device, True, now)
     if reason is not None:
@@ -477,25 +484,111 @@ def write_window(
     limit = _valid_prefix(device, lbas, sizes)
     if limit == 0:
         return _decline("write", "address", now)
-    end = _pagemap_write_window(device, lbas[:limit], sizes[:limit], now, trace, row0)
+    if gaps is not None:
+        gaps = gaps[:limit] if bool(gaps[:limit].any()) else None
+    end = _pagemap_write_window(
+        device, lbas[:limit], sizes[:limit], now, trace, row0, gaps
+    )
     STATS.write_windows += 1
     STATS.write_ios += limit
     return limit, end
 
 
-def _pagemap_write_window(device, lbas, sizes, now, trace, row0):
-    """Page-map kernel: a whole write window, garbage collection included.
+def _pagemap_write_window(device, lbas, sizes, now, trace, row0, gaps=None):
+    """A synchronous page-map write window: the write pass, then the
+    completion chain, the device accounting and the trace rows.
+    Returns the last completion."""
+    columns, service, starts = _write_pass(device, lbas, sizes, now, gaps)
+    if starts is None:
+        completions = _chain(now, service)
+        submitted = scheduled = _previous(now, completions)
+    else:
+        completions = starts + service
+        submitted = starts
+        # scheduled at the previous completion plus the raw gap (the
+        # submission clamps a negative one)
+        scheduled = _previous(now, completions) + gaps
+    _commit_window(device, service, completions, sizes, True)
+    if trace is not None:
+        _record(
+            trace, row0, lbas, sizes, True, scheduled, submitted, completions,
+            **columns,
+        )
+    return float(completions[-1])
+
+
+class _PageStream:
+    """A write pass's flattened page stream, handed to the FTL's
+    :meth:`~repro.flashsim.ftl.pagemap.PageMapFTL.write_steps` loop up
+    to a position at a time.
+
+    Each watermark step's cost is charged to the IO whose page
+    triggered it, exactly as the per-IO accumulators would.  Writing
+    the stream in several pieces makes the same appends as writing it
+    at once, because the loop's state (active block, write point, free
+    pool) is all it reads.
+    """
+
+    def __init__(self, ftl, lpages, tokens, offsets) -> None:
+        n_ios = int(offsets.size) - 1
+        self.ftl = ftl
+        self.lpages = lpages
+        self.tokens = tokens
+        self.ends = offsets[1:].tolist()
+        #: pages handed to the FTL so far, and the IO the last
+        #: watermark step was charged to
+        self.written = 0
+        self.io = 0
+        self.copy_reads = np.zeros(n_ios, dtype=np.int64)
+        self.copy_programs = np.zeros(n_ios, dtype=np.int64)
+        self.block_erases = np.zeros(n_ios, dtype=np.int64)
+        self.notes: "dict[int, list[str]]" = {}
+        self._scratch = CostAccumulator()
+
+    def advance(self, stop: int) -> None:
+        """Write the stream's pages up to (not including) ``stop``."""
+        start = self.written
+        if stop <= start:
+            return
+        scratch = self._scratch
+        ends = self.ends
+        io = self.io
+        steps = self.ftl.write_steps(
+            self.lpages[start:stop], self.tokens[start:stop], scratch
+        )
+        for step in steps:
+            while start + step >= ends[io]:
+                io += 1
+            self.copy_reads[io] += scratch.copy_reads
+            self.copy_programs[io] += scratch.copy_programs
+            self.block_erases[io] += scratch.block_erases
+            scratch.copy_reads = scratch.copy_programs = scratch.block_erases = 0
+            if scratch.notes:
+                self.notes.setdefault(io, []).extend(scratch.notes)
+                scratch.notes.clear()
+        self.io = io
+        self.written = stop
+
+
+def _write_pass(device, lbas, sizes, now, gaps=None):
+    """The page-map write pass behind every write kernel.
 
     Tokens, RMW edge reads and the controller's shadow commit are
-    closed forms of the pre-window state, which garbage collection
-    preserves (a relocation moves a page without changing its content
-    or mapped-ness).  The window's flattened page stream then goes to
-    the FTL in one :meth:`~repro.flashsim.ftl.pagemap.PageMapFTL.write_steps`
-    loop — the one ``write_run`` runs per IO.  A concatenation of the
-    IOs' runs makes the same appends and meets the same watermarks,
-    because the loop's state (active block, write point, free pool) is
-    all it reads.  Each watermark step's cost is charged to the IO
-    whose page triggered it, exactly as the per-IO accumulators would.
+    closed forms of the pre-window state, which garbage collection —
+    foreground or background — preserves (a relocation moves a page
+    without changing its content or mapped-ness).  The window's
+    flattened page stream then goes to the FTL through one
+    :class:`_PageStream`: with zero gaps in one piece, the loop
+    ``write_run`` runs per IO (a concatenation of the IOs' runs makes
+    the same appends and meets the same watermarks).
+
+    With ``gaps`` the pass also folds each gap into the completion
+    chain and the background credit (:func:`_paced_stream`).  Returns
+    ``(columns, service, starts)``: the trace cost columns (GC notes
+    included), the per-IO service times and, for a paced pass, the
+    per-IO start times (None with zero gaps).  Commits the FTL, chip
+    and controller state and the credit account; the caller owns the
+    timing, device counters and trace rows.
 
     Like the reference, an exhausted free pool raises
     ``OutOfSpaceError`` mid-window with state torn at the failing page.
@@ -553,34 +646,28 @@ def _pagemap_write_window(device, lbas, sizes, now, trace, row0):
     reads_per_io = np.add.reduceat(
         (~covered_flat & mapped_now_flat).astype(np.int64), offsets[:-1]
     )
+    miss = _map_misses(device, s_pg, e_pg)
 
     # -- host appends and collections: the FTL's own loop --------------
-    scratch = CostAccumulator()
-    copy_reads = np.zeros(n_ios, dtype=np.int64)
-    copy_programs = np.zeros(n_ios, dtype=np.int64)
-    block_erases = np.zeros(n_ios, dtype=np.int64)
-    notes: "dict[int, list[str]]" = {}
+    stream = _PageStream(ftl, lpage_flat, token_flat, offsets)
     collections0 = ftl.gc_collections
-    ends = offsets[1:].tolist()
-    io = 0
-    for step in ftl.write_steps(lpage_flat, token_flat, scratch):
-        while step >= ends[io]:
-            io += 1
-        copy_reads[io] += scratch.copy_reads
-        copy_programs[io] += scratch.copy_programs
-        block_erases[io] += scratch.block_erases
-        scratch.copy_reads = scratch.copy_programs = scratch.block_erases = 0
-        if scratch.notes:
-            notes.setdefault(io, []).extend(scratch.notes)
-            scratch.notes.clear()
+    columns = {
+        "page_reads": reads_per_io, "page_programs": n_pg,
+        "copy_reads": stream.copy_reads, "copy_programs": stream.copy_programs,
+        "block_erases": stream.block_erases, "map_misses": miss,
+    }
+    starts = None
+    if gaps is None:
+        stream.advance(total_pages)
+    else:
+        starts = _paced_stream(device, stream, offsets, gaps, now, sizes, columns)
     collections = ftl.gc_collections - collections0
-
+    columns["notes"] = stream.notes or None
     # per-IO service times: the reference formula on columns
-    miss = _map_misses(device, s_pg, e_pg)
     service = device.timing.service_usec(
-        reads_per_io, n_pg, copy_reads, copy_programs, block_erases, sizes, miss
+        reads_per_io, n_pg, stream.copy_reads, stream.copy_programs,
+        stream.block_erases, sizes, miss,
     )
-    completions = _chain(now, service)
 
     # commit: host programs and reclamation already went through the
     # FTL above; RMW edge reads were resolved in closed form, and the
@@ -591,20 +678,92 @@ def _pagemap_write_window(device, lbas, sizes, now, trace, row0):
     controller._shadow[minted] = token_sorted[last_in_group][group_has_mint]
     controller._next_token = next0 + int(mint_rank[-1])
     controller._last_end_page = int(e_pg[-1])
-    _commit_window(device, service, completions, sizes, True)
-    if trace is not None:
-        submitted = _previous(now, completions)
-        _record(
-            trace, row0, lbas, sizes, True, submitted, submitted, completions,
-            page_reads=reads_per_io, page_programs=n_pg, copy_reads=copy_reads,
-            copy_programs=copy_programs, block_erases=block_erases,
-            map_misses=miss, notes=notes or None,
-        )
     if collections:
         STATS.epoch_windows += 1
         STATS.epoch_ios += n_ios
         STATS.epoch_collections += collections
-    return float(completions[-1])
+    return columns, service, starts
+
+
+def _paced_stream(device, stream, offsets, gaps, now, sizes, columns):
+    """Write a paced pass's page stream, granting each gap's idle time
+    to the background engine in the reference's order.
+
+    IO *i* starts at the previous completion plus its gap (clamped at
+    0), and its idle grant is ``start - busy_until``: a left fold over
+    gaps and services, as :func:`_paced_chain` folds them.  A grant
+    runs background units only when work is pending and the credit plus
+    the idle time is above 0; everywhere else it is the closed form
+    ``min(credit + idle, cap)``.  At the IOs where it runs units the
+    stream stops at the IO's first page, the device's own
+    ``_grant_background`` runs them, and the stream resumes.
+
+    Whether work is pending follows from the free pool and the host
+    write point, read whenever the FTL ran anything but closed-form
+    appends: host appends only take blocks, so the pool at each IO's
+    first page is ``free - allocations``, until the next GC watermark.
+    The IO holding that watermark page writes through it first, so its
+    collection's cost lands in its service before the chain moves on.
+    Services without a collection are the closed form of the page
+    counts.  Returns the per-IO start times.
+    """
+    ftl = device.ftl
+    config = ftl.config
+    ppb = device.geometry.pages_per_block
+    gc_low = config.gc_low_blocks
+    # pending: a free pool below the background target (the FTL then
+    # always holds data blocks to collect, and the device's own grant
+    # checks again)
+    target = config.bg_target_blocks if config.bg_enabled else 0
+    cap = device.background.max_leftover_credit_usec
+    timing = device.timing
+    reads = columns["page_reads"]
+    n_pg = columns["page_programs"]
+    miss = columns["map_misses"]
+    # no collection yet: the copy and erase terms add an exact 0.0
+    svc = timing.service_usec(reads, n_pg, 0, 0, 0, sizes, miss).tolist()
+    offs = offsets.tolist()
+    starts = np.empty(len(svc), dtype=np.float64)
+    credit = device._bg_credit
+
+    def sync():
+        free = ftl.free_blocks()
+        point = device.chip.write_point(ftl._host_active)
+        watermark = stream.written + max(0, (free - gc_low) * ppb - point)
+        return free, point, watermark
+
+    free, point, watermark = sync()
+    previous = now
+    for i, gap in enumerate(gaps.tolist()):
+        start = previous + (gap if gap > 0.0 else 0.0)
+        idle = start - previous
+        if idle > 0.0:
+            ahead = offs[i] - stream.written
+            allocs = (point + ahead - 1) // ppb if ahead else 0
+            if credit + idle > 0.0 and free - allocs < target:
+                stream.advance(offs[i])
+                device._bg_credit = credit
+                device._grant_background(idle)
+                credit = device._bg_credit
+                free, point, watermark = sync()
+            else:
+                credit = min(credit + idle, cap)
+        if offs[i + 1] > watermark:
+            # this IO's pages reach the GC watermark: write them now so
+            # the collection's cost is in its service
+            stream.advance(offs[i + 1])
+            one = slice(i, i + 1)
+            svc[i] = float(timing.service_usec(
+                reads[one], n_pg[one], stream.copy_reads[one],
+                stream.copy_programs[one], stream.block_erases[one],
+                sizes[one], miss[one],
+            )[0])
+            free, point, watermark = sync()
+        starts[i] = start
+        previous = start + svc[i]
+    stream.advance(offs[-1])
+    device._bg_credit = credit
+    return starts
 
 
 def read_window(
@@ -731,17 +890,15 @@ def run_program_into(
     ordinary :meth:`~repro.flashsim.device.FlashDevice.submit_into`
     path.
 
-    Gaps split the two modes.  A read stretch keeps them: the read
-    window folds each IO's gap into its completion chain, trace columns
-    and credit account.  A write with a gap runs per IO, because its
-    gap grants background time that may run GC before it; it cuts its
-    stretch, and the zero-gap rest of the burst may take a window.  The
-    per-IO path is decided per stretch — for a stretch too short for a
-    window and for a write stretch whose window declines (a block-map
-    device), each counted once, and for the writes gaps force, counted
-    once per program (``program:paced-write``) — and per IO at a read
-    window's boundary (background work pending, verification about to
-    fail), where it also re-raises exactly the reference errors.
+    Stretches of one mode take windows, gaps and all: a read window or
+    a write window folds each IO's gap into its completion chain, trace
+    columns and credit account, and a write window runs the background
+    units a gap buys between its page appends.  The per-IO path is
+    decided per stretch — for a stretch too short for a window and for
+    a write stretch whose window declines (a block-map device), each
+    counted once — and per IO at a read window's boundary (background
+    work pending, verification about to fail), where it also re-raises
+    exactly the reference errors.
     """
     if os_overhead != 0.0:
         STATS.decline("program:os-overhead")
@@ -761,19 +918,12 @@ def run_program_into(
     # the host schedules the first IO at start_at, whatever its gap
     gaps = np.array(program.gaps, dtype=np.float64)
     gaps[0] = 0.0
-    paced_write = writes & (gaps != 0.0)
-    # stretches: a window never crosses a read/write flip, and a paced
-    # write is a one-IO stretch of its own
-    cuts = np.flatnonzero(paced_write)
-    bounds = np.union1d(np.flatnonzero(writes[1:] != writes[:-1]) + 1, cuts)
-    bounds = np.union1d(bounds, cuts + 1)
-    bounds = np.append(bounds[(bounds > 0) & (bounds < count)], count)
+    # stretches: a window never crosses a read/write flip
+    bounds = np.append(np.flatnonzero(writes[1:] != writes[:-1]) + 1, count)
     lengths = np.diff(bounds, prepend=0)
     if int(lengths.max()) < MIN_KERNEL_STRETCH:
-        STATS.decline("program:paced-write" if cuts.size else "program:short-stretch")
+        STATS.decline("program:short-stretch")
         return False
-    if cuts.size:
-        STATS.decline("program:paced-write")
 
     clock = start_at
     i = 0
@@ -783,14 +933,14 @@ def run_program_into(
         if i >= end_i:
             end_i = int(bounds[np.searchsorted(bounds, i, side="right")])
             per_io = end_i - i < MIN_KERNEL_STRETCH
-            if per_io and not paced_write[i]:
+            if per_io:
                 STATS.decline("program:short-stretch")
         done = 0
         if not per_io:
             if writes[i]:
                 done, clock_after = write_window(
                     device, lbas[i:end_i], sizes[i:end_i], clock,
-                    trace=trace, row0=i,
+                    trace=trace, row0=i, gaps=gaps[i:end_i],
                 )
                 # a write window runs to its stretch's end or to a bad
                 # address, so one that declines (a block-map device, an
@@ -828,25 +978,33 @@ def run_program_queued(
     depth: int,
 ) -> bool:
     """Evaluate :class:`~repro.flashsim.host.AsyncHost`'s depth-``d``
-    completion chain for a homogeneous read program as one vectorized
-    event schedule.
+    completion chain for a zero-gap program of one mode as one
+    vectorized event schedule.
 
-    Reads never mutate FTL state, so every per-IO service time is a
-    pure function of the pre-program mapping — resolved in closed form
-    by :func:`_read_tokens` — and the only sequential part left is
-    the submit/pop event schedule itself: channel horizons, queue
-    waits, occupancy integrals and background credit.  Those fold in a
-    tight scalar loop (~15 operations per IO) that replays the host
-    loop, ``_dispatch`` and :class:`~repro.flashsim.device.CommandQueue`
-    bookkeeping exactly, instead of the reference's full per-IO
-    controller/FTL/chip traversal.
+    The per-IO service times come first, in closed form.  Reads never
+    mutate FTL state, so each read's service is a pure function of the
+    pre-program mapping (:func:`_read_costs`).  Writes dispatch in
+    program order, and the queued schedule's idle grant is provably 0
+    (each IO submits no later than the busy horizon) while writes grant
+    no read time, so no background unit runs between them: their
+    services come from the same page-map write pass as a synchronous
+    window's (:func:`_write_pass`), garbage collection included.  The
+    only sequential part left is the submit/pop event schedule itself:
+    channel horizons, queue waits, occupancy integrals and the read
+    credit.  Those fold in a tight scalar loop (~15 operations per IO)
+    that replays the host loop, ``_dispatch`` and
+    :class:`~repro.flashsim.device.CommandQueue` bookkeeping exactly,
+    instead of the reference's full per-IO controller/FTL/chip
+    traversal.
 
     Returns False — with *no* state touched — when the program shape
-    disqualifies it (writes, paced gaps, host overhead, pending
-    background work, a possible verification failure, or a device-level
-    decline); the async host then runs its reference loop.  Trace rows
-    land in submission order with final timings, identical to the
-    reference's tag-ordered ``record`` rows.
+    disqualifies it (mixed modes, paced gaps, host overhead, a write
+    program shorter than ``MIN_KERNEL_STRETCH``, IOs in flight, pending
+    background work under reads, an out-of-range IO, a possible
+    verification failure, or a device-level decline); the async host
+    then runs its reference loop.  Trace rows land in submission order
+    with final timings, identical to the reference's tag-ordered
+    ``record`` rows.
     """
     if os_overhead != 0.0:
         STATS.decline("queued:os-overhead")
@@ -856,27 +1014,23 @@ def run_program_queued(
         STATS.decline("queued:empty")
         return False
     writes = np.asarray(program.writes, dtype=bool)
-    if bool(writes.any()):
-        STATS.decline("queued:writes")
+    write = bool(writes[0])
+    if bool((writes != write).any()):
+        STATS.decline("queued:mixed-modes")
         return False
     gaps = program.gaps
     if gaps.size and bool((gaps != 0.0).any()):
         STATS.decline("queued:paced")
         return False
-    reason = device_decline_reason(device)
-    if reason is not None:
-        STATS.decline(f"queued:{reason}")
+    if write and count < MIN_KERNEL_STRETCH:
+        STATS.decline("queued:short-stretch")
         return False
     if device._queue.in_flight:
         STATS.decline("queued:in-flight")
         return False
-    if device._busy_until != start_at:
-        STATS.decline("queued:start-misaligned")
-        return False
-    if device.ftl.background_work_pending():
-        # each read would suffer interference and feed credit grants
-        # that execute background units: real state transitions per IO
-        STATS.decline("queued:background-pending")
+    reason = _window_reason(device, write, start_at)
+    if reason is not None:
+        STATS.decline(f"queued:{reason}")
         return False
 
     lbas = np.asarray(program.lbas, dtype=np.int64)
@@ -887,10 +1041,20 @@ def run_program_queued(
         STATS.decline("queued:address")
         return False
 
-    reads_per_io, miss, service, e_pg, verified = _read_costs(device, lbas, sizes)
-    if verified != count:
-        STATS.decline("queued:verify")
-        return False
+    if write:
+        columns, service, _starts = _write_pass(device, lbas, sizes, start_at)
+        concurrency = 0.0
+    else:
+        reads_per_io, miss, service, e_pg, verified = _read_costs(device, lbas, sizes)
+        if verified != count:
+            STATS.decline("queued:verify")
+            return False
+        columns = {"page_reads": reads_per_io, "map_misses": miss}
+        device.chip.stats.page_reads += int(reads_per_io.sum())
+        device.controller._last_end_page = int(e_pg[-1])
+        # the read's grant only moves the credit account while no work
+        # is pending
+        concurrency = device.background.read_concurrency
 
     # -- the event schedule: replay the host's submit/pop loop ---------
     svc = service.tolist()
@@ -899,7 +1063,6 @@ def run_program_queued(
     nch = len(busys)
     queue = device._queue
     stats = device.stats
-    concurrency = device.background.read_concurrency
     cap = device.background.max_leftover_credit_usec
     credit = device._bg_credit
     busy_until = device._busy_until
@@ -932,8 +1095,7 @@ def run_program_queued(
                 queued_ios += 1
                 queue_wait += start - now_i
             # the idle grant max(0, start - busy_until) is provably <= 0
-            # here (now_i <= busy_until by induction); the service grant
-            # only moves the credit account while no work is pending
+            # here (now_i <= busy_until by induction)
             usec = svc[i] * concurrency
             if usec > 0.0:
                 credit += usec
@@ -972,15 +1134,17 @@ def run_program_queued(
                 clock = when
 
     # -- commit --------------------------------------------------------
-    device.chip.stats.page_reads += int(reads_per_io.sum())
-    device.controller._last_end_page = int(e_pg[-1])
     device._bg_credit = credit
     device._busy_until = busy_until
     for c in range(nch):
         channels.occupy(c, busys[c])
     stats.busy_usec = busy_usec
-    stats.reads += count
-    stats.bytes_read += int(sizes.sum())
+    if write:
+        stats.writes += count
+        stats.bytes_written += int(sizes.sum())
+    else:
+        stats.reads += count
+        stats.bytes_read += int(sizes.sum())
     stats.queued_ios += queued_ios
     stats.queue_wait_usec = queue_wait
     queue._last_event = last_event
@@ -994,17 +1158,8 @@ def run_program_queued(
     queue.timeline.clock.advance_to(last_event)
 
     trace.record_run(
-        0,
-        lbas,
-        sizes,
-        False,
-        submitted,
-        submitted,
-        started,
-        completed,
-        page_reads=reads_per_io,
-        bytes_transferred=sizes,
-        map_misses=miss,
+        0, lbas, sizes, write, submitted, submitted, started, completed,
+        bytes_transferred=sizes, **columns,
     )
 
     STATS.queued_windows += 1

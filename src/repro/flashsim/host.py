@@ -59,12 +59,12 @@ class SyncHost:
 
         Zero-overhead programs on qualifying devices first try the
         closed-form run kernels (:mod:`repro.flashsim.analytic`), which
-        simulate whole transition-free windows on columns — read
-        stretches with their gaps, write stretches between paced
-        writes — and decay to this loop's per-IO path at every window
-        boundary.  The kernels return
-        ``False`` without touching any state when the program or device
-        disqualifies, so the reference loop below always starts clean.
+        simulate each read or write stretch as one window on columns,
+        gaps included (a write window also runs the background work its
+        gaps buy), and decay to this loop's per-IO path where a window
+        declines.  The kernels return ``False`` without touching any
+        state when the program or device disqualifies, so the reference
+        loop below always starts clean.
         """
         count = len(program)
         trace = IOTrace(capacity=count)
@@ -105,6 +105,13 @@ class AsyncHost:
     Completions may pop out of submission order; each is recorded at
     ``row = submission index``, so the trace is in submission order and
     byte-identical CSV regardless of the completion interleaving.
+
+    Zero-gap programs of one mode on qualifying devices first try the
+    queued kernel (:func:`~repro.flashsim.analytic.run_program_queued`),
+    which evaluates the whole submit/pop schedule from closed-form read
+    services or the page-map write pass; it returns ``False`` with no
+    state touched when the program or device disqualifies, and this
+    loop runs.
     """
 
     device: FlashDevice

@@ -19,8 +19,10 @@ reproduces the reference behaviour (including raised errors).
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.core import enforce_random_state
 from repro.core.methodology import enforce_sequential_state
@@ -281,10 +283,10 @@ def test_queued_reads_analytic_reference_identical(profile, queue_depth):
     assert kernel_engine.device.metrics() == reference_engine.device.metrics()
 
 
-def test_queued_writes_decline_but_match_reference():
-    """Depth-d write programs stay on the reference loop (writes mutate
-    FTL state in submission order, which the event-schedule kernel does
-    not model) — with identical results."""
+def test_queued_writes_take_the_kernel_and_match_reference():
+    """A depth-8 write program runs as one queued window: its services
+    come from the page-map write pass (writes dispatch in program
+    order), the event schedule overlaps them — with identical results."""
     spec = PatternSpec(
         mode=Mode.WRITE,
         location=LocationKind.RANDOM,
@@ -297,7 +299,9 @@ def test_queued_writes_decline_but_match_reference():
     kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
     reference_engine = Engine(oracle_device("ideal_pagemap"))
     kernel_run = kernel_engine.run(spec)
-    assert analytic.STATS.declines.get("queued:writes", 0) > 0
+    assert analytic.STATS.queued_windows == 1
+    assert analytic.STATS.queued_ios == 64
+    assert analytic.STATS.declines == {}
     reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
@@ -419,11 +423,10 @@ def test_read_window_truncates_before_verification_failure():
     assert analytic.STATS.declines == {"read:verify": 1}
 
 
-def test_paced_program_declines_but_matches_reference():
-    """A pause write program still runs per IO (each gap grants
-    background time before its write) and declines up front as
-    ``program:paced-write``; a burst program's zero-gap stretches take
-    write windows.  Both match the reference bit for bit."""
+def test_paced_programs_take_one_write_window_and_match_reference():
+    """A pause write program and a burst program are one write stretch
+    each, gaps and all, and take one write window; both match the
+    reference bit for bit."""
     spec = PatternSpec(
         mode=Mode.WRITE,
         location=LocationKind.RANDOM,
@@ -431,17 +434,17 @@ def test_paced_program_declines_but_matches_reference():
         io_count=64,
         target_size=2 * MIB,
     )
-    for timing, windows in (
-        ({"timing": TimingKind.PAUSE, "pause_usec": 500.0}, 0),
-        ({"timing": TimingKind.BURST, "pause_usec": 500.0, "burst": 32}, 2),
+    for timing in (
+        {"timing": TimingKind.PAUSE, "pause_usec": 500.0},
+        {"timing": TimingKind.BURST, "pause_usec": 500.0, "burst": 32},
     ):
         kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
         reference_engine = Engine(oracle_device("ideal_pagemap"))
         analytic.STATS.reset()
         kernel_run = kernel_engine.run(spec.with_(**timing))
-        assert analytic.STATS.declines == {"program:paced-write": 1}
-        assert analytic.STATS.write_windows == windows
-        assert analytic.STATS.write_ios == (32 + 31 if windows else 0)
+        assert analytic.STATS.declines == {}
+        assert analytic.STATS.write_windows == 1
+        assert analytic.STATS.write_ios == 64
         reference_run = reference_engine.run(spec.with_(**timing))
         assert kernel_run.stats == reference_run.stats
         assert kernel_run.trace.to_csv() == reference_run.trace.to_csv()
@@ -606,7 +609,7 @@ def test_read_window_after_a_gap(profile, concurrency):
     )
     assert analytic.STATS.read_windows == 1
     assert analytic.STATS.read_ios == 32
-    assert "program:paced-write" not in analytic.STATS.declines
+    assert analytic.STATS.write_windows == (profile.ftl_kind == "pagemap")
     reference_trace = SyncHost(reference_dev).run_program(
         program, start_at=reference_dev.busy_until
     )
@@ -622,10 +625,10 @@ def test_read_window_after_a_gap(profile, concurrency):
 @pytest.mark.parametrize("burst", (10, 20, 640))
 def test_bursts_cross_gc_watermarks(kind, burst):
     """SW/RW bursts long enough to run garbage collection on a device
-    with little spare: a burst of 10 leaves no zero-gap stretch a window
-    would take, 20 leaves 19 per burst, 640 (the whole run) has no gap
-    at all.  Each paced write runs per IO, after background collections
-    in its gap; every result matches the oracle."""
+    with little spare: bursts of 10 and 20 pause between groups, 640
+    (the whole run) has no gap at all.  Each run is one write window;
+    the paced ones run background collections in their gaps, between
+    the window's page appends.  Every result matches the oracle."""
     profile = _tight_profile()
     spec = baselines(
         io_size=16 * KIB,
@@ -642,16 +645,10 @@ def test_bursts_cross_gc_watermarks(kind, burst):
     analytic.STATS.reset()
     kernel_run = kernel_engine.run(spec)
     assert kernel_engine.device.ftl.gc_collections > collections
-    if burst == 10:
-        assert analytic.STATS.write_windows == 0
-        assert analytic.STATS.declines == {"program:paced-write": 1}
-    elif burst == 20:
-        assert analytic.STATS.write_ios == 20 + 31 * 19
-        assert analytic.STATS.declines == {"program:paced-write": 1}
-    else:
-        assert analytic.STATS.write_ios == 640
-        assert analytic.STATS.epoch_windows == 1
-        assert analytic.STATS.declines == {}
+    assert analytic.STATS.write_windows == 1
+    assert analytic.STATS.write_ios == 640
+    assert analytic.STATS.epoch_windows == 1
+    assert analytic.STATS.declines == {}
     if burst < 640:
         assert kernel_engine.device.stats.background_units > units
     reference_run = reference_engine.run(spec)
@@ -660,6 +657,215 @@ def test_bursts_cross_gc_watermarks(kind, burst):
         kernel_engine.device, reference_engine.device,
         [kernel_run.trace], [reference_run.trace],
     )
+
+
+#: the tight profile's devices enforced once, with their snapshots:
+#: each paced/queued example restores both twins instead of enforcing
+_TIGHT_TWINS: list = []
+
+
+def _tight_twins():
+    """A kernel device and its oracle twin of :func:`_tight_profile`,
+    restored to one enforced random state."""
+    if not _TIGHT_TWINS:
+        profile = _tight_profile()
+        for device in (profile.build(4 * MIB), oracle_device(profile)):
+            enforce_random_state(device, seed=4)
+            _TIGHT_TWINS.append((device, device.snapshot()))
+    for device, state in _TIGHT_TWINS:
+        device.restore(state)
+    return tuple(device for device, _state in _TIGHT_TWINS)
+
+
+def _prime(twins, start: str) -> None:
+    """Put both twins in a start state: ``enforced`` as restored,
+    ``pending`` after 2 MiB of zero-gap sequential writes (the free pool
+    below the background target), ``debt`` owing 15 ms of credit."""
+    from repro.flashsim.host import SyncHost
+
+    for device in twins:
+        if start == "pending":
+            page = 16 * KIB
+            SyncHost(device).run_program(
+                _program(np.arange(128) * page, True, 0.0, page),
+                start_at=device.busy_until,
+            )
+        elif start == "debt":
+            device._bg_credit = -15_000.0
+    if start == "pending":
+        assert twins[0].ftl.background_work_pending()
+
+
+SECTOR = 512
+#: paced write IOs on the tight profile (4 KiB pages): start sectors
+#: anywhere, sizes from one sector (an RMW edge on each side) to 128
+#: KiB, gaps of 0, under 1 us and several ms
+_paced_write = st.tuples(
+    st.integers(0, 4 * MIB // SECTOR - 1),
+    st.one_of(st.integers(1, 16), st.integers(1, 256)),
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.001, 0.999),
+        st.floats(2_000.0, 9_000.0),
+    ),
+)
+
+
+def _paced_program(ios):
+    from repro.core.generator import IOProgram
+
+    lbas = np.array([start * SECTOR for start, _, _ in ios], dtype=np.int64)
+    sizes = np.array([count * SECTOR for _, count, _ in ios], dtype=np.int64)
+    return IOProgram(
+        lbas=lbas,
+        sizes=np.minimum(sizes, 4 * MIB - lbas),
+        writes=np.ones(lbas.size, dtype=bool),
+        gaps=np.array([gap for _, _, gap in ios], dtype=np.float64),
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ios=st.lists(_paced_write, min_size=analytic.MIN_KERNEL_STRETCH, max_size=160),
+    start=st.sampled_from(("enforced", "pending", "debt")),
+)
+def test_paced_write_programs_match_the_oracle(ios, start):
+    """Generated paced write programs — unaligned sizes, gaps from 0 to
+    several ms, background work pending or the credit in debt at the
+    start, GC watermarks on a tight spare pool — take one write window
+    and leave both twins identical: trace bytes, stats, metrics,
+    credit and fingerprint."""
+    from repro.flashsim.host import SyncHost
+
+    twins = _tight_twins()
+    _prime(twins, start)
+    program = _paced_program(ios)
+    analytic.STATS.reset()
+    traces = [
+        SyncHost(device).run_program(program, start_at=device.busy_until)
+        for device in twins
+    ]
+    assert analytic.STATS.write_windows == 1
+    assert analytic.STATS.write_ios == len(program)
+    _assert_twins(*twins, traces[:1], traces[1:])
+    twins[0].check_invariants()
+
+
+def test_paced_writes_run_background_units_inside_the_window():
+    """Guards the generated programs above against testing nothing: a
+    pause program starting with work pending runs background units in
+    its gaps, a unit in a sub-microsecond gap leaves the credit in
+    debt, and the window still serves every IO."""
+    from repro.flashsim.host import SyncHost
+
+    twins = _tight_twins()
+    _prime(twins, "pending")
+    page = 16 * KIB
+    units = twins[0].stats.background_units
+    gaps = np.full(96, 0.5)
+    gaps[48:] = 3_000.0
+    program = _program((np.arange(96) * 37 % 256) * page, True, gaps, page)
+    analytic.STATS.reset()
+    traces = []
+    for device in twins:
+        device._bg_credit = 1.0
+        traces.append(SyncHost(device).run_program(program, start_at=device.busy_until))
+        if not device.chip.reference:
+            assert analytic.STATS.declines == {}
+            assert analytic.STATS.write_windows == 1
+            assert analytic.STATS.write_ios == 96
+            assert device.stats.background_units > units
+    _assert_twins(*twins, traces[:1], traces[1:])
+
+
+@pytest.mark.parametrize(
+    ("depth", "count"), ((1, 64), (4, 64), (32, 768)), ids=("1", "4", "32-gc")
+)
+def test_queued_write_programs_match_the_reference_loop(depth, count):
+    """AsyncHost write programs at depths 1, 4 and 32 (the last three
+    times the device, crossing GC watermarks) run as one queued window:
+    trace bytes, queue counters, channel horizons, credit and state
+    match the reference event loop."""
+    from repro.flashsim.host import AsyncHost
+
+    twins = _tight_twins()
+    page = 16 * KIB
+    rng = np.random.default_rng(depth)
+    program = _program(rng.integers(0, 4 * MIB // page, count) * page, True, 0.0, page)
+    collections = twins[0].ftl.gc_collections
+    analytic.STATS.reset()
+    traces = []
+    for device in twins:
+        traces.append(AsyncHost(device).run_program(
+            program, start_at=device.busy_until, queue_depth=depth
+        ))
+        if not device.chip.reference:
+            assert analytic.STATS.queued_windows == 1
+            assert analytic.STATS.queued_ios == count
+            assert analytic.STATS.declines == {}
+    if count > 64:
+        assert twins[0].ftl.gc_collections > collections
+        assert "gc" in traces[0].to_csv()
+    if depth > twins[0].timing.channels:
+        assert twins[0].stats.queued_ios > 0
+    _assert_twins(*twins, traces[:1], traces[1:])
+
+
+def test_short_queued_write_programs_decline():
+    """A queued write program shorter than ``MIN_KERNEL_STRETCH`` runs
+    the reference loop (``queued:short-stretch``)."""
+    from repro.flashsim.host import AsyncHost
+
+    twins = _tight_twins()
+    page = 16 * KIB
+    count = analytic.MIN_KERNEL_STRETCH - 1
+    program = _program(np.arange(count) * page, True, 0.0, page)
+    traces = [
+        AsyncHost(device).run_program(program, start_at=device.busy_until, queue_depth=4)
+        for device in twins
+    ]
+    assert analytic.STATS.queued_windows == 0
+    # the shape declines before the device is looked at, so the oracle
+    # twin counts it too
+    assert analytic.STATS.declines == {"queued:short-stretch": 2}
+    _assert_twins(*twins, traces[:1], traces[1:])
+
+
+@pytest.mark.parametrize("queued", (False, True), ids=("paced", "queued"))
+def test_out_of_range_write_mid_program_raises_the_reference_error(queued):
+    """An out-of-range IO in the middle of a paced or a queued write
+    program: the paced window stops before it and the per-IO path
+    raises, the queued kernel leaves the whole program to the reference
+    loop; both raise the reference's AddressError at that IO and leave
+    the same state."""
+    from repro.errors import AddressError
+    from repro.flashsim.host import AsyncHost, SyncHost
+
+    page = 16 * KIB
+    program = _program(np.arange(48) * page, True, 0.0 if queued else 1_000.0, page)
+    program.lbas[30] = 4 * MIB  # the first page past the end
+    outcomes = []
+    for device in _tight_twins():
+        analytic.STATS.reset()
+        with pytest.raises(AddressError) as raised:
+            if queued:
+                AsyncHost(device).run_program(
+                    program, start_at=device.busy_until, queue_depth=4
+                )
+            else:
+                SyncHost(device).run_program(program, start_at=device.busy_until)
+        outcomes.append((
+            str(raised.value), device.fingerprint(), device.metrics(),
+            device.stats, device._bg_credit,
+        ))
+        if device.chip.reference:
+            continue
+        if queued:
+            assert analytic.STATS.declines == {"queued:address": 1}
+        else:
+            assert analytic.STATS.write_ios == 30
+            assert analytic.STATS.declines == {"write:address": 1}
+    assert outcomes[0] == outcomes[1]
 
 
 def _process_programs(degree, write, page, capacity, seed=0):

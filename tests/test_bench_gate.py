@@ -64,7 +64,8 @@ def test_fallback_twins_are_gated_only_where_the_kernels_served(tmp_path):
 
 def test_fallback_twins_run_no_kernel():
     # a /fallback twin that still ran a kernel would time the kernel
-    # against itself; the burst and parallel runs are served when on
+    # against itself; the burst, pause, queued and parallel runs are
+    # served when on
     from repro.core.engine import Engine
     from repro.flashsim import analytic
     from repro.flashsim.profiles import build_device
@@ -72,7 +73,7 @@ def test_fallback_twins_run_no_kernel():
 
     bench = _bench_hotpath()
     specs = bench._run_specs(4 * MIB, 64)
-    for name in ("run_parallel", "run_burst"):
+    for name in ("run_parallel", "run_burst", "run_pause", "run_RW_qd32"):
         for kernels in (True, False):
             engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
             before = bench._kernel_ios()

@@ -8,8 +8,10 @@ two phases that dominate real campaign time:
   covering the whole device, Section 4.1 methodology), the workload the
   vectorized run kernel targets;
 * **SR/RR/SW/RW**: the four baseline patterns of Section 3.1;
-* **run_{SR,RR,SW,RW,mix,parallel,burst}**: measured runs through the
-  engine (``run_burst`` is SW in bursts of 32 IOs), each with a
+* **run_{SR,RR,SW,RW,mix,parallel,burst,pause,RW_qd32}**: measured
+  runs through the engine (``run_burst`` is SW in bursts of 32 IOs,
+  ``run_pause`` SW with a 1 ms pause before every IO, ``run_RW_qd32``
+  RW with 32 IOs in flight), each with a
   ``/fallback`` twin whose programs skip the
   closed-form kernels and run the hosts' per-IO loops (no fast key the
   kernels served may be more than ``FALLBACK_LIMIT`` times slower than
@@ -241,8 +243,8 @@ def bench_profile(
 
 
 def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
-    """The measured-run workloads: four baselines, a mix, a parallel
-    and a burst."""
+    """The measured-run workloads: four baselines, a mix, a parallel,
+    a burst, a pause and a queued run."""
     specs = baselines(
         io_size=16 * KIB,
         io_count=io_count,
@@ -274,11 +276,15 @@ def _run_specs(logical_bytes: int, io_count: int) -> dict[str, object]:
     workloads["run_parallel"] = ParallelSpec(
         base=specs["SW"], parallel_degree=4
     )
-    # a paced write runs per IO, the zero-gap rest of its burst takes a
-    # write window
+    # paced writes take one write window, gaps and all
     workloads["run_burst"] = specs["SW"].with_(
         timing=TimingKind.BURST, pause_usec=1_000.0, burst=32
     )
+    workloads["run_pause"] = specs["SW"].with_(
+        timing=TimingKind.PAUSE, pause_usec=1_000.0
+    )
+    # zero-gap writes in flight take the queued kernel
+    workloads["run_RW_qd32"] = specs["RW"].with_(queue_depth=32)
     return workloads
 
 
@@ -287,7 +293,7 @@ def bench_measured_runs(
 ) -> dict[str, dict[str, float]]:
     """Best-of-``repeat`` timings of the engine's measured runs.
 
-    The same seven workloads run with the closed-form kernels on (the
+    The same nine workloads run with the closed-form kernels on (the
     default, plain keys) and, with ``twins``, with every program
     declining them (``/fallback`` suffix — the hosts' per-IO loops),
     in alternating order (:func:`_paired`).  Both produce bit-identical
