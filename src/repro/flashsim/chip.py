@@ -114,12 +114,17 @@ class FlashChip:
         self.stats = ChipStats()
         nblocks = geometry.physical_blocks
         npages = geometry.physical_pages
+        self._nblocks = nblocks
+        self._ppb = geometry.pages_per_block
         # token stored in each physical page; ERASED when erased
         self._tokens = np.full(npages, ERASED, dtype=np.int64)
         # next programmable page offset within each block (0..pages_per_block)
         self._write_point = np.zeros(nblocks, dtype=np.int32)
         self._erase_count = np.zeros(nblocks, dtype=np.int64)
         self._bad = np.zeros(nblocks, dtype=bool)
+        # retired blocks in ``_bad``, kept by mark_bad and restore so the
+        # hot paths test one integer instead of scanning the mask
+        self._bad_count = 0
 
     @property
     def reference(self) -> bool:
@@ -161,7 +166,7 @@ class FlashChip:
     def read(self, block: int, page_offset: int) -> int:
         """Read the token of a physical page (ERASED if never programmed)."""
         self._check_page(block, page_offset)
-        if self._bad[block]:
+        if self._bad_count and self._bad[block]:
             raise BadBlockError(f"read from bad block {block}")
         self.stats.page_reads += 1
         return int(self._tokens[self._page_index(block, page_offset)])
@@ -173,7 +178,7 @@ class FlashChip:
         the next page in program order within its block.
         """
         self._check_page(block, page_offset)
-        if self._bad[block]:
+        if self._bad_count and self._bad[block]:
             raise BadBlockError(f"program to bad block {block}")
         if token < 0:
             raise ProgramError("tokens must be non-negative")
@@ -210,10 +215,11 @@ class FlashChip:
             return np.empty(0, dtype=np.int64)
         if int(ppages.min()) < 0 or int(ppages.max()) >= self.geometry.physical_pages:
             raise ProgramError("physical page index out of range in read_many")
-        blocks = ppages // self.geometry.pages_per_block
-        if self._bad[blocks].any():
-            bad = int(blocks[self._bad[blocks]][0])
-            raise BadBlockError(f"read from bad block {bad}")
+        if self._bad_count:
+            blocks = ppages // self._ppb
+            if self._bad[blocks].any():
+                bad = int(blocks[self._bad[blocks]][0])
+                raise BadBlockError(f"read from bad block {bad}")
         self.stats.page_reads += int(ppages.size)
         return self._tokens[ppages]
 
@@ -243,7 +249,7 @@ class FlashChip:
                 f"run [{start}, +{n}) exceeds block {block}'s "
                 f"{self.geometry.pages_per_block} pages"
             )
-        if self._bad[block]:
+        if self._bad_count and self._bad[block]:
             raise BadBlockError(f"program to bad block {block}")
         # token validity (>= 0) is the caller's contract: every FTL run
         # entry point validates its token array once before programming
@@ -301,7 +307,7 @@ class FlashChip:
             raise EraseError(
                 f"block out of range 0..{self.geometry.physical_blocks - 1}"
             )
-        if self._bad[blocks].any():
+        if self._bad_count and self._bad[blocks].any():
             bad = int(blocks[self._bad[blocks]][0])
             raise BadBlockError(f"program to bad block {bad}")
         write_points = self._write_point[blocks]
@@ -317,59 +323,119 @@ class FlashChip:
         self.stats.page_programs += n
         return ppages
 
+    def copy_range(
+        self,
+        target: int,
+        start: int,
+        stop: int,
+        base: int,
+        offsets: np.ndarray,
+        ppages: np.ndarray,
+        filler: int,
+    ) -> int:
+        """Program pages ``start..stop-1`` of ``target`` as a block-range copy.
+
+        The one copy primitive of the merge-based FTLs: a merge, a gap
+        fill or a replacement's tail copy always moves a page range of
+        one old block at its natural offsets, overlaid by a few
+        scattered log pages, with filler elsewhere.  Target page ``i``
+        takes the token of physical page ``ppages[k]`` where
+        ``offsets[k] == i`` (the overlay), else of page ``i`` of
+        ``base`` if that lies below ``base``'s write point, else
+        ``filler`` without a read.  ``base`` -1 means no old block.
+        Returns the number of page reads.
+
+        The overlay is the caller's contract, as token validity is
+        :meth:`program_run`'s: ``offsets`` strictly increasing inside
+        ``[start, stop)``, every page in ``ppages`` a programmed page
+        (below its block's write point) outside ``target``.
+
+        On a plain chip the copy is checked once and costs one slice of
+        the base block, one overlay gather and one store, with the
+        counters of the per-page loop.  On a :attr:`reference` chip, on
+        one with any retired block, or when the copy would raise (target
+        out of range, not writable at ``start``, or the range past its
+        end), it runs :meth:`copy_pages`, the scalar per-page loop, over
+        the same sources, so exceptions surface at the same page with
+        the same counters.
+        """
+        n = stop - start
+        if n <= 0:
+            return 0
+        ppb = self._ppb
+        base_end = start  # base pages copied: [start, base_end)
+        if base >= 0:
+            if base >= self._nblocks:
+                self._check_block(base)
+            base_end = min(max(int(self._write_point[base]), start), stop)
+        if (
+            self.fault_injector is None
+            and not self._bad_count
+            and 0 <= target < self._nblocks
+            and target != base
+            and 0 <= start
+            and stop <= ppb
+            and self._write_point[target] == start
+        ):
+            tokens = self._tokens
+            first = target * ppb
+            out = tokens[first + start : first + stop]
+            copied = base_end - start
+            if copied:
+                first = base * ppb
+                out[:copied] = tokens[first + start : first + base_end]
+            if base_end < stop:
+                out[copied:] = filler
+            reads = copied
+            if offsets.size:
+                out[offsets - start if start else offsets] = tokens[ppages]
+                if base_end < stop:
+                    reads += int(offsets.size - offsets.searchsorted(base_end))
+            self._write_point[target] = stop
+            self.stats.page_reads += reads
+            self.stats.page_programs += n
+            return reads
+        sources = np.full(n, -1, dtype=np.int64)
+        if base_end > start:
+            sources[: base_end - start] = np.arange(
+                base * ppb + start, base * ppb + base_end
+            )
+        sources[offsets - start] = ppages
+        return self.copy_pages(sources, target, start, filler)
+
     def copy_pages(
         self, sources: np.ndarray, target: int, start: int, filler: int
     ) -> int:
-        """Copy physical pages into consecutive pages of ``target``.
+        """The scalar per-page copy loop: the reference of :meth:`copy_range`.
 
         ``sources`` holds one global physical page index per target page
-        (``target`` pages ``start, start+1, ...``); a negative entry
-        means "no source": that page is programmed with ``filler``
-        without a read, and so is any source that reads back ERASED.
-        Returns the number of page reads.
-
-        Behaves exactly like the interleaved per-page loop (read the
-        source, program the target) that merges and block copies used to
-        run, with the counters of one :meth:`read_many` gather plus one
-        :meth:`program_run`: the copy is validated once, then gathered
-        from and stored into the token array directly.  On a
-        :attr:`reference` chip or one with any bad block, or when the
-        copy would raise (target not writable at ``start``, a page out
-        of range), it runs that scalar loop instead, so exceptions
-        surface at the same page with the same counters.
+        (``target`` pages ``start, start+1, ...``); for each in turn the
+        loop reads the source and programs the target page with its
+        token.  A negative entry means "no source": that page is
+        programmed with ``filler`` without a read, and so is any source
+        that reads back ERASED.  Returns the number of page reads.  Each
+        page goes through :meth:`read` and :meth:`program`, so an
+        exception surfaces at its exact page with the counters of the
+        pages before it.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        n = int(sources.size)
-        if n == 0:
-            return 0
-        ppb = self.geometry.pages_per_block
-        has = sources >= 0
-        if (
-            not self.reference
-            and not self._bad.any()
-            and 0 <= target < self.geometry.physical_blocks
-            and int(self._write_point[target]) == start
-            and start + n <= ppb
-            and int(sources.max()) < self.geometry.physical_pages
-        ):
-            picked = sources[has]
-            tokens = np.full(n, filler, dtype=np.int64)
-            read = self._tokens[picked]
-            tokens[has] = np.where(read == ERASED, filler, read)
-            self.stats.page_reads += int(picked.size)
-            self._store_run(target, start, tokens)
-            return int(picked.size)
-        for i, source in enumerate(sources.tolist()):
-            token = self.read(*divmod(source, ppb)) if source >= 0 else ERASED
+        ppb = self._ppb
+        reads = 0
+        for i, source in enumerate(np.asarray(sources, dtype=np.int64).tolist()):
+            token = ERASED
+            if source >= 0:
+                token = self.read(*divmod(source, ppb))
+                reads += 1
             self.program(target, start + i, filler if token == ERASED else token)
-        return int(has.sum())
+        return reads
 
     def erase(self, block: int) -> None:
         """Erase a whole block, resetting all its pages to ERASED."""
-        self._check_block(block)
-        if self._bad[block]:
+        if not 0 <= block < self._nblocks:
+            self._check_block(block)
+        if self._bad_count and self._bad[block]:
             raise BadBlockError(f"erase of bad block {block}")
-        if self._erase_count[block] >= self.endurance:
+        count = int(self._erase_count[block])
+        if count >= self.endurance:
             self.mark_bad(block)
             raise EnduranceError(
                 f"block {block} exceeded endurance of {self.endurance} erase cycles"
@@ -378,10 +444,10 @@ class FlashChip:
             self.stats.erase_failures += 1
             self.mark_bad(block)
             raise EraseError(f"injected erase failure in block {block}")
-        start = self._page_index(block, 0)
-        self._tokens[start : start + self.geometry.pages_per_block] = ERASED
+        start = block * self._ppb
+        self._tokens[start : start + self._ppb] = ERASED
         self._write_point[block] = 0
-        self._erase_count[block] += 1
+        self._erase_count[block] = count + 1
         self.stats.block_erases += 1
 
     # ------------------------------------------------------------------
@@ -413,6 +479,7 @@ class FlashChip:
         self._write_point = state["write_point"].copy()
         self._erase_count = state["erase_count"].copy()
         self._bad = state["bad"].unpack()
+        self._bad_count = int(self._bad.sum())
         self.stats = replace(state["stats"])
 
     def update_digest(self, hasher) -> None:
@@ -442,7 +509,9 @@ class FlashChip:
     def mark_bad(self, block: int) -> None:
         """Retire a block; it will reject all further operations."""
         self._check_block(block)
-        self._bad[block] = True
+        if not self._bad[block]:
+            self._bad[block] = True
+            self._bad_count += 1
 
     def is_bad(self, block: int) -> bool:
         """Whether a block has been retired."""
@@ -485,7 +554,7 @@ class FlashChip:
 
     def good_blocks(self) -> int:
         """Number of blocks not (yet) retired."""
-        return int((~self._bad).sum())
+        return self._nblocks - self._bad_count
 
     def wear_summary(self) -> dict[str, float]:
         """Wear-levelling quality indicators across good blocks."""

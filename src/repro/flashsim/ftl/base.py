@@ -47,6 +47,10 @@ from repro.flashsim.timing import CostAccumulator
 #: token programmed into pages that exist only to pad a copied block
 FILLER_TOKEN = 0
 
+#: an empty overlay: block copies with no log pages
+NO_PAGES = np.empty(0, dtype=np.int64)
+NO_PAGES.flags.writeable = False
+
 #: immutable leaf types the snapshot fast copy passes through unchanged
 _SCALAR_TYPES = (int, float, complex, bool, str, bytes, frozenset, type(None))
 
@@ -352,13 +356,21 @@ class BaseFTL(ABC):
         block conservation and map consistency.
         """
 
-    def _copy_pages(
-        self, sources: np.ndarray, target: int, start: int, cost: CostAccumulator
+    def _copy_range(
+        self,
+        target: int,
+        start: int,
+        stop: int,
+        base: int,
+        offsets: np.ndarray,
+        ppages: np.ndarray,
+        cost: CostAccumulator,
     ) -> None:
-        """Copy physical pages into ``target`` from page ``start`` with
-        :meth:`FlashChip.copy_pages` (negative sources pad with
-        :data:`FILLER_TOKEN`), charging copy reads and programs to
-        ``cost`` and to :meth:`_count_copies`.
+        """Copy pages ``start..stop-1`` of a logical block into ``target``
+        with :meth:`FlashChip.copy_range` (the old block ``base`` at its
+        natural offsets, overlaid by the log pages ``ppages`` at
+        ``offsets``, padded with :data:`FILLER_TOKEN`), charging copy
+        reads and programs to ``cost`` and to :meth:`_count_copies`.
 
         The charge is the chip's own counter delta, taken even when the
         copy raises part-way, so a failed copy charges exactly the pages
@@ -367,7 +379,9 @@ class BaseFTL(ABC):
         stats = self.chip.stats
         reads, programs = stats.page_reads, stats.page_programs
         try:
-            self.chip.copy_pages(sources, target, start, FILLER_TOKEN)
+            self.chip.copy_range(
+                target, start, stop, base, offsets, ppages, FILLER_TOKEN
+            )
         finally:
             reads = stats.page_reads - reads
             programs = stats.page_programs - programs

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, NO_PAGES, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
@@ -173,7 +173,7 @@ class BlockMapFTL(BaseFTL):
         if rep is None:
             rep = self._open_replacement(lblock, cost)
         if offset > rep.next_offset:
-            self._copy_range(rep, rep.next_offset, offset, cost)
+            self._fill_gap(rep, offset, cost)
         self.chip.program(rep.pblock, offset, token)
         cost.page_programs += 1
         rep.next_offset = offset + 1
@@ -256,18 +256,20 @@ class BlockMapFTL(BaseFTL):
         self._open[lblock] = rep
         return rep
 
-    def _copy_range(
-        self, rep: _Replacement, start: int, end: int, cost: CostAccumulator
-    ) -> None:
-        """Copy pages ``[start, end)`` of the logical block from the old
-        physical block into the replacement (filling gaps with filler)."""
-        old = int(self._data_map[rep.lblock])
-        old_end = self.chip.write_point(old) if old >= 0 else 0
-        ppb = self.geometry.pages_per_block
-        sources = np.arange(old * ppb + start, old * ppb + end)
-        sources[max(old_end - start, 0) :] = -1
+    def _fill_gap(self, rep: _Replacement, offset: int, cost: CostAccumulator) -> None:
+        """Copy the pages the replacement skips, up to ``offset``, from
+        the old physical block at their natural offsets (filler past the
+        old block's write point) — one block-range copy."""
         sub = cost.begin_scope()
-        self._copy_pages(sources, rep.pblock, start, sub)
+        self._copy_range(
+            rep.pblock,
+            rep.next_offset,
+            offset,
+            int(self._data_map[rep.lblock]),
+            NO_PAGES,
+            NO_PAGES,
+            sub,
+        )
         cost.end_scope("merge", sub)
 
     def _finalize(self, lblock: int, cost: CostAccumulator) -> None:
@@ -277,9 +279,13 @@ class BlockMapFTL(BaseFTL):
         old = int(self._data_map[lblock])
         sub = cost.begin_scope()
         if old >= 0:
+            # the old block's tail behind the replacement's write point
             tail_end = self.chip.write_point(old)
             if tail_end > rep.next_offset:
-                self._copy_range_tail(rep, tail_end, old, sub)
+                self._copy_range(
+                    rep.pblock, rep.next_offset, tail_end, old, NO_PAGES, NO_PAGES, sub
+                )
+                rep.next_offset = tail_end
         self._data_map[lblock] = rep.pblock
         if old >= 0:
             self.chip.erase(old)
@@ -296,18 +302,6 @@ class BlockMapFTL(BaseFTL):
             sub.copy_programs += self.config.map_flush_pages
             sub.note("map-flush")
         cost.end_scope("merge", sub)
-
-    def _copy_range_tail(
-        self, rep: _Replacement, tail_end: int, old: int, cost: CostAccumulator
-    ) -> None:
-        ppb = self.geometry.pages_per_block
-        self._copy_pages(
-            np.arange(old * ppb + rep.next_offset, old * ppb + tail_end),
-            rep.pblock,
-            rep.next_offset,
-            cost,
-        )
-        rep.next_offset = tail_end
 
     def quiesce(self) -> CostAccumulator:
         """Finalise every open replacement block."""

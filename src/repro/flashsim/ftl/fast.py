@@ -287,31 +287,34 @@ class FastFTL(BaseFTL):
     ) -> None:
         """Full merge: consolidate ``lblock``'s newest content (data
         block + shared logs + optional partial seq log) into a fresh
-        block, dropping every shared entry of the block."""
+        block as one block-range copy, dropping every shared entry of
+        the block.
+
+        The old data block is the copy's base; the overlay holds the
+        newest logged copy of each offset — a shared-log entry, else the
+        partial seq log — and the copy runs up to the highest offset any
+        of them holds.
+        """
         ppb = self.geometry.pages_per_block
         sub = cost.begin_scope()
         target = self._take_free(sub)
         old = int(self._data_map[lblock])
         base = lblock * ppb
-        # newest copy of each offset: a shared-log entry, else the
-        # partial seq log, else the old data block, else filler — up to
-        # the highest offset any of them holds
-        sources = np.full(ppb, -1, dtype=np.int64)
-        if old >= 0:
-            old_end = self.chip.write_point(old)
-            sources[:old_end] = np.arange(old * ppb, old * ppb + old_end)
+        overlay = np.full(ppb, -1, dtype=np.int64)  # offset -> logged page
         if seq_log is not None:
             first = seq_log.pblock * ppb
-            sources[: seq_log.next_pos] = np.arange(first, first + seq_log.next_pos)
+            overlay[: seq_log.next_pos] = np.arange(first, first + seq_log.next_pos)
         shared = [
             lpage for lpage in range(base, base + ppb) if lpage in self._shared_map
         ]
         for lpage in shared:
             log, position = self._shared_map[lpage]
-            sources[lpage - base] = log.pblock * ppb + position
-        live = np.flatnonzero(sources >= 0)
-        highest = int(live[-1]) if live.size else -1
-        self._copy_pages(sources[: highest + 1], target, 0, sub)
+            overlay[lpage - base] = log.pblock * ppb + position
+        offsets = np.flatnonzero(overlay >= 0)
+        stop = int(offsets[-1]) + 1 if offsets.size else 0
+        if old >= 0:
+            stop = max(stop, self.chip.write_point(old))
+        self._copy_range(target, 0, stop, old, offsets, overlay[offsets], sub)
         for lpage in shared:
             self._drop_shared_entry(lpage)
         self._data_map[lblock] = target

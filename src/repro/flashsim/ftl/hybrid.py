@@ -14,6 +14,13 @@ must be evicted it is *merged* with its data block:
   logical block is copied to a fresh block and both old blocks are
   erased (expensive; this is why random writes are slow).
 
+Both copying merges are one block-range copy on the chip
+(:meth:`~repro.flashsim.chip.FlashChip.copy_range`): the old data
+block's pages at their natural offsets, overlaid by the log's pages
+(full merge) or behind the log's in-order prefix (partial merge), filler
+where neither holds a page.  They charge the per-page copy counts the
+paper's cost model needs, without a read/program call pair per page.
+
 Following the LAST/SAST lineage of 2008-era controllers, the log pool is
 **split in two** — this is what decouples the paper's Partitioning limit
 from its Locality area (Table 3 shows Mtron with 4 partitions but an
@@ -51,7 +58,7 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
+from repro.flashsim.ftl.base import FILLER_TOKEN, NO_PAGES, BaseFTL
 from repro.flashsim.bitmap import mask_from_indices
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
@@ -93,16 +100,18 @@ class _LogBlock:
     position holding its newest copy (-1 = not in this log) — an int16
     vector instead of a dict, so reads, merges and invariant checks
     index it directly and merge scans are single vectorized expressions.
+    It starts as a copy of ``empty_map`` (all -1), which the FTL builds
+    once instead of one ``np.full`` per log open.
     """
 
     __slots__ = ("lblock", "pblock", "next_pos", "pos_of", "in_order")
 
-    def __init__(self, lblock: int, pblock: int, pages_per_block: int) -> None:
+    def __init__(self, lblock: int, pblock: int, empty_map: np.ndarray) -> None:
         self.lblock = lblock
         self.pblock = pblock
         self.next_pos = 0  # next program position (chip write point)
         # page offset -> latest log position (-1 = absent)
-        self.pos_of = np.full(pages_per_block, -1, dtype=np.int16)
+        self.pos_of = empty_map.copy()
         self.in_order = True  # offsets written == 0..next_pos-1 in order
 
     def record(self, offset: int) -> None:
@@ -178,6 +187,8 @@ class HybridLogFTL(BaseFTL):
         self.merge_stats = {"switch": 0, "partial": 0, "full": 0}
         self.merge_copy_reads = 0
         self.merge_copy_programs = 0
+        # the page map of a freshly opened log (derived, never mutated)
+        self._empty_map = np.full(geometry.pages_per_block, -1, dtype=np.int16)
 
     # ------------------------------------------------------------------
     # reads
@@ -401,7 +412,7 @@ class HybridLogFTL(BaseFTL):
         if len(pool) >= self._pool_capacity(pool):
             self._retire_open(next(iter(pool)))  # LRU
         pblock = self._take_free(cost)
-        log = _LogBlock(lblock, pblock, self.geometry.pages_per_block)
+        log = _LogBlock(lblock, pblock, self._empty_map)
         pool[lblock] = log
         return log
 
@@ -533,27 +544,35 @@ class HybridLogFTL(BaseFTL):
         cost.end_scope("merge", sub)
 
     def _merge(self, log: _LogBlock, cost: CostAccumulator) -> None:
-        """Merge a closed log with its data block (partial or full)."""
-        ppb = self.geometry.pages_per_block
+        """Merge a closed log with its data block (partial or full).
+
+        A log holding an in-order prefix takes :meth:`_partial_merge`.
+        Otherwise a full merge consolidates the logical block into a
+        fresh block with one block-range copy
+        (:meth:`~repro.flashsim.chip.FlashChip.copy_range`): the old data
+        block's pages at their natural offsets up to its write point,
+        overlaid by the log's newest copy of each offset it holds,
+        filler in between, up to the highest offset either holds.  Both
+        old blocks are then erased.
+        """
         old = int(self._data_map[log.lblock])
         if log.in_order:
             self._partial_merge(log, old, cost)
             return
-        # Full merge: consolidate into a fresh block.  One free block is
-        # always reserved for this; the merge returns two (log + old data).
+        # One free block is always reserved for this; the merge returns
+        # two (log + old data).
         if not self._free:
             raise OutOfSpaceError("no merge reserve block available")
         sub = cost.begin_scope()
         target = self._free_pop()
-        # newest copy of each offset: the log's, else the old block's,
-        # else filler — up to the highest offset either holds
-        logged = np.flatnonzero(log.pos_of >= 0)
-        old_end = self.chip.write_point(old) if old >= 0 else 0
-        highest = max(int(logged[-1]) if logged.size else -1, old_end - 1)
-        sources = np.full(highest + 1, -1, dtype=np.int64)
-        sources[:old_end] = np.arange(old * ppb, old * ppb + old_end)
-        sources[logged] = log.pos_of[logged].astype(np.int64) + log.pblock * ppb
-        self._copy_pages(sources, target, 0, sub)
+        pos_of = log.pos_of
+        offsets = (pos_of >= 0).nonzero()[0]
+        stop = int(offsets[-1]) + 1 if offsets.size else 0
+        if old >= 0:
+            stop = max(stop, self.chip.write_point(old))
+        # an int64 scalar widens the int16 positions before the add
+        first = np.int64(log.pblock * self.geometry.pages_per_block)
+        self._copy_range(target, 0, stop, old, offsets, pos_of[offsets] + first, sub)
         self._data_map[log.lblock] = target
         self.chip.erase(log.pblock)
         sub.block_erases += 1
@@ -567,15 +586,18 @@ class HybridLogFTL(BaseFTL):
         cost.end_scope("merge", sub)
 
     def _partial_merge(self, log: _LogBlock, old: int, cost: CostAccumulator) -> None:
-        """The log holds an in-order prefix: copy the tail, then switch."""
-        ppb = self.geometry.pages_per_block
+        """The log holds an in-order prefix: copy the old block's tail
+        behind it, from the log's write point up to the old block's, as
+        one block-range copy with no overlay; then switch it in."""
         sub = cost.begin_scope()
         if old >= 0:
-            tail_end = self.chip.write_point(old)
-            self._copy_pages(
-                np.arange(old * ppb + log.next_pos, old * ppb + tail_end),
+            self._copy_range(
                 log.pblock,
                 log.next_pos,
+                self.chip.write_point(old),
+                old,
+                NO_PAGES,
+                NO_PAGES,
                 sub,
             )
         self._data_map[log.lblock] = log.pblock

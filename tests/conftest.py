@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import enforce_random_state, rest_device
 from repro.flashsim import FlashChip, Geometry, build_device
-from repro.flashsim.chip import FaultInjector, NoFaults
+from repro.flashsim.chip import SLC_ENDURANCE, FaultInjector, NoFaults
 from repro.flashsim.controller import Controller, ControllerConfig
 from repro.flashsim.device import FlashDevice
 from repro.flashsim.ftl.blockmap import BlockMapConfig, BlockMapFTL
@@ -68,14 +68,22 @@ def make_device(
     bg: bool = False,
     timing: TimingSpec | None = None,
     fault_injector: FaultInjector | None = None,
+    endurance: int = SLC_ENDURANCE,
+    page_mapped_logs: bool = True,
 ) -> FlashDevice:
-    """Assemble a bespoke small device for unit tests."""
+    """Assemble a bespoke small device for unit tests.
+
+    ``endurance`` (erase cycles per block) wears a device out early;
+    ``page_mapped_logs=False`` gives a hybrid the in-order-only logs of
+    a cheap controller.
+    """
     geometry = geometry or SMALL_GEOMETRY
-    chip = FlashChip(geometry, fault_injector=fault_injector)
+    chip = FlashChip(geometry, endurance=endurance, fault_injector=fault_injector)
     if ftl_kind == "hybrid":
         config = HybridConfig(
             seq_log_blocks=2,
             rnd_log_blocks=4,
+            page_mapped_logs=page_mapped_logs,
             bg_enabled=bg,
             bg_target_blocks=8 if bg else 0,
         )

@@ -3,7 +3,8 @@
 No workload may run more than ``FALLBACK_LIMIT`` times slower than its
 ``/fallback`` twin (the kernels declined) or its ``/oracle`` twin (the
 scalar reference on a ``NoFaults`` chip).  ``/fallback`` twins are
-checked only where the kernels served the plain run.
+checked only where the kernels served the plain run, and the ``SR``/``RR``
+``/oracle`` twins only on families with batch reads.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ def _bench_hotpath():
 def test_a_workload_losing_to_its_twin_fails_the_gate(tmp_path, suffix):
     bench = _bench_hotpath()
     results = {
-        "memoright/RR": {"usec_per_io": 17.0},
-        f"memoright/RR/{suffix}": {"usec_per_io": 17.0},
+        "memoright/RW": {"usec_per_io": 17.0},
+        f"memoright/RW/{suffix}": {"usec_per_io": 17.0},
     }
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps(results))
     assert bench.check_baseline(results, baseline) == []
     slow = 17.0 * bench.FALLBACK_LIMIT * 1.01
-    results["memoright/RR"] = {"usec_per_io": slow}
+    results["memoright/RW"] = {"usec_per_io": slow}
     assert bench.check_baseline(results, baseline) == [
-        f"memoright: RR {slow / 17.0:.2f}x slower than RR/{suffix} "
+        f"memoright: RW {slow / 17.0:.2f}x slower than RW/{suffix} "
         f"(> {bench.FALLBACK_LIMIT}x)"
     ]
 
@@ -59,6 +60,32 @@ def test_fallback_twins_are_gated_only_where_the_kernels_served(tmp_path):
     assert bench.check_baseline(results, baseline) == [
         f"ideal_pagemap: run_RW {slow / 17.0:.2f}x slower than "
         f"run_RW/fallback (> {bench.FALLBACK_LIMIT}x)"
+    ]
+
+
+def test_oracle_read_twins_are_gated_only_on_batch_read_families(tmp_path):
+    # a hybrid reads page by page on both sides of its SR/RR oracle twins,
+    # so only noise separates them; its enforce, SW and RW twins run the
+    # merge copies against the scalar loop and stay gated, as do the
+    # reads of the batch-reading page map and block map
+    bench = _bench_hotpath()
+    slow = 17.0 * bench.FALLBACK_LIMIT * 1.5
+    results = {}
+    for profile in ("memoright", "corsair", "ideal_pagemap", "kingston_dti"):
+        for name in ("enforce", "SR", "RR", "SW", "RW"):
+            results[f"{profile}/{name}"] = {"usec_per_io": slow}
+            results[f"{profile}/{name}/oracle"] = {"usec_per_io": 17.0}
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text("{}")
+    gated = [line.split(" ", 2)[:2] for line in bench.check_baseline(results, baseline)]
+    assert gated == [
+        [f"{profile}:", name]
+        for profile in ("corsair", "ideal_pagemap", "kingston_dti", "memoright")
+        for name in (
+            ("enforce", "SR", "RR", "SW", "RW")
+            if profile in ("ideal_pagemap", "kingston_dti")
+            else ("enforce", "SW", "RW")
+        )
     ]
 
 

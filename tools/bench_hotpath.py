@@ -49,9 +49,14 @@ below its gate's share of the committed ratio (``SPEEDUP_GATES``), or
 if any workload is more than ``FALLBACK_LIMIT`` times slower than its
 ``/fallback`` or ``/oracle`` twin (a fast path losing to its own
 fallback or to the scalar reference) — the CI perf-smoke gate.  A
-``/fallback`` twin is gated only where the kernels served the plain run
-(its ``kernel_ios`` is above 0): where every program declined, both
-sides ran the same per-IO code and only noise could trip the limit.
+twin is gated only where its two sides run different code; where they
+run the same, only noise could trip the limit.  So a ``/fallback`` twin
+is gated only where the kernels served the plain run (its
+``kernel_ios`` is above 0), and the ``SR``/``RR`` ``/oracle`` twins
+only on ``batch_read_capable`` families (a hybrid or FAST read runs
+page by page on both sides).  ``enforce``, ``SW`` and ``RW`` are gated
+against ``/oracle`` on every family: their log appends, destages and
+block-range merge copies run the scalar per-page loops on the oracle.
 """
 
 from __future__ import annotations
@@ -118,8 +123,13 @@ SPEEDUP_GATES = (
 #: workload may run: a fast path that loses to its own fallback, or to
 #: the scalar reference, is a bug (short mix stretches, where kernel
 #: window setup can cost more than it saves, were the first case).
-#: ``/fallback`` twins are checked only where the kernels served IOs.
+#: ``/fallback`` twins are checked only where the kernels served IOs,
+#: ``READ_PATTERNS``' ``/oracle`` twins only on batch-read families.
 FALLBACK_LIMIT = 1.25
+
+#: baseline reads, whose ``/oracle`` twins run the same page-by-page
+#: read on both sides unless the family is ``batch_read_capable``
+READ_PATTERNS = ("SR", "RR")
 
 DEFAULT_PROFILES = ("ideal_pagemap", "memoright", "kingston_dti")
 
@@ -588,12 +598,15 @@ def check_baseline(
                     f"{profile}: {name}/{slow_suffix} speedup {new_ratio:.2f}x vs "
                     f"baseline {old_ratio:.2f}x (< {retention}x retention)"
                 )
+        batch_reads = _build(profile, MIB).ftl.batch_read_capable
         for suffix in ("fallback", "oracle"):
             for name in _twinned(results, profile, suffix):
                 if suffix == "fallback" and not results[f"{profile}/{name}"].get(
                     "kernel_ios", 1
                 ):
                     continue  # every program declined: same code both sides
+                if suffix == "oracle" and name in READ_PATTERNS and not batch_reads:
+                    continue  # page-by-page reads on both sides
                 speedup = _workload_speedup(results, profile, name, suffix)
                 if speedup * FALLBACK_LIMIT < 1.0:
                     regressions.append(
