@@ -23,6 +23,11 @@ and record their physical work in a
 :class:`~repro.flashsim.timing.CostAccumulator`; they never deal in
 microseconds directly.
 
+Every family allocates erased blocks from one FIFO pool, which
+:class:`BaseFTL` owns; the three block-mapped families (hybrid, FAST,
+block-map) share :class:`BlockMappedFTL`, their data-block map,
+filler-padded block copies and block-role conservation check.
+
 State is kept in two tiers (see ``docs/simulator.md``): an
 authoritative core — the structures named in ``_STATE_ATTRS``, which
 snapshots copy — and dense derived state (free/valid bitmaps, inverse
@@ -35,11 +40,12 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import AddressError, FTLError
+from repro.flashsim.bitmap import mask_from_indices
 from repro.flashsim.chip import ERASED, FlashChip
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
@@ -94,6 +100,13 @@ class BaseFTL(ABC):
     Subclasses implement the two data-path operations plus the optional
     background-reclamation hooks used to reproduce the paper's Pause,
     Burst and interference effects (Sections 4.3, 5.2).
+
+    The free-block pool is shared by every family: ``_free``, a FIFO
+    deque of erased blocks (its order rotates wear and is snapshotted),
+    and ``_free_map``, its membership bitmap (derived, rebuilt on
+    :meth:`restore`).  Both change only through :meth:`_free_pop` and
+    :meth:`_free_put`, except where a hot path pops several blocks at
+    once, and :meth:`_check_free_pool` is every family's pool check.
     """
 
     #: Subclasses with a :meth:`locate` (which :meth:`read_pages` then
@@ -118,6 +131,8 @@ class BaseFTL(ABC):
     def __init__(self, geometry: Geometry, chip: FlashChip) -> None:
         self.geometry = geometry
         self.chip = chip
+        self._free: deque[int] = deque(range(geometry.physical_blocks))
+        self._free_map = np.ones(geometry.physical_blocks, dtype=bool)
 
     # ------------------------------------------------------------------
     # data path
@@ -312,13 +327,15 @@ class BaseFTL(ABC):
         )
 
     def restore(self, state: dict) -> None:
-        """Reset the FTL to a :meth:`snapshot`.
+        """Reset the FTL to a :meth:`snapshot` and rebuild the free
+        bitmap from the restored queue.
 
         The state is copied again on the way in, so one snapshot can be
         restored any number of times without aliasing live structures.
         """
         for name, value in _copy_state(state).items():
             setattr(self, name, value)
+        self._free_map = mask_from_indices(self._free, self.geometry.physical_blocks)
 
     # ------------------------------------------------------------------
     # observability
@@ -344,17 +361,98 @@ class BaseFTL(ABC):
                 f"logical page {lpage} out of range 0..{self.geometry.logical_pages - 1}"
             )
 
-    @abstractmethod
     def free_blocks(self) -> int:
         """Number of erased, unassigned physical blocks."""
+        return len(self._free)
+
+    def _free_pop(self) -> int:
+        """Take the oldest free block, keeping the bitmap in sync."""
+        block = self._free.popleft()
+        self._free_map[block] = False
+        return block
+
+    def _free_put(self, block: int) -> None:
+        """Return an erased block to the pool, keeping the bitmap in sync."""
+        self._free_map[block] = True
+        self._free.append(block)
+
+    def _recycle(self, block: int, cost: CostAccumulator) -> None:
+        """Erase ``block``, charging ``cost``, and return it to the pool."""
+        self.chip.erase(block)
+        cost.block_erases += 1
+        self._free_put(block)
+
+    def _check_free_pool(self) -> None:
+        """The free queue, its bitmap and the chip agree: the queue holds
+        exactly the bitmap's blocks, once each, and every one is erased."""
+        free_idx = np.fromiter(self._free, dtype=np.int64, count=len(self._free))
+        if not np.array_equal(np.sort(free_idx), np.flatnonzero(self._free_map)):
+            raise FTLError("free queue out of sync with the free bitmap")
+        not_erased = self._free_map & ~self.chip.erased_mask()
+        if not_erased.any():
+            block = int(np.flatnonzero(not_erased)[0])
+            raise FTLError(f"free block {block} is not erased")
 
     @abstractmethod
     def check_invariants(self) -> None:
         """Raise :class:`~repro.errors.FTLError` on internal inconsistency.
 
         Called by tests after arbitrary operation sequences; must verify
-        block conservation and map consistency.
+        block conservation and map consistency, starting with
+        :meth:`_check_free_pool`.
         """
+
+    # convenience used by tests and the device shadow check
+
+    def read_token_quiet(self, lpage: int) -> int:
+        """Read a logical page without recording any cost (test helper)."""
+        scratch = CostAccumulator()
+        return self.read_page(lpage, scratch)
+
+
+class BlockMappedFTL(BaseFTL):
+    """The core of the block-mapped families (hybrid, FAST, block-map).
+
+    Logical block ``b`` lives in the physical data block
+    ``_data_map[b]`` (-1 = never written) with its pages at their
+    natural offsets.  Merges, gap fills and tail copies build blocks
+    with :meth:`_copy_range`, which pads pages no source holds with
+    :data:`FILLER_TOKEN`, so host tokens must exceed it
+    (:meth:`_check_write`) and a filler page reads as ERASED
+    (:meth:`_decode`).  Every copy is counted in ``merge_copy_reads``
+    and ``merge_copy_programs``, which each family keeps in its
+    ``_STATE_ATTRS``; :meth:`_check_block_roles` is the families' block
+    conservation check.
+    """
+
+    def __init__(self, geometry: Geometry, chip: FlashChip) -> None:
+        super().__init__(geometry, chip)
+        self._data_map = np.full(geometry.logical_blocks, -1, dtype=np.int64)
+        self.merge_copy_reads = 0
+        self.merge_copy_programs = 0
+
+    @staticmethod
+    def _decode(token: int) -> int:
+        """Map filler pages back to the 'never written' token."""
+        return ERASED if token == FILLER_TOKEN else token
+
+    def _decode_many(self, raw: np.ndarray) -> np.ndarray:
+        """See :meth:`BaseFTL._decode_many`: filler reads as ERASED."""
+        return np.where(raw == FILLER_TOKEN, ERASED, raw)
+
+    def _set_data_block(self, lblock: int, pblock: int, cost: CostAccumulator) -> None:
+        """Make ``pblock`` the data block of ``lblock``; the old data
+        block, if any, is recycled (its erase charged to ``cost``)."""
+        old = int(self._data_map[lblock])
+        self._data_map[lblock] = pblock
+        if old >= 0:
+            self._recycle(old, cost)
+
+    def _check_write(self, lpage: int, token: int) -> None:
+        """Refuse an out-of-range page or a token the filler would shadow."""
+        self._check_lpage(lpage)
+        if token <= FILLER_TOKEN:
+            raise FTLError(f"host tokens must be > {FILLER_TOKEN}, got {token}")
 
     def _copy_range(
         self,
@@ -370,7 +468,7 @@ class BaseFTL(ABC):
         with :meth:`FlashChip.copy_range` (the old block ``base`` at its
         natural offsets, overlaid by the log pages ``ppages`` at
         ``offsets``, padded with :data:`FILLER_TOKEN`), charging copy
-        reads and programs to ``cost`` and to :meth:`_count_copies`.
+        reads and programs to ``cost`` and to the merge copy counters.
 
         The charge is the chip's own counter delta, taken even when the
         copy raises part-way, so a failed copy charges exactly the pages
@@ -387,17 +485,34 @@ class BaseFTL(ABC):
             programs = stats.page_programs - programs
             cost.copy_reads += reads
             cost.copy_programs += programs
-            self._count_copies(reads, programs)
+            self.merge_copy_reads += reads
+            self.merge_copy_programs += programs
 
-    def _count_copies(self, reads: int, programs: int) -> None:
-        """Hook for families that keep their own copy-volume counters."""
+    def metrics(self) -> dict[str, float]:
+        """See :meth:`BaseFTL.metrics`: merge copy volume (chip pages)."""
+        return {
+            "merge_copy_reads": float(self.merge_copy_reads),
+            "merge_copy_programs": float(self.merge_copy_programs),
+        }
 
-    # convenience used by tests and the device shadow check
+    def _check_block_roles(self, logs: Iterable[int]) -> None:
+        """Every physical block has exactly one role: free, one logical
+        block's data block, or one of ``logs`` (the family's log or
+        replacement blocks) — one claim count over the free bitmap, the
+        data map and the logs."""
+        nblocks = self.geometry.physical_blocks
+        claims = self._free_map.astype(np.int64)
+        np.add.at(claims, self._data_map[self._data_map >= 0], 1)
+        np.add.at(claims, np.fromiter(logs, dtype=np.int64), 1)
+        doubled = np.flatnonzero(claims > 1)
+        if doubled.size:
+            raise FTLError(f"physical block {int(doubled[0])} has two roles")
+        claimed = int(np.count_nonzero(claims))
+        if claimed != nblocks:
+            raise FTLError(
+                f"block conservation violated: {claimed} of "
+                f"{nblocks} physical blocks accounted for"
+            )
 
-    def read_token_quiet(self, lpage: int) -> int:
-        """Read a logical page without recording any cost (test helper)."""
-        scratch = CostAccumulator()
-        return self.read_page(lpage, scratch)
 
-
-__all__ = ["BaseFTL", "ERASED", "FILLER_TOKEN"]
+__all__ = ["BaseFTL", "BlockMappedFTL", "ERASED", "FILLER_TOKEN"]

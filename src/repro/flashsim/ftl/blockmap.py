@@ -25,15 +25,14 @@ in Figure 4 (Kingston DTI sequential writes, period ~128 IOs).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import FILLER_TOKEN, NO_PAGES, BaseFTL
-from repro.flashsim.bitmap import mask_from_indices
+from repro.flashsim.ftl.base import FILLER_TOKEN, NO_PAGES, BlockMappedFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -73,13 +72,20 @@ class _Replacement:
         self.next_offset = 0
 
 
-class BlockMapFTL(BaseFTL):
+class BlockMapFTL(BlockMappedFTL):
     """One-to-one block mapping with in-order replacement blocks."""
 
     batch_read_capable = True
     batch_write_capable = True
 
-    _STATE_ATTRS = ("_data_map", "_free", "_open", "finalize_count")
+    _STATE_ATTRS = (
+        "_data_map",
+        "_free",
+        "_open",
+        "finalize_count",
+        "merge_copy_reads",
+        "merge_copy_programs",
+    )
 
     def __init__(
         self,
@@ -95,12 +101,6 @@ class BlockMapFTL(BaseFTL):
                 f"geometry provides {geometry.spare_blocks} spare blocks but "
                 f"the block-map FTL needs at least {min_spare}"
             )
-        self._data_map = np.full(geometry.logical_blocks, -1, dtype=np.int64)
-        self._free: deque[int] = deque(range(geometry.physical_blocks))
-        # dense free-block bitmap mirroring the queue (membership only;
-        # the queue keeps the allocation order) — derived state, rebuilt
-        # on restore rather than snapshotted
-        self._free_map = np.ones(geometry.physical_blocks, dtype=bool)
         self._open: OrderedDict[int, _Replacement] = OrderedDict()
         self.finalize_count = 0
 
@@ -146,23 +146,13 @@ class BlockMapFTL(BaseFTL):
             ppages[in_rep] = rep.pblock * ppb + offsets[in_rep]
         return ppages
 
-    def _decode_many(self, raw: np.ndarray) -> np.ndarray:
-        """See :meth:`BaseFTL._decode_many`: filler reads as ERASED."""
-        return np.where(raw == FILLER_TOKEN, ERASED, raw)
-
-    @staticmethod
-    def _decode(token: int) -> int:
-        return ERASED if token == FILLER_TOKEN else token
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
 
     def write_page(self, lpage: int, token: int, cost: CostAccumulator) -> None:
         """See :meth:`BaseFTL.write_page`: append, gap-fill or full copy."""
-        self._check_lpage(lpage)
-        if token <= FILLER_TOKEN:
-            raise FTLError(f"host tokens must be > {FILLER_TOKEN}, got {token}")
+        self._check_write(lpage, token)
         lblock, offset = divmod(lpage, self.geometry.pages_per_block)
         rep = self._open.get(lblock)
         if rep is not None and offset < rep.next_offset:
@@ -250,9 +240,7 @@ class BlockMapFTL(BaseFTL):
             self._finalize(victim, cost)
         if not self._free:
             raise OutOfSpaceError("block-map FTL exhausted all free blocks")
-        block = self._free.popleft()
-        self._free_map[block] = False
-        rep = _Replacement(lblock, block)
+        rep = _Replacement(lblock, self._free_pop())
         self._open[lblock] = rep
         return rep
 
@@ -286,12 +274,7 @@ class BlockMapFTL(BaseFTL):
                     rep.pblock, rep.next_offset, tail_end, old, NO_PAGES, NO_PAGES, sub
                 )
                 rep.next_offset = tail_end
-        self._data_map[lblock] = rep.pblock
-        if old >= 0:
-            self.chip.erase(old)
-            sub.block_erases += 1
-            self._free_map[old] = True
-            self._free.append(old)
+        self._set_data_block(lblock, rep.pblock, sub)
         self.finalize_count += 1
         sub.note("finalize")
         every = self.config.map_flush_every_blocks
@@ -314,56 +297,27 @@ class BlockMapFTL(BaseFTL):
     # introspection & invariants
     # ------------------------------------------------------------------
 
-    def restore(self, state: dict) -> None:
-        """See :meth:`BaseFTL.restore`; rebuilds the free bitmap."""
-        super().restore(state)
-        self._free_map = mask_from_indices(
-            self._free, self.geometry.physical_blocks
-        )
-
     def metrics(self) -> dict[str, float]:
-        """See :meth:`BaseFTL.metrics`: replacement-block finalisations."""
-        return {"finalizations": float(self.finalize_count)}
-
-    def free_blocks(self) -> int:
-        """Number of erased, unassigned physical blocks."""
-        return len(self._free)
+        """See :meth:`BaseFTL.metrics`: replacement-block finalisations,
+        the map flushes they charged and the copy volume."""
+        every = self.config.map_flush_every_blocks
+        return {
+            "finalizations": float(self.finalize_count),
+            "map_flushes": float(self.finalize_count // every if every else 0),
+            **super().metrics(),
+        }
 
     def open_replacement_count(self) -> int:
         """Replacement blocks currently open."""
         return len(self._open)
 
     def check_invariants(self) -> None:
-        """Verify block conservation and replacement/chip consistency.
-
-        All bulk checks run on dense buffers: the free bitmap against
-        the queue and the chip's erased mask, role conservation as a
-        vectorized claim count, and per-replacement write points.
-        """
-        nblocks = self.geometry.physical_blocks
-        free_idx = np.fromiter(self._free, dtype=np.int64, count=len(self._free))
-        if not np.array_equal(np.sort(free_idx), np.flatnonzero(self._free_map)):
-            raise FTLError("free queue out of sync with the free bitmap")
-        not_erased = self._free_map & ~self.chip.erased_mask()
-        if not_erased.any():
-            block = int(np.flatnonzero(not_erased)[0])
-            raise FTLError(f"free block {block} is not erased")
-        claims = np.zeros(nblocks, dtype=np.int64)
-        claims[self._free_map] += 1
-        data = self._data_map[self._data_map >= 0]
-        np.add.at(claims, data, 1)
+        """Verify the free pool, block conservation and
+        replacement/chip consistency."""
+        self._check_free_pool()
+        self._check_block_roles(rep.pblock for rep in self._open.values())
         for rep in self._open.values():
-            claims[rep.pblock] += 1
             if self.chip.write_point(rep.pblock) != rep.next_offset:
                 raise FTLError(
                     f"replacement for lblock {rep.lblock} desynchronised from chip"
                 )
-        if (claims > 1).any():
-            block = int(np.flatnonzero(claims > 1)[0])
-            raise FTLError(f"physical block {block} has two roles")
-        claimed = int(np.count_nonzero(claims))
-        if claimed != nblocks:
-            raise FTLError(
-                f"block conservation violated: {claimed} of "
-                f"{nblocks} physical blocks accounted for"
-            )

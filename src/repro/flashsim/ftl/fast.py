@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import FILLER_TOKEN, BaseFTL
-from repro.flashsim.bitmap import mask_from_indices
+from repro.flashsim.ftl.base import BlockMappedFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -78,7 +77,7 @@ class _SeqLog:
         self.next_pos = 0
 
 
-class FastFTL(BaseFTL):
+class FastFTL(BlockMappedFTL):
     """Shared random logs + one sequential log (FAST)."""
 
     _STATE_ATTRS = (
@@ -90,6 +89,8 @@ class FastFTL(BaseFTL):
         "_seq",
         "_reclaiming",
         "merge_stats",
+        "merge_copy_reads",
+        "merge_copy_programs",
     )
 
     def __init__(
@@ -108,10 +109,6 @@ class FastFTL(BaseFTL):
                 f"geometry provides {geometry.spare_blocks} spare blocks but "
                 f"the FAST FTL needs at least {min_spare}"
             )
-        self._data_map = np.full(geometry.logical_blocks, -1, dtype=np.int64)
-        self._free: deque[int] = deque(range(geometry.physical_blocks))
-        # free-pool bitmap mirroring the queue (derived, not snapshotted)
-        self._free_map = np.ones(geometry.physical_blocks, dtype=bool)
         #: lpage -> (shared log, position) of the newest logged copy
         self._shared_map: dict[int, tuple[_SharedLog, int]] = {}
         self._ring: deque[_SharedLog] = deque()
@@ -143,10 +140,6 @@ class FastFTL(BaseFTL):
         cost.page_reads += 1
         return self._decode(self.chip.read(data, offset))
 
-    @staticmethod
-    def _decode(token: int) -> int:
-        return ERASED if token == FILLER_TOKEN else token
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -159,9 +152,7 @@ class FastFTL(BaseFTL):
         seq_hint: bool | None = None,
     ) -> None:
         """See :meth:`BaseFTL.write_page`: seq log for block starts, shared ring otherwise."""
-        self._check_lpage(lpage)
-        if token <= FILLER_TOKEN:
-            raise FTLError(f"host tokens must be > {FILLER_TOKEN}, got {token}")
+        self._check_write(lpage, token)
         lblock, offset = divmod(lpage, self.geometry.pages_per_block)
         # FAST routes by offset: a block-start write goes to (and
         # claims) the single sequential log; anything else is random.
@@ -201,12 +192,7 @@ class FastFTL(BaseFTL):
         seq = self._seq
         assert seq is not None
         sub = cost.begin_scope()
-        old = int(self._data_map[seq.lblock])
-        self._data_map[seq.lblock] = seq.pblock
-        if old >= 0:
-            self.chip.erase(old)
-            sub.block_erases += 1
-            self._free_put(old)
+        self._set_data_block(seq.lblock, seq.pblock, sub)
         self._seq = None
         self.merge_stats["switch"] += 1
         sub.note("switch-merge")
@@ -219,9 +205,7 @@ class FastFTL(BaseFTL):
         self._seq = None
         sub = cost.begin_scope()
         self._merge_block(seq.lblock, seq_log=seq, cost=sub)
-        self.chip.erase(seq.pblock)
-        sub.block_erases += 1
-        self._free_put(seq.pblock)
+        self._recycle(seq.pblock, sub)
         cost.end_scope("merge", sub)
 
     # -- shared ring ----------------------------------------------------
@@ -270,9 +254,7 @@ class FastFTL(BaseFTL):
             self._merge_block(int(lblock), seq_log=None, cost=sub)
         if bool((victim.lpage_of >= 0).any()):
             raise FTLError("shared log still live after reclaiming its blocks")
-        self.chip.erase(victim.pblock)
-        sub.block_erases += 1
-        self._free_put(victim.pblock)
+        self._recycle(victim.pblock, sub)
         self.merge_stats["log-reclaims"] += 1
         sub.note("log-reclaim")
         cost.end_scope("merge", sub)
@@ -317,11 +299,7 @@ class FastFTL(BaseFTL):
         self._copy_range(target, 0, stop, old, offsets, overlay[offsets], sub)
         for lpage in shared:
             self._drop_shared_entry(lpage)
-        self._data_map[lblock] = target
-        if old >= 0:
-            self.chip.erase(old)
-            sub.block_erases += 1
-            self._free_put(old)
+        self._set_data_block(lblock, target, sub)
         self.merge_stats["full"] += 1
         sub.note("full-merge")
         cost.end_scope("merge", sub)
@@ -335,39 +313,19 @@ class FastFTL(BaseFTL):
             raise OutOfSpaceError("FAST FTL exhausted all free blocks")
         return self._free_pop()
 
-    def _free_pop(self) -> int:
-        """Take the oldest free block, keeping the bitmap in sync."""
-        block = self._free.popleft()
-        self._free_map[block] = False
-        return block
-
-    def _free_put(self, block: int) -> None:
-        """Return an erased block to the pool, keeping the bitmap in sync."""
-        self._free_map[block] = True
-        self._free.append(block)
-
     # ------------------------------------------------------------------
     # introspection & invariants
     # ------------------------------------------------------------------
 
-    def restore(self, state: dict) -> None:
-        """See :meth:`BaseFTL.restore`; rebuilds the free bitmap."""
-        super().restore(state)
-        self._free_map = mask_from_indices(
-            self._free, self.geometry.physical_blocks
-        )
-
     def metrics(self) -> dict[str, float]:
-        """See :meth:`BaseFTL.metrics`: switch merges, full merges, ring reclaims."""
+        """See :meth:`BaseFTL.metrics`: switch merges, full merges, ring
+        reclaims and copy volume."""
         return {
             "switch_merges": float(self.merge_stats["switch"]),
             "full_merges": float(self.merge_stats["full"]),
             "log_reclaims": float(self.merge_stats["log-reclaims"]),
+            **super().metrics(),
         }
-
-    def free_blocks(self) -> int:
-        """Number of erased, unassigned physical blocks."""
-        return len(self._free)
 
     def quiesce(self) -> CostAccumulator:
         """Reclaim the whole shared ring and resolve the sequential log."""
@@ -379,37 +337,13 @@ class FastFTL(BaseFTL):
         return total
 
     def check_invariants(self) -> None:
-        """Verify block conservation and shared-map/live-set consistency."""
-        roles: dict[int, str] = {}
-
-        def claim(block: int, role: str) -> None:
-            if block in roles:
-                raise FTLError(
-                    f"physical block {block} has two roles: {roles[block]} and {role}"
-                )
-            roles[block] = role
-
-        free_idx = np.fromiter(self._free, dtype=np.int64, count=len(self._free))
-        if not np.array_equal(np.sort(free_idx), np.flatnonzero(self._free_map)):
-            raise FTLError("free queue out of sync with the free bitmap")
-        not_erased = self._free_map & ~self.chip.erased_mask()
-        if not_erased.any():
-            block = int(np.flatnonzero(not_erased)[0])
-            raise FTLError(f"free block {block} is not erased")
-        for block in self._free:
-            claim(block, "free")
-        for log in self._ring:
-            claim(log.pblock, "shared-log")
+        """Verify the free pool, block conservation and shared-map/live-set
+        consistency."""
+        self._check_free_pool()
+        logs = [log.pblock for log in self._ring]
         if self._seq is not None:
-            claim(self._seq.pblock, f"seq-log[{self._seq.lblock}]")
-        for lblock, pblock in enumerate(self._data_map):
-            if pblock >= 0:
-                claim(int(pblock), f"data[{lblock}]")
-        if len(roles) != self.geometry.physical_blocks:
-            raise FTLError(
-                f"block conservation violated: {len(roles)} of "
-                f"{self.geometry.physical_blocks} accounted for"
-            )
+            logs.append(self._seq.pblock)
+        self._check_block_roles(logs)
         ring_logs = set(map(id, self._ring))
         for lpage, (log, position) in self._shared_map.items():
             if id(log) not in ring_logs:

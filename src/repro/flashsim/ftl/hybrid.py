@@ -58,8 +58,7 @@ import numpy as np
 
 from repro.errors import FTLError, OutOfSpaceError
 from repro.flashsim.chip import ERASED, FlashChip
-from repro.flashsim.ftl.base import FILLER_TOKEN, NO_PAGES, BaseFTL
-from repro.flashsim.bitmap import mask_from_indices
+from repro.flashsim.ftl.base import FILLER_TOKEN, NO_PAGES, BlockMappedFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
 
@@ -122,7 +121,7 @@ class _LogBlock:
         self.next_pos += 1
 
 
-class HybridLogFTL(BaseFTL):
+class HybridLogFTL(BlockMappedFTL):
     """Block-mapped FTL with a page-mapped (or in-order) log-block pool."""
 
     batch_write_capable = True
@@ -161,12 +160,6 @@ class HybridLogFTL(BaseFTL):
             raise FTLError(
                 "bg_target_blocks exceeds what the spare area can hold"
             )
-        # logical block -> physical data block (-1 = never written)
-        self._data_map = np.full(geometry.logical_blocks, -1, dtype=np.int64)
-        # erased blocks, FIFO for dynamic wear rotation; the bitmap
-        # mirrors membership for dense checks (derived, not snapshotted)
-        self._free: deque[int] = deque(range(geometry.physical_blocks))
-        self._free_map = np.ones(geometry.physical_blocks, dtype=bool)
         # open logs, LRU first, split into the two tiers: sequential
         # (stream) logs and random logs
         self._open_seq: OrderedDict[int, _LogBlock] = OrderedDict()
@@ -185,8 +178,6 @@ class HybridLogFTL(BaseFTL):
         self._stream_tails: OrderedDict[int, int] = OrderedDict()
         self._stream_tail_capacity = 4 * self.config.log_blocks
         self.merge_stats = {"switch": 0, "partial": 0, "full": 0}
-        self.merge_copy_reads = 0
-        self.merge_copy_programs = 0
         # the page map of a freshly opened log (derived, never mutated)
         self._empty_map = np.full(geometry.pages_per_block, -1, dtype=np.int16)
 
@@ -215,11 +206,6 @@ class HybridLogFTL(BaseFTL):
             return ERASED
         cost.page_reads += 1
         return self._decode(self.chip.read(data, offset))
-
-    @staticmethod
-    def _decode(token: int) -> int:
-        """Map filler pages back to the 'never written' token."""
-        return ERASED if token == FILLER_TOKEN else token
 
     # ------------------------------------------------------------------
     # writes
@@ -340,9 +326,7 @@ class HybridLogFTL(BaseFTL):
         seq_hint: bool | None = None,
     ) -> None:
         """See :meth:`BaseFTL.write_page`: route to a log by stream class, merge as needed."""
-        self._check_lpage(lpage)
-        if token <= FILLER_TOKEN:
-            raise FTLError(f"host tokens must be > {FILLER_TOKEN}, got {token}")
+        self._check_write(lpage, token)
         ppb = self.geometry.pages_per_block
         lblock, offset = divmod(lpage, ppb)
 
@@ -428,17 +412,6 @@ class HybridLogFTL(BaseFTL):
         """
         return offset == 0 and log.next_pos != 0 and log.pos_of[0] < 0
 
-    def _free_pop(self) -> int:
-        """Take the oldest free block, keeping the bitmap in sync."""
-        block = self._free.popleft()
-        self._free_map[block] = False
-        return block
-
-    def _free_put(self, block: int) -> None:
-        """Return an erased block to the pool, keeping the bitmap in sync."""
-        self._free_map[block] = True
-        self._free.append(block)
-
     def _defer(self, log: _LogBlock) -> None:
         """Queue a closed log for a deferred merge (age order)."""
         self._pending.append(log)
@@ -486,9 +459,7 @@ class HybridLogFTL(BaseFTL):
         sub = cost.begin_scope()
         for log in generations:
             self._pending.remove(log)
-            self.chip.erase(log.pblock)
-            sub.block_erases += 1
-            self._free_put(log.pblock)
+            self._recycle(log.pblock, sub)
             sub.note("superseded")
         cost.end_scope("merge", sub)
 
@@ -533,12 +504,7 @@ class HybridLogFTL(BaseFTL):
     def _switch_merge(self, log: _LogBlock, cost: CostAccumulator) -> None:
         """The log holds the complete block in order: just swap it in."""
         sub = cost.begin_scope()
-        old = int(self._data_map[log.lblock])
-        self._data_map[log.lblock] = log.pblock
-        if old >= 0:
-            self.chip.erase(old)
-            sub.block_erases += 1
-            self._free_put(old)
+        self._set_data_block(log.lblock, log.pblock, sub)
         self.merge_stats["switch"] += 1
         sub.note("switch-merge")
         cost.end_scope("merge", sub)
@@ -574,13 +540,9 @@ class HybridLogFTL(BaseFTL):
         first = np.int64(log.pblock * self.geometry.pages_per_block)
         self._copy_range(target, 0, stop, old, offsets, pos_of[offsets] + first, sub)
         self._data_map[log.lblock] = target
-        self.chip.erase(log.pblock)
-        sub.block_erases += 1
-        self._free_put(log.pblock)
+        self._recycle(log.pblock, sub)
         if old >= 0:
-            self.chip.erase(old)
-            sub.block_erases += 1
-            self._free_put(old)
+            self._recycle(old, sub)
         self.merge_stats["full"] += 1
         sub.note("full-merge")
         cost.end_scope("merge", sub)
@@ -600,11 +562,7 @@ class HybridLogFTL(BaseFTL):
                 NO_PAGES,
                 sub,
             )
-        self._data_map[log.lblock] = log.pblock
-        if old >= 0:
-            self.chip.erase(old)
-            sub.block_erases += 1
-            self._free_put(old)
+        self._set_data_block(log.lblock, log.pblock, sub)
         self.merge_stats["partial"] += 1
         sub.note("partial-merge")
         cost.end_scope("merge", sub)
@@ -612,10 +570,6 @@ class HybridLogFTL(BaseFTL):
     # ------------------------------------------------------------------
     # background reclamation
     # ------------------------------------------------------------------
-
-    def _count_copies(self, reads: int, programs: int) -> None:
-        self.merge_copy_reads += reads
-        self.merge_copy_programs += programs
 
     def background_work_pending(self) -> bool:
         """Whether deferred merges exist (only when bg_enabled)."""
@@ -647,26 +601,14 @@ class HybridLogFTL(BaseFTL):
     # introspection & invariants
     # ------------------------------------------------------------------
 
-    def restore(self, state: dict) -> None:
-        """See :meth:`BaseFTL.restore`; rebuilds the free bitmap."""
-        super().restore(state)
-        self._free_map = mask_from_indices(
-            self._free, self.geometry.physical_blocks
-        )
-
     def metrics(self) -> dict[str, float]:
         """See :meth:`BaseFTL.metrics`: merges by kind and copy volume."""
         return {
             "switch_merges": float(self.merge_stats["switch"]),
             "partial_merges": float(self.merge_stats["partial"]),
             "full_merges": float(self.merge_stats["full"]),
-            "merge_copy_reads": float(self.merge_copy_reads),
-            "merge_copy_programs": float(self.merge_copy_programs),
+            **super().metrics(),
         }
-
-    def free_blocks(self) -> int:
-        """Number of erased, unassigned physical blocks."""
-        return len(self._free)
 
     def open_log_count(self) -> int:
         """Open log blocks across both pools."""
@@ -677,40 +619,17 @@ class HybridLogFTL(BaseFTL):
         return len(self._pending)
 
     def check_invariants(self) -> None:
-        """Verify block conservation, pool disjointness and queue/index sync."""
-        roles: dict[int, str] = {}
-
-        def claim(block: int, role: str) -> None:
-            if block in roles:
-                raise FTLError(
-                    f"physical block {block} has two roles: {roles[block]} and {role}"
-                )
-            roles[block] = role
-
-        free_idx = np.fromiter(self._free, dtype=np.int64, count=len(self._free))
-        if not np.array_equal(np.sort(free_idx), np.flatnonzero(self._free_map)):
-            raise FTLError("free queue out of sync with the free bitmap")
-        not_erased = self._free_map & ~self.chip.erased_mask()
-        if not_erased.any():
-            block = int(np.flatnonzero(not_erased)[0])
-            raise FTLError(f"free block {block} is not erased")
-        for block in self._free:
-            claim(block, "free")
-        for pool_name, pool in (("seq", self._open_seq), ("rnd", self._open_rnd)):
-            for log in pool.values():
-                claim(log.pblock, f"open-{pool_name}-log[{log.lblock}]")
+        """Verify the free pool, block conservation, pool disjointness and
+        queue/index sync."""
+        self._check_free_pool()
+        all_logs = [
+            *self._open_seq.values(),
+            *self._open_rnd.values(),
+            *self._pending,
+        ]
+        self._check_block_roles(log.pblock for log in all_logs)
         if set(self._open_seq) & set(self._open_rnd):
             raise FTLError("a logical block has open logs in both pools")
-        for log in self._pending:
-            claim(log.pblock, f"pending-log[{log.lblock}]")
-        for lblock, pblock in enumerate(self._data_map):
-            if pblock >= 0:
-                claim(int(pblock), f"data[{lblock}]")
-        if len(roles) != self.geometry.physical_blocks:
-            raise FTLError(
-                f"block conservation violated: {len(roles)} of "
-                f"{self.geometry.physical_blocks} physical blocks accounted for"
-            )
         indexed = [log for gens in self._pending_by_lblock.values() for log in gens]
         if len(indexed) != len(self._pending) or set(map(id, indexed)) != set(
             map(id, self._pending)
@@ -726,11 +645,6 @@ class HybridLogFTL(BaseFTL):
         # dense page-map consistency: every logged position must lie
         # below the log's write point, and no two offsets may claim the
         # same position (each program lands exactly once)
-        all_logs = [
-            *self._open_seq.values(),
-            *self._open_rnd.values(),
-            *self._pending,
-        ]
         for log in all_logs:
             logged = log.pos_of[log.pos_of >= 0].astype(np.int64)
             if logged.size and (

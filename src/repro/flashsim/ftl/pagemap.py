@@ -28,7 +28,6 @@ the host-log append operate directly on the bitmaps.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -124,13 +123,11 @@ class PageMapFTL(BaseFTL):
         self._p2l = np.full(npages, -1, dtype=np.int64)
         self._valid = np.zeros(geometry.physical_blocks, dtype=np.int64)
         self._state = np.full(geometry.physical_blocks, _FREE, dtype=np.int8)
-        self._free: deque[int] = deque(range(geometry.physical_blocks))
-        # dense bitmaps mirroring the maps above: one bit per physical
-        # page (does it hold a live logical page?) and one per block
-        # (is it in the free pool?) — the buffers GC victim scans and
-        # invariant checks operate on
+        # dense bitmap mirroring the maps above, one bit per physical
+        # page (does it hold a live logical page?) — with the pool's
+        # ``_free_map``, the buffers GC victim scans and invariant
+        # checks operate on
         self._valid_map = np.zeros(npages, dtype=bool)
-        self._free_map = np.ones(geometry.physical_blocks, dtype=bool)
         self._host_active = self._allocate_active()
         self._gc_active = self._allocate_active()
         # logical sequence number at which each block was retired to
@@ -155,9 +152,8 @@ class PageMapFTL(BaseFTL):
     def _allocate_active(self) -> int:
         if not self._free:
             raise OutOfSpaceError("page-map FTL exhausted all free blocks")
-        block = self._free.popleft()
+        block = self._free_pop()
         self._state[block] = _ACTIVE
-        self._free_map[block] = False
         return block
 
     def _retire_active(self, block: int) -> None:
@@ -578,12 +574,9 @@ class PageMapFTL(BaseFTL):
                 moved += take
             cost.copy_programs += count
             self.gc_copy_programs += count
-        self.chip.erase(victim)
-        cost.block_erases += 1
+        self._recycle(victim, cost)
         self._valid[victim] = 0
         self._state[victim] = _FREE
-        self._free_map[victim] = True
-        self._free.append(victim)
 
     def _relocate_block_scalar(self, victim: int, cost: CostAccumulator) -> None:
         """Per-page reference implementation of :meth:`_relocate_block`."""
@@ -600,12 +593,9 @@ class PageMapFTL(BaseFTL):
             self._append(lpage, token, host=False, cost=cost)
             cost.copy_programs += 1
             self.gc_copy_programs += 1
-        self.chip.erase(victim)
-        cost.block_erases += 1
+        self._recycle(victim, cost)
         self._valid[victim] = 0
         self._state[victim] = _FREE
-        self._free_map[victim] = True
-        self._free.append(victim)
 
     # ------------------------------------------------------------------
     # wear levelling
@@ -662,7 +652,8 @@ class PageMapFTL(BaseFTL):
     # ------------------------------------------------------------------
 
     def restore(self, state: dict) -> None:
-        """See :meth:`BaseFTL.restore`; rebuilds all derived state."""
+        """See :meth:`BaseFTL.restore` (which rebuilds the free bitmap);
+        rebuilds the rest of the derived state."""
         super().restore(state)
         self._rebuild_derived()
 
@@ -670,10 +661,11 @@ class PageMapFTL(BaseFTL):
         """Recompute everything the snapshot core determines.
 
         The core is ``_l2p`` + the free queue + the two active blocks
-        (plus scalars); from it the inverse map, the valid bitmap, the
-        per-block valid counters, the block states, the free bitmap and
-        the GC buckets are all derived with a handful of vectorized
-        scatter/bincount operations — so snapshots need not carry them.
+        (plus scalars); from it and the free bitmap the inverse map,
+        the valid bitmap, the per-block valid counters, the block
+        states and the GC buckets are all derived with a handful of
+        vectorized scatter/bincount operations — so snapshots need not
+        carry them.
         """
         geometry = self.geometry
         mapped_lpages = np.flatnonzero(self._l2p >= 0)
@@ -685,11 +677,6 @@ class PageMapFTL(BaseFTL):
             mapped // geometry.pages_per_block,
             minlength=geometry.physical_blocks,
         ).astype(np.int64)
-        self._free_map = np.zeros(geometry.physical_blocks, dtype=bool)
-        if self._free:
-            self._free_map[
-                np.fromiter(self._free, dtype=np.int64, count=len(self._free))
-            ] = True
         self._state = np.full(geometry.physical_blocks, _DATA, dtype=np.int8)
         self._state[self._free_map] = _FREE
         self._state[self._host_active] = _ACTIVE
@@ -705,23 +692,15 @@ class PageMapFTL(BaseFTL):
             "wear_relocations": float(self.wear_relocations),
         }
 
-    def free_blocks(self) -> int:
-        """Number of erased, unassigned physical blocks."""
-        return len(self._free)
-
     def check_invariants(self) -> None:
-        """Verify map/inverse-map agreement, valid counters, bitmaps and
-        block states — all on dense buffers."""
+        """Verify the free pool, map/inverse-map agreement, valid
+        counters, bitmaps and block states — all on dense buffers."""
         ppb = self.geometry.pages_per_block
+        self._check_free_pool()
         if not np.array_equal(self._free_map, self._state == _FREE):
             raise FTLError("free bitmap out of sync with block states")
         if not np.array_equal(self._valid_map, self._p2l >= 0):
             raise FTLError("valid bitmap out of sync with the inverse map")
-        free_sorted = np.sort(
-            np.fromiter(self._free, dtype=np.int64, count=len(self._free))
-        )
-        if not np.array_equal(free_sorted, np.flatnonzero(self._free_map)):
-            raise FTLError("free queue out of sync with the free bitmap")
         mapped_lpages = np.flatnonzero(self._l2p >= 0)
         mapped = self._l2p[mapped_lpages]
         if len(np.unique(mapped)) != len(mapped):
@@ -742,8 +721,14 @@ class PageMapFTL(BaseFTL):
         ndata = int((self._state == _DATA).sum())
         if nfree + nactive + ndata != total:
             raise FTLError("block state partition violated")
-        if nactive != 2:
-            raise FTLError(f"expected 2 active blocks (host + GC), found {nactive}")
+        if self._host_active == self._gc_active:
+            raise FTLError(
+                f"physical block {self._host_active} has two roles: "
+                "host and GC active block"
+            )
+        actives = np.flatnonzero(self._state == _ACTIVE).tolist()
+        if sorted((self._host_active, self._gc_active)) != actives:
+            raise FTLError(f"expected the host and GC active blocks, found {actives}")
         if self._use_buckets:
             bucketed: set[int] = set()
             for valid, bucket in enumerate(self._buckets):

@@ -10,7 +10,8 @@ drive a mixed workload and check the mirrors directly (the same
 conditions ``check_invariants`` enforces, asserted here from first
 principles), then pin the snapshot protocol: a restore must rebuild
 exactly the incrementally-maintained bitmaps and reproduce the device
-fingerprint.
+fingerprint.  Deliberate corruptions of the free pool and the block
+roles must make ``check_invariants`` raise on every family.
 
 :mod:`repro.flashsim.bitmap` itself (PackedBits, the packed form used
 by chip snapshots) is covered at the bottom.
@@ -21,7 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import FTLError
 from repro.flashsim.bitmap import PackedBits, mask_from_indices, pack_bits
+from repro.flashsim.ftl.base import BlockMappedFTL
 
 from ..conftest import SMALL_GEOMETRY, make_device
 
@@ -131,6 +134,42 @@ def test_restored_device_continues_identically(ftl_kind):
     assert device.fingerprint() == end_fingerprint
     assert np.array_equal(device.ftl._free_map, _free_reference(device.ftl))
     device.check_invariants()
+
+
+def _desync_free_bit(ftl) -> None:
+    ftl._free_map[int(np.flatnonzero(~ftl._free_map)[0])] = True
+
+
+def _program_a_free_block(ftl) -> None:
+    ftl.chip.program(ftl._free[0], 0, 12345)
+
+
+def _give_a_block_two_roles(ftl) -> None:
+    if isinstance(ftl, BlockMappedFTL):
+        ftl._data_map[0] = ftl._free[0]  # a free block mapped as data
+    else:
+        ftl._gc_active = ftl._host_active
+
+
+@pytest.mark.parametrize("ftl_kind", FTL_KINDS)
+@pytest.mark.parametrize(
+    "corrupt, message",
+    (
+        (_desync_free_bit, "free queue out of sync with the free bitmap"),
+        (_program_a_free_block, "is not erased"),
+        (_give_a_block_two_roles, "has two roles"),
+    ),
+)
+def test_invariant_checks_catch_corruption(ftl_kind, corrupt, message):
+    """The shared free-pool check and each family's role check are not
+    vacuous: one corruption of the pool, the chip or the block roles
+    makes ``check_invariants`` raise, on every family."""
+    device = make_device(ftl_kind=ftl_kind)
+    _drive(device, ios=100)
+    device.check_invariants()
+    corrupt(device.ftl)
+    with pytest.raises(FTLError, match=message):
+        device.check_invariants()
 
 
 def test_chip_snapshot_packs_bad_blocks():

@@ -3,12 +3,15 @@ boundary — the mechanics behind the Kingston DTI's Table 3 row."""
 
 import pytest
 
+from repro.core import baselines, execute, rest_device
+from repro.core.methodology import StatePool
 from repro.errors import FTLError
+from repro.flashsim import build_device
 from repro.flashsim.chip import ERASED, FlashChip
 from repro.flashsim.ftl.blockmap import BlockMapConfig, BlockMapFTL
 from repro.flashsim.geometry import Geometry
 from repro.flashsim.timing import CostAccumulator
-from repro.units import KIB, MIB
+from repro.units import KIB, MIB, SEC
 
 PPB = 8
 
@@ -152,3 +155,31 @@ def test_config_validation():
         BlockMapConfig(replacement_slots=0)
     with pytest.raises(FTLError):
         BlockMapConfig(sync_commit_boundary=-1)
+
+
+def test_sw_tail_copies_reach_the_ftl_counters():
+    """An SW baseline on kingston_dti enforced at seed 502 copies old
+    blocks' tails into replacements as it finalises them.  The FTL's
+    merge copy counters show exactly the chip's reads and its programs
+    beyond the host pages, and ``map_flushes`` is the finalisations
+    over the flush period."""
+    device = build_device("kingston_dti")
+    StatePool().ensure(device, seed=502)
+    rest_device(device, 120 * SEC)
+    spec = baselines(
+        io_size=32 * KIB,
+        io_count=256,
+        random_target_size=device.capacity,
+        sequential_target_size=device.capacity,
+    )["SW"]
+    before = device.metrics()
+    execute(device, spec)
+    after = device.metrics()
+    delta = {name: after[name] - before[name] for name in after}
+    host_pages = 256 * 32 * KIB // device.geometry.page_size
+    copies = delta["chip.page_programs"] - host_pages
+    assert copies > 0
+    assert delta["ftl.merge_copy_programs"] == copies
+    assert delta["ftl.merge_copy_reads"] == delta["chip.page_reads"]
+    every = device.ftl.config.map_flush_every_blocks
+    assert after["ftl.map_flushes"] == after["ftl.finalizations"] // every > 0

@@ -2,7 +2,7 @@
 invisible.
 
 Merges and block copies in the hybrid, block-map and FAST FTLs move
-whole page ranges with :meth:`FlashChip.copy_pages`, hybrid host writes
+whole page ranges with :meth:`FlashChip.copy_range`, hybrid host writes
 land in their log as program runs (through a RAM cache's run write on a
 cached device), block-map in-order appends land as
 one program run, and page-map host writes are closed-form log appends
@@ -18,10 +18,10 @@ chip and FTL counters and every trace column.
 
 The second half pins the page-map host-log append against the
 ``write_page`` loop (repeated lpages, a wear move made due by a
-retire), ``program_span`` against one ``program_run`` per block, and
-``copy_pages``'s edges: a zero-length copy, an ERASED source, a retired
-source block and an injected program failure part-way through a
-merge.
+retire), ``program_span`` against one ``program_run`` per block,
+``copy_pages``'s edges (a zero-length copy, an ERASED source, a retired
+source block) and an injected program failure part-way through a
+merge, charged by ``_copy_range`` as a per-page loop would charge it.
 """
 
 from __future__ import annotations
@@ -390,6 +390,23 @@ def test_programs_exercise_every_merge_kind():
     assert metrics["ftl.merge_copy_reads"] > 0
 
 
+@pytest.mark.parametrize("family", ("hybrid", "hybrid-in-order", "blockmap", "fast"))
+def test_merge_copies_reach_the_ftl_counters(family):
+    """Every page a merge family copies is counted: across ``quiesce``,
+    which programs no host page, the FTL's merge copy counters move
+    exactly as the chip's read and program counters."""
+    ios = [((i * 37) % 128 * 8, 12, True, 0.0) for i in range(80)]  # scattered
+    device = _build(family, oracle=False)
+    SyncHost(device).run_program(_program(ios))
+    before = device.metrics()
+    device.ftl.quiesce()
+    after = device.metrics()
+    delta = {name: after[name] - before[name] for name in after}
+    assert delta["ftl.merge_copy_programs"] > 0
+    assert delta["ftl.merge_copy_programs"] == delta["chip.page_programs"]
+    assert delta["ftl.merge_copy_reads"] == delta["chip.page_reads"]
+
+
 def test_blockmap_gap_past_the_old_blocks_end():
     """A forward gap that starts past the old data block's write point
     pads with filler and reads nothing (pages 0-3 written, evicted, then
@@ -546,8 +563,14 @@ class _FailNthProgram:
         return False
 
 
-def _merge_with_failure(copy: bool, fail_at: int):
-    """Fill a hybrid log out of order, then fail a program mid-merge."""
+def _merge_with_failure(loop: bool, fail_at: int):
+    """Fill a hybrid log out of order, then fail a program mid-merge.
+
+    The merge copies through the FTL's own ``_copy_range`` (the chip's
+    ``copy_range``, charged from its counter deltas), or with ``loop``
+    through :func:`_reference_loop`, which programs and charges page by
+    page itself.
+    """
     chip = FlashChip(GEOMETRY)
     ftl = HybridLogFTL(GEOMETRY, chip, HybridConfig(seq_log_blocks=2, rnd_log_blocks=3))
     cost = CostAccumulator()
@@ -558,26 +581,29 @@ def _merge_with_failure(copy: bool, fail_at: int):
     chip.fault_injector = _FailNthProgram(fail_at)
     log = ftl._open_rnd.get(0) or ftl._open_seq.get(0)
     ftl._pop_open(0)
-    if not copy:
-        # route the merge through the reference loop instead of copy_pages
-        ftl._copy_pages = lambda sources, target, start, sub: _reference_loop(
-            ftl, sources, target, start, sub
-        )
+    if loop:
+        ftl._copy_range = lambda *args: _reference_loop(ftl, *args)
     with pytest.raises(ProgramError):
         ftl._merge(log, cost)
     return _chip_state(chip), ftl.metrics(), (cost.copy_reads, cost.copy_programs)
 
 
-def _reference_loop(ftl, sources, target, start, sub):
+def _reference_loop(ftl, target, start, stop, base, offsets, ppages, sub):
+    """A block-range copy as the merges once ran it: for each target
+    page, read its source (the overlay's log page, else the old block's
+    page below its write point) and program it, charging each read and
+    program as it succeeds."""
     chip = ftl.chip
-    for i, source in enumerate(np.asarray(sources).tolist()):
+    overlay = dict(zip(np.asarray(offsets).tolist(), np.asarray(ppages).tolist()))
+    base_end = chip.write_point(base) if base >= 0 else 0
+    for offset in range(start, stop):
+        source = overlay.get(offset, base * PPB + offset if offset < base_end else -1)
+        token = ERASED
         if source >= 0:
             token = chip.read(*divmod(source, PPB))
             sub.copy_reads += 1
             ftl.merge_copy_reads += 1
-        else:
-            token = ERASED
-        chip.program(target, start + i, token if token != ERASED else FILLER_TOKEN)
+        chip.program(target, offset, token if token != ERASED else FILLER_TOKEN)
         sub.copy_programs += 1
         ftl.merge_copy_programs += 1
 
@@ -586,4 +612,8 @@ def _reference_loop(ftl, sources, target, start, sub):
 def test_injected_program_failure_mid_merge_matches_the_scalar_loop(fail_at):
     """Tokens, write points, chip counters and the FTL's copy counters
     after a failed full merge equal the per-page loop's."""
-    assert _merge_with_failure(True, fail_at) == _merge_with_failure(False, fail_at)
+    merged, looped = _merge_with_failure(False, fail_at), _merge_with_failure(True, fail_at)
+    assert merged == looped
+    # the failure struck mid-copy: every page up to it was read, the
+    # pages before it were programmed
+    assert merged[2] == (fail_at, fail_at - 1)

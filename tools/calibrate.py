@@ -2,7 +2,9 @@
 
 Development tool (not part of the library): prints SR/RR/SW/RW at
 32 KiB for each Table 3 device after random-state enforcement, next to
-the paper's numbers, plus the detected phases.
+the paper's numbers, plus the merge copy programs per IO (the pages
+merges, gap fills and tail copies moved; 0 on page-mapped devices) and
+the detected phases.
 
 Usage: python tools/calibrate.py [profile ...]
 """
@@ -34,7 +36,9 @@ def measure(name: str) -> None:
     )
     print(f"== {name} ({device.geometry.describe()})")
     for label in ("SR", "RR", "SW", "RW"):
+        copies = device.metrics().get("ftl.merge_copy_programs", 0.0)
         run = execute(device, specs[label])
+        copies = device.metrics().get("ftl.merge_copy_programs", 0.0) - copies
         responses = np.array(run.trace.response_times())
         phases = detect_phases(responses)
         steady = responses[phases.startup :].mean() / 1000.0
@@ -42,6 +46,7 @@ def measure(name: str) -> None:
         expected_text = f"paper {expected:7.1f}" if expected else "paper     n/a"
         print(
             f"  {label}: {steady:8.3f} ms  {expected_text}   "
+            f"copies/IO {copies / len(responses):7.2f}   "
             f"startup={phases.startup:4d} period={phases.period}"
         )
         rest_device(device, 120 * SEC)
