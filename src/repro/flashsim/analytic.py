@@ -75,7 +75,7 @@ fault injector, including the never-failing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
@@ -138,17 +138,8 @@ class KernelStats:
 
     def reset(self) -> None:
         """Zero all counters (test isolation)."""
-        self.write_windows = 0
-        self.write_ios = 0
-        self.read_windows = 0
-        self.read_ios = 0
-        self.epoch_windows = 0
-        self.epoch_ios = 0
-        self.epoch_collections = 0
-        self.queued_windows = 0
-        self.queued_ios = 0
-        self.parallel_windows = 0
-        self.parallel_ios = 0
+        for name in _HIT_COUNTERS:
+            setattr(self, name, 0)
         self.declines = {}
 
     def counters(self) -> dict[str, int]:
@@ -159,23 +150,14 @@ class KernelStats:
         ``core.analytic.decline.<op:reason>`` counter per decline
         reason, sorted for a stable layout.
         """
-        out = {
-            "core.analytic.write_windows": self.write_windows,
-            "core.analytic.write_ios": self.write_ios,
-            "core.analytic.read_windows": self.read_windows,
-            "core.analytic.read_ios": self.read_ios,
-            "core.analytic.epoch_windows": self.epoch_windows,
-            "core.analytic.epoch_ios": self.epoch_ios,
-            "core.analytic.epoch_collections": self.epoch_collections,
-            "core.analytic.queued_windows": self.queued_windows,
-            "core.analytic.queued_ios": self.queued_ios,
-            "core.analytic.parallel_windows": self.parallel_windows,
-            "core.analytic.parallel_ios": self.parallel_ios,
-        }
+        out = {f"core.analytic.{name}": getattr(self, name) for name in _HIT_COUNTERS}
         for reason in sorted(self.declines):
             out[f"core.analytic.decline.{reason}"] = self.declines[reason]
         return out
 
+
+#: the hit counters of :class:`KernelStats`, in declaration order
+_HIT_COUNTERS = tuple(spec.name for spec in fields(KernelStats) if spec.name != "declines")
 
 #: module-global counters (reset freely from tests)
 STATS = KernelStats()

@@ -57,11 +57,11 @@ class NoFaults:
     """A :class:`FaultInjector` that never fails.
 
     Installing one changes no simulated result, but it makes the chip a
-    :attr:`FlashChip.reference` chip, and every fast path in every layer
-    declines on one: the controller's batch reads and writes, the FTLs'
-    run paths, block copies, hybrid log appends and the closed-form
-    kernels.  A device built with it runs the scalar per-IO reference
-    path throughout — the oracle that the equivalence suites and the
+    :attr:`FlashChip.reference` chip, and every fast path below the
+    controller declines on one: the FTLs' batch reads and run paths,
+    block copies, hybrid log appends and the closed-form kernels.  A
+    device built with it runs the scalar per-IO reference path
+    throughout — the oracle that the equivalence suites and the
     hot-path benchmark's ``/oracle`` twins compare against.
     """
 
@@ -128,12 +128,12 @@ class FlashChip:
 
     @property
     def reference(self) -> bool:
-        """Whether every layer above must take its scalar reference path.
+        """Whether the layers above must take their scalar reference paths.
 
         The one rule that selects the reference: a chip with a fault
         injector.  Injected failures must surface at the exact page,
-        with the exact counters, of the per-page loop, so the batch
-        reads and writes, run programs, block copies, log appends and
+        with the exact counters, of the per-page loop, so the FTLs'
+        batch reads and writes, run programs, block copies, log appends and
         closed-form kernels all decline on such a chip.
         """
         return self.fault_injector is not None

@@ -14,12 +14,13 @@ Responsibilities:
 * maintain the *verification shadow* — the expected token of every
   logical page — so every read checks read-your-writes for free.
 
-Multi-page IOs move as arrays: a write mints one token range and hands
-it to a batch-capable FTL or, from ``CACHED_WRITE_MIN_PAGES`` pages on,
-to the cache's run write (whose destages reach the FTL as arrays too);
-a long read on an uncached device is one gather.  Shorter IOs, and
-every IO on a :attr:`~repro.flashsim.chip.FlashChip.reference` chip,
-take the per-page loop.
+Every write takes one path: the span's tokens are minted as an array
+(read-modify-write edges page by page, the fully covered middle as one
+range) and reach the FTL as one ``write_run``, or the cache as one
+``write_run`` whose destages reach the FTL as runs too.  A long read on
+an uncached device is one ``read_pages`` call.  The controller never
+asks which path the layers below take: the FTLs and the chip choose
+between their array paths and their per-page loops.
 """
 
 from __future__ import annotations
@@ -41,13 +42,6 @@ from repro.flashsim.timing import CostAccumulator
 #: reads are faster page by page (measured crossover ≈ 14 pages on the
 #: page-map FTL); not a tuning knob
 BATCH_READ_MIN_PAGES = 16
-
-#: minimum span (pages) for the array *write* path on a device with a
-#: RAM cache: the token mint and one ``cache.write_run`` have a fixed
-#: cost the per-page ``cache.write`` loop does not, so 2-3 page writes
-#: are faster page by page, 4-6 are about even and 8 win on memoright,
-#: mtron and samsung (CPU time of alternating runs); not a tuning knob
-CACHED_WRITE_MIN_PAGES = 8
 
 
 @dataclass(frozen=True)
@@ -113,10 +107,12 @@ class Controller:
             cost.map_misses += 1
         self._last_end_page = last_page + 1
 
-    def _fresh_token(self) -> int:
-        token = self._next_token
-        self._next_token += 1
-        return token
+    def _mint(self, lo: int, hi: int) -> np.ndarray:
+        """Fresh tokens for the fully covered pages ``lo..hi-1``."""
+        tokens = np.arange(self._next_token, self._next_token + hi - lo, dtype=np.int64)
+        self._next_token += hi - lo
+        self._shadow[lo:hi] = tokens
+        return tokens
 
     def _read_page_token(self, lpage: int, cost: CostAccumulator) -> int:
         if self.cache is not None:
@@ -130,7 +126,8 @@ class Controller:
         current content, minting a fresh token only for never-written pages."""
         token = self._read_page_token(lpage, cost)
         if token == ERASED:
-            token = self._fresh_token()
+            token = self._next_token
+            self._next_token += 1
             self._shadow[lpage] = token
         return token
 
@@ -143,14 +140,9 @@ class Controller:
         self._check_extent(lba, size)
         span = self.geometry.page_span(lba, size)
         self._charge_map_lookup(span.start, span.stop - 1, cost)
-        if (
-            self.ftl.batch_read_capable
-            and self.cache is None
-            and span.stop - span.start >= BATCH_READ_MIN_PAGES
-            and not self.ftl.chip.reference
-        ):
+        if self.cache is None and span.stop - span.start >= BATCH_READ_MIN_PAGES:
             lpages = np.arange(span.start, span.stop, dtype=np.int64)
-            tokens = self.ftl.read_pages(lpages, cost, ascending=True)
+            tokens = self.ftl.read_pages(lpages, cost)
             expected = self._shadow[span.start : span.stop]
             if not np.array_equal(tokens, expected):
                 bad = int(np.flatnonzero(tokens != expected)[0])
@@ -185,72 +177,31 @@ class Controller:
         span = self.geometry.page_span(expanded_start, expanded_end - expanded_start)
         self._charge_map_lookup(span.start, span.stop - 1, cost)
         page_size = self.geometry.page_size
-        pages = span.stop - span.start
-        if not self.ftl.chip.reference and (
-            pages >= CACHED_WRITE_MIN_PAGES
-            if self.cache is not None
-            else self.ftl.batch_write_capable and pages > 1
-        ):
-            # Fully covered pages form one contiguous middle run: coverage
-            # (lba <= page_start and page_end <= lba + size) is monotone in
-            # lpage from both ends.  Partial edges keep the scalar RMW path;
-            # the middle takes fresh tokens in one arange, preserving the
-            # exact token-allocation order of the reference loop.
-            cov_lo = max(span.start, -(-lba // page_size))
-            cov_hi = min(span.stop, (lba + size) // page_size)
-            if cov_lo >= cov_hi:
-                cov_lo = cov_hi = span.start
-            if cov_lo == span.start and cov_hi == span.stop:
-                # aligned whole-page extent: the fresh tokens ARE the run
-                tokens = np.arange(
-                    self._next_token, self._next_token + pages, dtype=np.int64
-                )
-                self._next_token += pages
-                self._shadow[span.start : span.stop] = tokens
-            else:
-                tokens = np.empty(pages, dtype=np.int64)
-                for lpage in range(span.start, cov_lo):
-                    tokens[lpage - span.start] = self._rmw_token(lpage, cost)
-                count = cov_hi - cov_lo
-                if count > 0:
-                    fresh = np.arange(
-                        self._next_token, self._next_token + count, dtype=np.int64
-                    )
-                    self._next_token += count
-                    self._shadow[cov_lo:cov_hi] = fresh
-                    tokens[cov_lo - span.start : cov_hi - span.start] = fresh
-                for lpage in range(cov_hi, span.stop):
-                    tokens[lpage - span.start] = self._rmw_token(lpage, cost)
-            if self.cache is None:
-                lpages = np.arange(span.start, span.stop, dtype=np.int64)
-                self.ftl.write_run(lpages, tokens, cost, ascending=True)
-            else:
-                self.cache.write_run(span.start, tokens)
-                self.cache.destage_if_needed(self.ftl, cost)
+        # Fully covered pages form one contiguous middle run: coverage
+        # (lba <= page_start and page_end <= lba + size) is monotone in
+        # lpage from both ends.  Partial edges are read-modify-written
+        # page by page and the middle takes fresh tokens in one arange,
+        # so tokens are minted in lpage order: head edge, middle, tail.
+        cov_lo = max(span.start, -(-lba // page_size))
+        cov_hi = min(span.stop, (lba + size) // page_size)
+        if cov_lo >= cov_hi:
+            cov_lo = cov_hi = span.start
+        if cov_lo == span.start and cov_hi == span.stop:
+            # no partial page: the fresh tokens are the run, uncopied
+            tokens = self._mint(cov_lo, cov_hi)
         else:
-            items: list[tuple[int, int]] = []
-            for lpage in span:
-                page_start = lpage * page_size
-                fully_covered = (
-                    lba <= page_start and page_start + page_size <= lba + size
-                )
-                if fully_covered:
-                    token = self._fresh_token()
-                    self._shadow[lpage] = token
-                else:
-                    # Read-modify-write: fetch the current content (a real
-                    # physical read unless cached or never written).
-                    token = self._read_page_token(lpage, cost)
-                    if token == ERASED:
-                        token = self._fresh_token()
-                        self._shadow[lpage] = token
-                items.append((lpage, token))
-            if self.cache is not None:
-                for lpage, token in items:
-                    self.cache.write(lpage, token)
-                self.cache.destage_if_needed(self.ftl, cost)
-            else:
-                self.ftl.write_pages(items, cost)
+            tokens = np.empty(span.stop - span.start, dtype=np.int64)
+            for lpage in range(span.start, cov_lo):
+                tokens[lpage - span.start] = self._rmw_token(lpage, cost)
+            tokens[cov_lo - span.start : cov_hi - span.start] = self._mint(cov_lo, cov_hi)
+            for lpage in range(cov_hi, span.stop):
+                tokens[lpage - span.start] = self._rmw_token(lpage, cost)
+        if self.cache is None:
+            lpages = np.arange(span.start, span.stop, dtype=np.int64)
+            self.ftl.write_run(lpages, tokens, cost, ascending=True)
+        else:
+            self.cache.write_run(span.start, tokens)
+            self.cache.destage_if_needed(self.ftl, cost)
         self.ftl.note_io_boundary(lba + size, cost)
         cost.bytes_transferred += size
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import copy
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -109,16 +109,12 @@ class BaseFTL(ABC):
     once, and :meth:`_check_free_pool` is every family's pool check.
     """
 
-    #: Subclasses with a :meth:`locate` (which :meth:`read_pages` then
-    #: gathers through) or a real array :meth:`write_run` set these; the
-    #: controller only builds batch arrays for capable FTLs, or for
-    #: writes into a RAM cache (for the rest, the batch calls would just
-    #: add overhead on top of the scalar loop).  On a
-    #: :attr:`~repro.flashsim.chip.FlashChip.reference`
-    #: chip the batch paths take the scalar per-page loop — the
-    #: behavioural contract the equivalence suites pin.
+    #: Subclasses with a :meth:`locate` set this: :meth:`read_pages`
+    #: then gathers through it instead of looping over :meth:`read_page`
+    #: (on a :attr:`~repro.flashsim.chip.FlashChip.reference` chip it
+    #: loops regardless — the behavioural contract the equivalence
+    #: suites pin).
     batch_read_capable = False
-    batch_write_capable = False
 
     #: Names of the mutable attributes that make up a subclass's state.
     #: ``snapshot``/``restore`` deep-copy them *together* in one pass,
@@ -154,14 +150,10 @@ class BaseFTL(ABC):
         recorded in ``cost``.
         """
 
-    def read_pages(
-        self,
-        lpages: np.ndarray,
-        cost: CostAccumulator,
-        *,
-        ascending: bool = False,
-    ) -> np.ndarray:
-        """Read a batch of logical pages, returning their tokens.
+    def read_pages(self, lpages: np.ndarray, cost: CostAccumulator) -> np.ndarray:
+        """Read a run of strictly increasing logical pages (a controller
+        span, so bounds need checking only at its ends), returning their
+        tokens.
 
         The vectorized counterpart of :meth:`read_page`: same tokens,
         same recorded cost.  A ``batch_read_capable`` family (one with a
@@ -169,25 +161,17 @@ class BaseFTL(ABC):
         :meth:`FlashChip.read_many` gather of the located pages, whose
         tokens take the family's :meth:`_decode_many`; other families,
         and every family on a :attr:`~repro.flashsim.chip.FlashChip.reference`
-        chip, take the page-by-page loop.  ``ascending`` promises
-        strictly increasing lpages (bounds checks then only need the
-        endpoints).
+        chip, take the page-by-page loop.
         """
         if self.chip.reference or not self.batch_read_capable:
-            out = np.empty(len(lpages), dtype=np.int64)
-            for i, lpage in enumerate(lpages):
-                out[i] = self.read_page(int(lpage), cost)
-            return out
+            pages = np.asarray(lpages).tolist()
+            return np.array([self.read_page(lpage, cost) for lpage in pages], dtype=np.int64)
         lpages = np.asarray(lpages, dtype=np.int64)
         n = int(lpages.size)
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        if ascending:
-            lo, hi = int(lpages[0]), int(lpages[-1])
-        else:
-            lo, hi = int(lpages.min()), int(lpages.max())
-        self._check_lpage(lo)
-        self._check_lpage(hi)
+        self._check_lpage(int(lpages[0]))
+        self._check_lpage(int(lpages[-1]))
         ppages = self.locate(lpages)
         charged = ppages >= 0
         tokens = np.full(n, ERASED, dtype=np.int64)
@@ -213,22 +197,6 @@ class BaseFTL(ABC):
         vectorized map do not provide it.
         """
         raise NotImplementedError(f"{type(self).__name__} has no page locator")
-
-    def write_pages(
-        self, items: "Sequence[tuple[int, int]]", cost: CostAccumulator
-    ) -> None:
-        """:meth:`write_run` over a batch of ``(lpage, token)`` pairs.
-
-        The batch is one host IO on the controller's per-page path, so
-        FTLs that classify write *runs* (sequential stream vs random, as
-        2008-era hybrid controllers did) see whole runs instead of
-        single pages.
-        """
-        if not items:
-            return
-        lpages = np.fromiter((pair[0] for pair in items), dtype=np.int64, count=len(items))
-        tokens = np.fromiter((pair[1] for pair in items), dtype=np.int64, count=len(items))
-        self.write_run(lpages, tokens, cost)
 
     def write_run(
         self,

@@ -76,7 +76,6 @@ class BlockMapFTL(BlockMappedFTL):
     """One-to-one block mapping with in-order replacement blocks."""
 
     batch_read_capable = True
-    batch_write_capable = True
 
     _STATE_ATTRS = (
         "_data_map",

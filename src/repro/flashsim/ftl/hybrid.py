@@ -124,8 +124,6 @@ class _LogBlock:
 class HybridLogFTL(BlockMappedFTL):
     """Block-mapped FTL with a page-mapped (or in-order) log-block pool."""
 
-    batch_write_capable = True
-
     _STATE_ATTRS = (
         "_data_map",
         "_free",

@@ -81,7 +81,6 @@ class PageMapFTL(BaseFTL):
     """Direct page map + append log + greedy garbage collection."""
 
     batch_read_capable = True
-    batch_write_capable = True
 
     #: Snapshot core: the direct map, the free queue (its order is the
     #: allocation order) and the scalars.  Everything else — the inverse

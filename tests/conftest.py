@@ -122,9 +122,10 @@ def oracle_device(
     :class:`~repro.flashsim.profiles.DeviceProfile` (both built at
     ``logical_bytes``), or holds :func:`make_device` keyword arguments.
     The twin carries a never-failing fault injector
-    (:class:`~repro.flashsim.chip.NoFaults`), which sends every layer —
-    controller batch paths, FTL runs, block copies, closed-form kernels
-    — down its per-IO reference path without changing any result.
+    (:class:`~repro.flashsim.chip.NoFaults`), which sends every layer
+    below the controller — FTL batch reads and runs, block copies,
+    closed-form kernels — down its per-IO reference path without
+    changing any result.
     """
     if isinstance(profile_or_kwargs, dict):
         return make_device(**profile_or_kwargs, fault_injector=NoFaults())

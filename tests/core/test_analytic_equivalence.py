@@ -1024,3 +1024,25 @@ def test_parallel_writes_of_zero_cost_decline():
     reference_traces = ParallelHost(reference_dev).run_programs(programs)
     _assert_twins(kernel_dev, reference_dev, kernel_traces, reference_traces)
     assert kernel_traces[0].column("completed_at").max() == 0.0
+
+
+def test_kernel_stats_counters_keep_their_layout():
+    """``counters()`` lists the hit counters in declaration order, then
+    the declines sorted; ``reset()`` zeroes every one of them."""
+    stats = analytic.KernelStats(write_ios=3, parallel_ios=2)
+    stats.decline("write:wear-levelling")
+    stats.decline("read:reference")
+    hits = (
+        "write_windows", "write_ios", "read_windows", "read_ios",
+        "epoch_windows", "epoch_ios", "epoch_collections",
+        "queued_windows", "queued_ios", "parallel_windows", "parallel_ios",
+    )
+    counters = stats.counters()
+    assert list(counters) == [f"core.analytic.{name}" for name in hits] + [
+        "core.analytic.decline.read:reference",
+        "core.analytic.decline.write:wear-levelling",
+    ]
+    assert counters["core.analytic.write_ios"] == 3
+    assert counters["core.analytic.parallel_ios"] == 2
+    stats.reset()
+    assert stats == analytic.KernelStats()

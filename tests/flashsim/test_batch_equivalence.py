@@ -1,19 +1,24 @@
-"""Scalar/batch equivalence: the vectorized run kernel must be invisible.
+"""Scalar/batch equivalence: the array run paths must be invisible.
 
-The batched controller→FTL→chip hot path (``Controller`` fast paths,
-``BaseFTL.read_pages``/``write_run``, ``FlashChip.read_many``/
-``program_run``) is a pure performance optimisation: every device profile
-must produce bit-identical state (``fingerprint``), identical physical
-work (``CostAccumulator`` totals) and identical observability counters
-(``metrics``) whether the batch paths run or the chip sends every layer
-to its scalar reference path.
+The controller has one write path and one long-read call: it mints a
+span's tokens as an array and hands them to ``BaseFTL.write_run`` (or
+the cache's run write), and reads long uncached spans through
+``BaseFTL.read_pages``.  Below it, the oracle differs: the FTLs' run
+paths and ``FlashChip.read_many``/``program_run`` are a pure
+performance optimisation over their scalar loops, which they take on a
+:attr:`~repro.flashsim.chip.FlashChip.reference` chip.  Every device
+profile must produce bit-identical state (``fingerprint``), identical
+physical work (``CostAccumulator`` totals) and identical observability
+counters (``metrics``) either way.
 
 Two devices are driven through the same IO mix — sequential, random,
 aligned, misaligned, reads and writes interleaved — one the
 ``NoFaults`` oracle twin (:func:`~tests.conftest.oracle_device`, the
 scalar reference), one with the defaults.  Dedicated cases cover the
-cache-enabled and mapping-unit-expanded controllers, whose edges force
-the scalar fallbacks.
+cache-enabled and mapping-unit-expanded controllers, whose
+read-modify-write edges the controller mints page by page.  The
+controller's own rule is pinned against a per-page model in
+``test_controller_model.py``.
 """
 
 from __future__ import annotations
@@ -125,10 +130,10 @@ def test_small_devices_scalar_batch_identical(ftl_kind):
 
 @pytest.mark.parametrize("ftl_kind", ["pagemap", "hybrid"])
 def test_cache_enabled_scalar_batch_identical(ftl_kind):
-    """Through a write-back cache, whole-block writes take the cache's
-    run write and short writes and reads go page by page (destages
-    reach the FTL as sorted arrays either way), against the oracle's
-    per-page calls; counters must agree."""
+    """Through a write-back cache, every write takes the cache's run
+    write and destages reach the FTL as sorted arrays on both twins;
+    below the FTL the oracle's runs go page by page.  Counters must
+    agree."""
     scalar = oracle_device({"ftl_kind": ftl_kind, "cache_bytes": 64 * KIB})
     batch = make_device(ftl_kind=ftl_kind, cache_bytes=64 * KIB)
     _assert_equivalent(scalar, batch, _io_mix(SMALL_GEOMETRY, seed=13))

@@ -1,5 +1,6 @@
 """Hybrid log-block FTL: merges, pools, deferral, stream classification."""
 
+import numpy as np
 import pytest
 
 from repro.errors import FTLError
@@ -20,7 +21,8 @@ def write(ftl, lpage, token, seq_hint=None):
 
 def write_run(ftl, pairs):
     cost = CostAccumulator()
-    ftl.write_pages(pairs, cost)
+    lpages, tokens = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    ftl.write_run(lpages, tokens, cost)
     return cost
 
 

@@ -1,6 +1,6 @@
-"""Hybrid FTL run-level behaviour: write_pages splitting, the stream
-tail table, pool bookkeeping under mixed traffic, and an invalid token
-inside an array write run."""
+"""Hybrid FTL run-level behaviour: ``write_run`` splitting a batch
+into its contiguous runs, the stream tail table, pool bookkeeping under
+mixed traffic, and an invalid token inside an array write run."""
 
 import pickle
 
@@ -27,7 +27,8 @@ def ftl(geometry, chip):
 
 def write_run(ftl, pairs):
     cost = CostAccumulator()
-    ftl.write_pages(pairs, cost)
+    lpages, tokens = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    ftl.write_run(lpages, tokens, cost)
     return cost
 
 

@@ -29,9 +29,9 @@ two phases that dominate real campaign time:
 Enforcement and the four baselines are timed twice per profile: once
 on the default device and once on its ``/oracle`` twin, built with a
 never-failing fault injector (:class:`~repro.flashsim.chip.NoFaults`),
-which sends every layer — controller batch paths, FTL runs, block
-copies, log appends, closed-form kernels — down its scalar per-IO
-reference path, so the speedup is visible in one report.  Results are
+which sends every layer below the controller — FTL batch reads and
+runs, block copies, log appends, closed-form kernels — down its scalar
+per-IO reference path, so the speedup is visible in one report.  Results are
 written as ``{workload: {"usec_per_io": ..., "sim_ios_per_sec": ...}}``
 where workload keys look like ``ideal_pagemap/enforce`` (default) and
 ``ideal_pagemap/enforce/oracle``.
@@ -161,10 +161,10 @@ def _decline_program(*args, **kwargs) -> bool:
 @contextlib.contextmanager
 def _kernels_declined():
     """Make every program decline the closed-form kernels, so the hosts
-    run their per-IO loops (the ``/fallback`` twins).  The controller's
-    batch paths stay on.  Enforcement runs its writes as a program
-    through the same entry point, so the twins enforce outside this
-    context."""
+    run their per-IO loops (the ``/fallback`` twins).  The FTLs' and
+    the chip's array paths below them stay on.  Enforcement runs its
+    writes as a program through the same entry point, so the twins
+    enforce outside this context."""
     names = ("run_program_into", "run_program_queued", "run_programs_parallel")
     saved = [getattr(analytic, name) for name in names]
     for name in names:
