@@ -70,11 +70,12 @@ def enforce_random_state(
     is pre-drawn into one back-to-back
     :class:`~repro.core.generator.IOProgram` and run by
     :meth:`SyncHost.run_program <repro.flashsim.host.SyncHost.run_program>`
-    from the device's busy horizon.  The host picks the path as for any
-    measured program: a page-map device takes the whole program as one
+    from the device's busy horizon, in the one loop every measured
+    program takes: a page-map device takes the whole program as one
     closed-form write window (:func:`repro.flashsim.analytic.write_window`,
-    garbage collection included); block-map, hybrid and FAST devices,
-    caches, wear levelling and fault injection run it per IO.
+    garbage collection included); on block-map, hybrid and FAST
+    devices, caches, wear levelling and fault injection the window
+    declines and the host's per-IO step runs it.
     """
     if coverage <= 0:
         raise ValueError("coverage must be positive")

@@ -106,11 +106,6 @@ class BenchContext:
     io_ignore: int = 0
     seed: int = 42
 
-    def random_area(self) -> int:
-        """Target area for random patterns: the whole device, rounded
-        down to an IO boundary (the paper draws over a large area)."""
-        return (self.capacity // self.io_size) * self.io_size
-
     def baselines(self, io_size: int | None = None, io_count: int | None = None):
         """The four baseline specs at this context's defaults."""
         size = io_size or self.io_size

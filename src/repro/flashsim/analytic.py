@@ -21,19 +21,22 @@ restate none of it:
   real ``write_page`` (with its collections) at it, handing back each
   watermark step so its cost lands on the IO that owns the page.
 
-The entry points are the hosts': :class:`~repro.flashsim.host.SyncHost`
-runs every synchronous program — measurements and state enforcement
-alike — through :func:`run_program_into`,
+This module only evaluates; the hosts own the loops.
+:meth:`SyncHost.run_program <repro.flashsim.host.SyncHost.run_program>`
+runs every synchronous program, measurements and state enforcement
+alike: it checks the program once (:func:`program_stretches`), offers
+each long stretch to :func:`read_window` or :func:`write_window` and
+runs the rest through its own per-IO step.
 :class:`~repro.flashsim.host.AsyncHost` tries :func:`run_program_queued`
 and :class:`~repro.flashsim.host.ParallelHost` tries
-:func:`run_programs_parallel`.
+:func:`run_programs_parallel`, each for a whole program.
 
 Discipline:
 
 * a kernel either reproduces the per-IO reference path **bit for bit**
   — same maps, same counters, same floats in the same operation order —
-  or it declines, with state untouched, and the caller falls back to
-  the reference per-IO loop;
+  or it declines, with state untouched, and the host runs those IOs
+  through its per-IO step;
 * every decline is counted with a reason in :data:`STATS`, which is
   what the equivalence tests assert on.
 
@@ -44,10 +47,11 @@ Current coverage:
   (``epoch_windows`` counts the write passes that ran at least one
   collection);
 * **block-map FTL** (USB/SD/IDE profile family) — reads in closed form;
-  a write stretch declines once (``write:ftl-family``) and runs per IO
-  through ``Controller.write``, whose in-order appends the block-map
-  ``write_run`` lands as one program run each (a closed-form dispatch
-  around that same loop left end-to-end wall time unchanged);
+  a write stretch declines once (``write:ftl-family``) and takes the
+  host's per-IO step through ``Controller.write``, whose in-order
+  appends the block-map ``write_run`` lands as one program run each
+  (a closed-form dispatch around that same loop left end-to-end wall
+  time unchanged);
 * **queued hosts** — zero-gap programs of one mode at any queue depth
   evaluate as a vectorized event schedule (:func:`run_program_queued`):
   per-IO services come from the closed form (reads) or the page-map
@@ -65,8 +69,9 @@ Current coverage:
   whole run (``parallel:*``).
 
 Everything else (hybrid/FAST FTL families, caches, wear levelling,
-measurement noise) declines up front, once per program, and runs the
-reference path unchanged.  So does a
+measurement noise, host overhead) declines up front, once per program,
+and the synchronous host runs its loop with every window declined:
+the per-IO step end to end.  So does a
 :attr:`~repro.flashsim.chip.FlashChip.reference` chip — one with a
 fault injector, including the never-failing
 :class:`~repro.flashsim.chip.NoFaults` that builds the scalar oracle
@@ -96,7 +101,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: shortest read/write stretch of a synchronous program worth a kernel
 #: window: a window's setup (column expansion, token resolution, state
 #: write-back) costs more than the per-IO path saves on shorter runs,
-#: so :func:`run_program_into` sends them straight to the per-IO path.
+#: so :class:`~repro.flashsim.host.SyncHost` sends them straight to its
+#: per-IO step.
 #: Set from a sweep of stretch lengths on the page-map and block-map
 #: families (docs/performance.md); not a tuning knob.
 MIN_KERNEL_STRETCH = 16
@@ -214,6 +220,38 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
         return "wear-levelling"
     if device.chip.good_blocks() != device.geometry.physical_blocks:
         return "bad-blocks"
+    return None
+
+
+def program_stretches(
+    device: "FlashDevice",
+    program: "IOProgram",
+    start_at: float,
+    os_overhead: float,
+) -> np.ndarray | None:
+    """Where each read or write stretch of a synchronous program ends,
+    or None when no window may take any of it.
+
+    A window never crosses a read/write flip, so the stretches are the
+    runs of one mode.  The program declines as a whole — counted once
+    as ``program:<reason>``, no state touched — on host overhead (each
+    submission then lags the previous completion), a start off the
+    busy horizon, a device-level reason (:func:`device_decline_reason`)
+    or no stretch of ``MIN_KERNEL_STRETCH`` IOs.
+    """
+    if os_overhead != 0.0:
+        reason = "os-overhead"
+    elif device._busy_until != start_at:
+        reason = "start-misaligned"
+    else:
+        reason = device_decline_reason(device)
+    if reason is None:
+        writes = np.asarray(program.writes, dtype=bool)
+        ends = np.append(np.flatnonzero(writes[1:] != writes[:-1]) + 1, writes.size)
+        if int(np.diff(ends, prepend=0).max()) >= MIN_KERNEL_STRETCH:
+            return ends
+        reason = "short-stretch"
+    STATS.decline(f"program:{reason}")
     return None
 
 
@@ -851,104 +889,6 @@ def _read_commit(device, lbas, sizes, now, gaps, costs, trace, row0):
             page_reads=reads_per_io, map_misses=miss,
         )
     return float(completions[-1])
-
-
-def run_program_into(
-    device: "FlashDevice",
-    program: "IOProgram",
-    trace: "IOTrace",
-    start_at: float,
-    os_overhead: float,
-) -> bool:
-    """Run a whole :class:`~repro.core.generator.IOProgram` through the
-    kernels, falling back per IO where a window declines.
-
-    Returns False — with *no* state touched — when the program shape
-    itself disqualifies (host overhead, queue-misaligned start, no
-    stretch of ``MIN_KERNEL_STRETCH`` IOs a window could take, or a
-    device-level decline); the synchronous host then runs its reference
-    loop.  Returns True when the program completed: every IO was
-    simulated either inside a closed-form window or through the
-    ordinary :meth:`~repro.flashsim.device.FlashDevice.submit_into`
-    path.
-
-    Stretches of one mode take windows, gaps and all: a read window or
-    a write window folds each IO's gap into its completion chain, trace
-    columns and credit account, and a write window runs the background
-    units a gap buys between its page appends.  The per-IO path is
-    decided per stretch — for a stretch too short for a window and for
-    a write stretch whose window declines (a block-map device), each
-    counted once — and per IO at a read window's boundary (background
-    work pending, verification about to fail), where it also re-raises
-    exactly the reference errors.
-    """
-    if os_overhead != 0.0:
-        STATS.decline("program:os-overhead")
-        return False
-    if device._busy_until != start_at:
-        STATS.decline("program:start-misaligned")
-        return False
-    reason = device_decline_reason(device)
-    if reason is not None:
-        STATS.decline(f"program:{reason}")
-        return False
-
-    lbas = program.lbas
-    sizes = program.sizes
-    writes = np.asarray(program.writes, dtype=bool)
-    count = len(program)
-    # the host schedules the first IO at start_at, whatever its gap
-    gaps = np.array(program.gaps, dtype=np.float64)
-    gaps[0] = 0.0
-    # stretches: a window never crosses a read/write flip
-    bounds = np.append(np.flatnonzero(writes[1:] != writes[:-1]) + 1, count)
-    lengths = np.diff(bounds, prepend=0)
-    if int(lengths.max()) < MIN_KERNEL_STRETCH:
-        STATS.decline("program:short-stretch")
-        return False
-
-    clock = start_at
-    i = 0
-    end_i = 0
-    per_io = False
-    while i < count:
-        if i >= end_i:
-            end_i = int(bounds[np.searchsorted(bounds, i, side="right")])
-            per_io = end_i - i < MIN_KERNEL_STRETCH
-            if per_io:
-                STATS.decline("program:short-stretch")
-        done = 0
-        if not per_io:
-            if writes[i]:
-                done, clock_after = write_window(
-                    device, lbas[i:end_i], sizes[i:end_i], clock,
-                    trace=trace, row0=i, gaps=gaps[i:end_i],
-                )
-                # a write window runs to its stretch's end or to a bad
-                # address, so one that declines (a block-map device, an
-                # address that raises) leaves the whole rest of its
-                # stretch to the per-IO path
-                per_io = not done
-            else:
-                # a read window is asked again after each fallback IO
-                # (pending background work may finish in a gap)
-                done, clock_after = read_window(
-                    device, lbas[i:end_i], sizes[i:end_i], clock,
-                    trace=trace, row0=i, gaps=gaps[i:end_i],
-                )
-        if done:
-            i += done
-            clock = clock_after
-        else:
-            # the host's own step, for a per-IO stretch's IOs and for
-            # the one IO a read window refused (verification raises, ...)
-            scheduled = clock + float(gaps[i])
-            clock = device.submit_into(
-                trace, i, int(lbas[i]), int(sizes[i]), bool(writes[i]),
-                max(clock, scheduled), scheduled,
-            )
-            i += 1
-    return True
 
 
 def run_program_queued(

@@ -612,10 +612,6 @@ class ChannelSet:
         if until > self._busy[channel]:
             self._busy[channel] = until
 
-    def earliest_free(self) -> float:
-        """When the least-loaded channel frees."""
-        return min(self._busy)
-
     def snapshot(self) -> tuple[float, ...]:
         """Opaque copy of the per-channel horizons."""
         return tuple(self._busy)

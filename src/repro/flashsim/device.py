@@ -366,23 +366,15 @@ class FlashDevice:
             )
         return start, completion, cost, channel
 
-    def _service(
-        self, lba: int, size: int, write: bool, now: float
-    ) -> tuple[float, float, CostAccumulator]:
-        """Synchronous service (one IO in flight); see :meth:`_dispatch`."""
-        start, completion, cost, _channel = self._dispatch(
-            lba, size, write, now, overlap=False
-        )
-        return start, completion, cost
-
     def submit(self, request: IORequest, now: float) -> CompletedIO:
         """Submit one IO at simulated time ``now`` and service it.
 
         The device is a single queue: service starts when it falls idle.
         Response time = completion − submission, queueing included.
         """
-        start, completion, cost = self._service(
-            request.lba, request.size, request.mode is Mode.WRITE, now
+        start, completion, cost, _channel = self._dispatch(
+            request.lba, request.size, request.mode is Mode.WRITE, now,
+            overlap=False,
         )
         return CompletedIO(
             request=request,
@@ -409,7 +401,9 @@ class FlashDevice:
         :class:`~repro.iotypes.CompletedIO` objects are built, the row
         lands in ``trace`` as scalars.  Returns the completion time.
         """
-        start, completion, cost = self._service(lba, size, write, now)
+        start, completion, cost, _channel = self._dispatch(
+            lba, size, write, now, overlap=False
+        )
         trace.record(
             index, lba, size, write, scheduled_at, now, start, completion, cost
         )

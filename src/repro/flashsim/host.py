@@ -7,7 +7,8 @@ file system and disk scheduler cannot reorder or coalesce them
 * :class:`SyncHost` — one thread of control; each IO is submitted when
   the pattern's timing function says so and the host blocks until it
   completes.  ``os_overhead_usec`` models the system-call cost the
-  paper cannot avoid even with direct IO.
+  paper cannot avoid even with direct IO.  Its ``run_program`` is the
+  only synchronous loop, for the kernels and the scalar oracle alike.
 
 * :class:`ParallelHost` — the Parallelism micro-benchmark's
   ``ParallelDegree`` concurrent processes, each running its own
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.flashsim import analytic
 from repro.flashsim.device import FlashDevice
@@ -53,40 +56,76 @@ class SyncHost:
         IO ``i`` is scheduled at the previous completion plus its gap
         (``start_at`` for the first), submitted once the host is free,
         and recorded straight into a columnar
-        :class:`~repro.flashsim.trace.IOTrace`.  The loop keeps only
-        the irreducible feedback step (``t(IOi)`` depends on
-        ``rt(IOi-1)``, Table 1).
+        :class:`~repro.flashsim.trace.IOTrace`.
 
-        Zero-overhead programs on qualifying devices first try the
-        closed-form run kernels (:mod:`repro.flashsim.analytic`), which
-        simulate each read or write stretch as one window on columns,
-        gaps included (a write window also runs the background work its
-        gaps buy), and decay to this loop's per-IO path where a window
-        declines.  The kernels return ``False`` without touching any
-        state when the program or device disqualifies, so the reference
-        loop below always starts clean.
+        A program that passes
+        :func:`~repro.flashsim.analytic.program_stretches` offers each
+        read or write stretch of ``MIN_KERNEL_STRETCH`` IOs to the
+        closed-form ``analytic.write_window`` or ``read_window``.  A
+        short stretch, the rest of a stretch whose write window
+        declined and the one IO a read window refused take the per-IO
+        step (:meth:`_submit`).  Any other program — host overhead, a
+        declined device, the ``NoFaults`` oracle — is the same loop
+        with every window declined.
         """
         count = len(program)
         trace = IOTrace(capacity=count)
-        if count and analytic.run_program_into(
-            self.device, program, trace, start_at, self.os_overhead_usec
-        ):
+        if not count:
             return trace
-        lbas = program.lbas.tolist()
-        sizes = program.sizes.tolist()
-        writes = program.writes.tolist()
-        gaps = program.gaps.tolist()
+        device = self.device
+        lbas, sizes, writes = program.lbas, program.sizes, program.writes
+        gaps = program.gaps.astype(np.float64)
+        gaps[0] = 0.0  # the first IO is scheduled at start_at
+        columns = (lbas, sizes, writes, gaps)
+        ends = analytic.program_stretches(
+            device, program, start_at, self.os_overhead_usec
+        )
+        if ends is None:
+            self._submit(trace, columns, 0, count, start_at)
+            return trace
+        clock = start_at
+        i = 0
+        for end in ends.tolist():
+            if end - i < analytic.MIN_KERNEL_STRETCH:
+                analytic.STATS.decline("program:short-stretch")
+                clock = self._submit(trace, columns, i, end, clock)
+                i = end
+                continue
+            write = bool(writes[i])
+            window = analytic.write_window if write else analytic.read_window
+            while i < end:
+                done, after = window(
+                    device, lbas[i:end], sizes[i:end], clock,
+                    trace=trace, row0=i, gaps=gaps[i:end],
+                )
+                if done:
+                    i += done
+                    clock = after
+                    continue
+                # a write window runs to its stretch's end or to a bad
+                # address, so a declined one leaves the rest of the
+                # stretch to the per-IO step; a read window may take
+                # over again once pending background work finishes
+                stop = end if write else i + 1
+                clock = self._submit(trace, columns, i, stop, clock)
+                i = stop
+        return trace
+
+    def _submit(self, trace, columns, start: int, stop: int, clock: float) -> float:
+        """The per-IO step over rows ``start`` up to ``stop`` of the
+        program ``columns``, from ``clock``; returns the last completion."""
+        lbas, sizes, writes, gaps = (column[start:stop].tolist() for column in columns)
         submit_into = self.device.submit_into
         overhead = self.os_overhead_usec
-        clock = start_at
-        for i in range(count):
-            scheduled = start_at if i == 0 else clock + gaps[i]
-            submit_at = max(clock, scheduled)
+        row = start
+        for lba, size, write, gap in zip(lbas, sizes, writes, gaps):
+            scheduled = clock + gap
             clock = submit_into(
-                trace, i, lbas[i], sizes[i], writes[i],
-                submit_at + overhead, scheduled,
+                trace, row, lba, size, write,
+                max(clock, scheduled) + overhead, scheduled,
             )
-        return trace
+            row += 1
+        return clock
 
 
 @dataclass
@@ -94,8 +133,9 @@ class AsyncHost:
     """Asynchronous submission: keep the device queue full.
 
     Runs an :class:`~repro.core.generator.IOProgram` with up to
-    ``queue_depth`` IOs in flight (clamped to the device's own queue
-    depth).  Consecutive IOs submit back-to-back without waiting;
+    ``queue_depth`` IOs in flight (the :meth:`run_program` argument,
+    else the program's own, clamped to the device's queue depth).
+    Consecutive IOs submit back-to-back without waiting;
     paced IOs (a positive inter-IO gap) wait for the *previous* IO's
     completion first, because the pattern's submit-time recurrence
     ``t(IOi) = t(IOi-1) + rt(IOi-1) + Pause`` (Table 1) is defined on
@@ -116,7 +156,6 @@ class AsyncHost:
 
     device: FlashDevice
     os_overhead_usec: float = 0.0
-    queue_depth: int = 0  # 0 -> the program's (or the device's) depth
 
     def run_program(
         self,
@@ -125,11 +164,7 @@ class AsyncHost:
         queue_depth: int | None = None,
     ) -> IOTrace:
         """Drive a precomputed program with queued submission."""
-        requested = (
-            queue_depth
-            if queue_depth is not None
-            else (self.queue_depth or getattr(program, "queue_depth", 1))
-        )
+        requested = program.queue_depth if queue_depth is None else queue_depth
         depth = max(1, min(int(requested), self.device.queue_depth))
         count = len(program)
         trace = IOTrace(capacity=count)

@@ -132,6 +132,43 @@ def test_declined_writes_count_one_decline_per_stretch():
     assert analytic.STATS.declines == {"program:ftl-family": 1}
 
 
+@pytest.mark.parametrize("profile", ("ideal_pagemap", "kingston_dti"))
+def test_os_overhead_runs_the_per_io_step_like_the_oracle(profile):
+    """Host overhead declines each program once as a whole
+    (``program:os-overhead``), and the per-IO step runs it exactly as
+    on the oracle twin: same trace payloads, state and metrics."""
+    from repro.core.generator import IOProgram
+    from repro.flashsim.host import SyncHost
+
+    page = 16 * KIB
+    slots = np.concatenate([np.arange(48), np.arange(48)[::-1], np.arange(48, 80)])
+    writes = np.ones(slots.size, dtype=bool)
+    writes[48:96] = False
+    gaps = np.zeros(slots.size)
+    gaps[100:110] = 500.0
+    program = IOProgram(
+        lbas=slots.astype(np.int64) * page,
+        sizes=np.full(slots.size, page, dtype=np.int64),
+        writes=writes,
+        gaps=gaps,
+    )
+    observed = []
+    for device in (build_device(profile, 4 * MIB), oracle_device(profile)):
+        analytic.STATS.reset()
+        host = SyncHost(device, os_overhead_usec=100.0)
+        traces = [
+            host.run_program(program, start_at=device.busy_until) for _ in range(2)
+        ]
+        assert analytic.STATS.declines == {"program:os-overhead": 2}
+        assert traces[0].column("submitted_at")[0] == 100.0
+        observed.append((
+            [trace.to_payload() for trace in traces],
+            device.fingerprint(),
+            device.metrics(),
+        ))
+    assert observed[0] == observed[1]
+
+
 def test_enforce_kernel_takes_pagemap_windows():
     """On the page-map profile the write kernel actually runs."""
     device = build_device("ideal_pagemap", logical_bytes=4 * MIB)
