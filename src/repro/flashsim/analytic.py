@@ -21,15 +21,17 @@ restate none of it:
   real ``write_page`` (with its collections) at it, handing back each
   watermark step so its cost lands on the IO that owns the page.
 
-This module only evaluates; the hosts own the loops.
-:meth:`SyncHost.run_program <repro.flashsim.host.SyncHost.run_program>`
-runs every synchronous program, measurements and state enforcement
-alike: it checks the program once (:func:`program_stretches`), offers
-each long stretch to :func:`read_window` or :func:`write_window` and
-runs the rest through its own per-IO step.
+This module only evaluates; the hosts own the loops.  Its entry
+points are :func:`program_stretches`, :func:`read_window`,
+:func:`write_window` and :func:`run_program_queued`.  The host module's
+one synchronous loop runs every synchronous program — measurements,
+state enforcement and the round-robin merge of
+:class:`~repro.flashsim.host.ParallelHost`'s zero-gap processes alike:
+it checks the program once (:func:`program_stretches`), offers each
+long stretch to :func:`read_window` or :func:`write_window` and runs
+the rest through its own per-IO step.
 :class:`~repro.flashsim.host.AsyncHost` tries :func:`run_program_queued`
-and :class:`~repro.flashsim.host.ParallelHost` tries
-:func:`run_programs_parallel`, each for a whole program.
+for a whole program.
 
 Discipline:
 
@@ -63,10 +65,9 @@ Current coverage:
   grants).  A read window runs while no background work is pending; a
   write window also runs the background units its gaps buy, through
   the device's own grant, between its page appends;
-* **parallel hosts** — zero-gap processes of one mode run as one merged
-  window in the reference loop's round-robin order, split back per
-  process (:func:`run_programs_parallel`); anything else declines the
-  whole run (``parallel:*``).
+* **parallel hosts** — zero-gap processes run as one synchronous
+  program in the event loop's round-robin order, so their stretches
+  take the windows above on the same terms as any synchronous run's.
 
 Everything else (hybrid/FAST FTL families, caches, wear levelling,
 measurement noise, host overhead) declines up front, once per program,
@@ -92,8 +93,6 @@ from repro.flashsim.ftl.pagemap import PageMapFTL
 from repro.flashsim.timing import CostAccumulator
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from typing import Sequence
-
     from repro.core.generator import IOProgram
     from repro.flashsim.device import FlashDevice
     from repro.flashsim.trace import IOTrace
@@ -132,10 +131,6 @@ class KernelStats:
     #: whole queued programs taken by :func:`run_program_queued`
     queued_windows: int = 0
     queued_ios: int = 0
-    #: merged parallel windows (:func:`run_programs_parallel`, a subset
-    #: of the read and write windows) and their IOs
-    parallel_windows: int = 0
-    parallel_ios: int = 0
     declines: dict[str, int] = field(default_factory=dict)
 
     def decline(self, reason: str) -> None:
@@ -225,12 +220,12 @@ def device_decline_reason(device: "FlashDevice") -> str | None:
 
 def program_stretches(
     device: "FlashDevice",
-    program: "IOProgram",
+    writes: np.ndarray,
     start_at: float,
     os_overhead: float,
 ) -> np.ndarray | None:
-    """Where each read or write stretch of a synchronous program ends,
-    or None when no window may take any of it.
+    """Where each read or write stretch of a synchronous program (its
+    ``writes`` column) ends, or None when no window may take any of it.
 
     A window never crosses a read/write flip, so the stretches are the
     runs of one mode.  The program declines as a whole — counted once
@@ -246,7 +241,7 @@ def program_stretches(
     else:
         reason = device_decline_reason(device)
     if reason is None:
-        writes = np.asarray(program.writes, dtype=bool)
+        writes = np.asarray(writes, dtype=bool)
         ends = np.append(np.flatnonzero(writes[1:] != writes[:-1]) + 1, writes.size)
         if int(np.diff(ends, prepend=0).max()) >= MIN_KERNEL_STRETCH:
             return ends
@@ -504,20 +499,9 @@ def write_window(
     limit = _valid_prefix(device, lbas, sizes)
     if limit == 0:
         return _decline("write", "address", now)
+    lbas, sizes = lbas[:limit], sizes[:limit]
     if gaps is not None:
         gaps = gaps[:limit] if bool(gaps[:limit].any()) else None
-    end = _pagemap_write_window(
-        device, lbas[:limit], sizes[:limit], now, trace, row0, gaps
-    )
-    STATS.write_windows += 1
-    STATS.write_ios += limit
-    return limit, end
-
-
-def _pagemap_write_window(device, lbas, sizes, now, trace, row0, gaps=None):
-    """A synchronous page-map write window: the write pass, then the
-    completion chain, the device accounting and the trace rows.
-    Returns the last completion."""
     columns, service, starts = _write_pass(device, lbas, sizes, now, gaps)
     if starts is None:
         completions = _chain(now, service)
@@ -534,7 +518,9 @@ def _pagemap_write_window(device, lbas, sizes, now, trace, row0, gaps=None):
             trace, row0, lbas, sizes, True, scheduled, submitted, completions,
             **columns,
         )
-    return float(completions[-1])
+    STATS.write_windows += 1
+    STATS.write_ios += limit
+    return limit, float(completions[-1])
 
 
 class _PageStream:
@@ -820,33 +806,18 @@ def read_window(
     n_ios = _valid_prefix(device, lbas, sizes)
     if n_ios == 0:
         return _decline("read", "address", now)
-    costs = _read_costs(device, lbas[:n_ios], sizes[:n_ios])
-    verified = costs[-1]
+    reads_per_io, miss, service, e_pg, verified = _read_costs(
+        device, lbas[:n_ios], sizes[:n_ios]
+    )
     if verified == 0:
         return _decline("read", "verify", now)
     # truncate before the IO whose verification fails; the fallback
     # replays it and raises the reference FTLError
     n_ios = min(n_ios, verified)
+    lbas, sizes = lbas[:n_ios], sizes[:n_ios]
+    reads_per_io, miss, service = reads_per_io[:n_ios], miss[:n_ios], service[:n_ios]
     if gaps is not None:
         gaps = gaps[:n_ios] if bool(gaps[:n_ios].any()) else None
-    end = _read_commit(
-        device, lbas[:n_ios], sizes[:n_ios], now, gaps, costs, trace, row0
-    )
-    STATS.read_windows += 1
-    STATS.read_ios += n_ios
-    return n_ios, end
-
-
-def _read_commit(device, lbas, sizes, now, gaps, costs, trace, row0):
-    """Commit a run of reads whose :func:`_read_costs` are known (they
-    may cover more IOs than ``lbas``): chip and controller counters,
-    background credit, device accounting and the trace rows.  Returns
-    the last completion."""
-    n_ios = int(lbas.size)
-    reads_per_io, miss, service, e_pg, _verified = costs
-    reads_per_io = reads_per_io[:n_ios]
-    miss = miss[:n_ios]
-    service = service[:n_ios]
     if gaps is None:
         completions = _chain(now, service)
         submitted = scheduled = _previous(now, completions)
@@ -888,7 +859,9 @@ def _read_commit(device, lbas, sizes, now, gaps, costs, trace, row0):
             trace, row0, lbas, sizes, False, scheduled, submitted, completions,
             page_reads=reads_per_io, map_misses=miss,
         )
-    return float(completions[-1])
+    STATS.read_windows += 1
+    STATS.read_ios += n_ios
+    return n_ios, float(completions[-1])
 
 
 def run_program_queued(
@@ -1086,141 +1059,4 @@ def run_program_queued(
 
     STATS.queued_windows += 1
     STATS.queued_ios += count
-    return True
-
-
-class _ProcessRows:
-    """Trace sink of a merged parallel window: splits its rows back per
-    process.
-
-    The window records the merged run as one synchronous run (each IO
-    starts at the previous merged completion); each process's rows get
-    its own submission column instead — the completion of its previous
-    IO, ``start_at`` for its first — which is also when it was
-    scheduled (zero gaps).
-    """
-
-    def __init__(self, traces, counts, start_at: float) -> None:
-        self.traces = traces
-        self.start_at = start_at
-        counts = np.asarray(counts, dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(counts)))
-        total = int(self.offsets[-1])
-        process = np.repeat(np.arange(counts.size), counts)
-        position = np.arange(total, dtype=np.int64) - np.repeat(self.offsets[:-1], counts)
-        #: merged row -> program-order row (round robin: position first,
-        #: then process index) and its inverse
-        self.order = np.lexsort((process, position))
-        self.merged_row = np.empty(total, dtype=np.int64)
-        self.merged_row[self.order] = np.arange(total, dtype=np.int64)
-        self.submitted = self.started = None
-
-    def record_run(
-        self, row0, lbas, sizes, write, scheduled, submitted, started, completed,
-        *, notes=None, **columns,
-    ) -> None:
-        """Split a merged :meth:`IOTrace.record_run` (``row0`` is 0)."""
-        offsets = self.offsets
-        self.started = started
-        self.submitted = np.empty(completed.size, dtype=np.float64)
-        for k, trace in enumerate(self.traces):
-            rows = self.merged_row[offsets[k]:offsets[k + 1]]
-            if not rows.size:
-                continue
-            own = _previous(self.start_at, completed[rows])
-            self.submitted[rows] = own
-            own_notes = None
-            if notes:
-                own_notes = {
-                    r: notes[m] for r, m in enumerate(rows.tolist()) if m in notes
-                }
-            trace.record_run(
-                0, lbas[rows], sizes[rows], write, own, own, started[rows],
-                completed[rows], notes=own_notes,
-                **{name: column[rows] for name, column in columns.items()},
-            )
-
-
-def run_programs_parallel(
-    device: "FlashDevice",
-    programs: "Sequence[IOProgram]",
-    traces: "Sequence[IOTrace]",
-    start_at: float,
-    os_overhead: float,
-) -> bool:
-    """Run :class:`~repro.flashsim.host.ParallelHost`'s processes as one
-    merged window.
-
-    With zero gaps every process is ready the instant its previous IO
-    completes, and the device serialises service, so the reference loop
-    serves the processes round robin: the lowest index first, finished
-    processes dropping out.  That merged order is one synchronous run
-    — its completion chain, channel horizons, FTL work and credit
-    grants are a window's — so it goes through :func:`write_window`'s
-    or :func:`read_window`'s machinery as one window, and the rows are
-    split back per process (:class:`_ProcessRows`).  Each IO waits from
-    its process's previous completion to the previous merged
-    completion; ``stats.queued_ios``/``queue_wait_usec`` fold those
-    waits in merged order.
-
-    All or nothing: returns False, with no state touched and the reason
-    counted as ``parallel:<reason>``, unless every program has zero
-    gaps, all IOs share one mode, there is no host overhead, the start
-    is the busy horizon, the device qualifies and the window would take
-    every IO (none out of range, every read verifying, no block-map
-    write).  These checks run before anything is committed.
-    """
-    counts = [len(program) for program in programs]
-    total = sum(counts)
-    reason = None
-    if os_overhead != 0.0:
-        reason = "os-overhead"
-    elif total < MIN_KERNEL_STRETCH:
-        reason = "short-stretch"
-    elif any(bool((program.gaps[1:] != 0.0).any()) for program in programs):
-        reason = "paced"
-    if reason is None:
-        writes = np.concatenate([np.asarray(p.writes, dtype=bool) for p in programs])
-        write = bool(writes[0])
-        if bool((writes != write).any()):
-            reason = "mixed-modes"
-        elif not device.timing.controller_overhead > 0.0:
-            # a zero-cost IO would tie two processes' ready times, and
-            # the reference breaks ties by index, not round robin
-            reason = "zero-overhead"
-        else:
-            reason = _window_reason(device, write, start_at)
-    if reason is None:
-        sink = _ProcessRows(traces, counts, start_at)
-        lbas = np.concatenate([p.lbas for p in programs]).astype(np.int64)[sink.order]
-        sizes = np.concatenate([p.sizes for p in programs]).astype(np.int64)[sink.order]
-        if _valid_prefix(device, lbas, sizes) != total:
-            reason = "address"
-        elif not write:
-            costs = _read_costs(device, lbas, sizes)
-            if costs[-1] != total:
-                reason = "verify"
-    if reason is not None:
-        STATS.decline(f"parallel:{reason}")
-        return False
-
-    if write:
-        _pagemap_write_window(device, lbas, sizes, start_at, sink, 0)
-        STATS.write_windows += 1
-        STATS.write_ios += total
-    else:
-        _read_commit(device, lbas, sizes, start_at, None, costs, sink, 0)
-        STATS.read_windows += 1
-        STATS.read_ios += total
-    # each IO waited from its process's submission to its start
-    waits = sink.started - sink.submitted
-    stats = device.stats
-    queue_wait = stats.queue_wait_usec
-    queued = waits[sink.started > sink.submitted]
-    for usec in queued.tolist():
-        queue_wait += usec
-    stats.queued_ios += int(queued.size)
-    stats.queue_wait_usec = queue_wait
-    STATS.parallel_windows += 1
-    STATS.parallel_ios += total
     return True

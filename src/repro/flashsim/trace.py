@@ -315,6 +315,33 @@ class IOTrace:
                     self._notes[row0 + rel] = row_notes
         self._response_cache = None
 
+    def take(self, rows: np.ndarray, submitted_at: np.ndarray) -> "IOTrace":
+        """A new trace of this one's ``rows``, in that order and
+        renumbered from 0, each scheduled and submitted at its
+        ``submitted_at``; every other column and the notes carry over.
+
+        :class:`~repro.flashsim.host.ParallelHost` splits a merged run
+        back per process with it.
+        """
+        n = int(rows.size)
+        trace = IOTrace()
+        for name, _dtype in _COLUMNS:
+            setattr(trace, "_" + name, getattr(self, "_" + name)[rows])
+        trace._index = np.arange(n, dtype=np.int64)
+        trace._scheduled_at = np.array(submitted_at, dtype=np.float64)
+        trace._submitted_at = np.array(submitted_at, dtype=np.float64)
+        trace._capacity = trace._n = n
+        if self._notes:
+            notes = self._notes
+            trace._notes = {
+                new: notes[old]
+                for new, old in enumerate(rows.tolist())
+                if notes.get(old)
+            }
+        if self._attr is not None:
+            trace._attr = self._attr[rows]
+        return trace
+
     def append(self, completed: CompletedIO) -> None:
         """Record one :class:`~repro.iotypes.CompletedIO` (what
         :meth:`~repro.flashsim.device.FlashDevice.submit` returns) as the

@@ -19,6 +19,8 @@ reproduces the reference behaviour (including raised errors).
 
 from __future__ import annotations
 
+import copy
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -917,15 +919,33 @@ def _process_programs(degree, write, page, capacity, seed=0):
     return programs
 
 
+def _parallel_twins(kernel_dev, reference_dev, programs, os_overhead_usec=0.0):
+    """Run ``programs`` through ParallelHost on a device and on its
+    oracle twin, which takes the event loop; assert the twins agree and
+    return the device's kernel counters and traces."""
+    from repro.flashsim.host import ParallelHost
+
+    analytic.STATS.reset()
+    kernel_traces = ParallelHost(kernel_dev, os_overhead_usec).run_programs(
+        programs, start_at=kernel_dev.busy_until
+    )
+    stats = copy.deepcopy(analytic.STATS)
+    analytic.STATS.reset()
+    reference_traces = ParallelHost(reference_dev, os_overhead_usec).run_programs(
+        programs, start_at=reference_dev.busy_until
+    )
+    assert analytic.STATS.declines == {"parallel:fault-injector": 1}
+    _assert_twins(kernel_dev, reference_dev, kernel_traces, reference_traces)
+    return stats, kernel_traces
+
+
 @pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
 @pytest.mark.parametrize("degree", (1, 2, 3, 7, 16))
 def test_parallel_processes_match_the_reference_loop(degree, write):
     """ParallelHost at degrees 1-16 with unequal program lengths: the
-    merged round-robin window matches the reference event loop —
-    trace bytes per process, queue counters, channel horizons, credit.
-    The write programs cross GC watermarks."""
-    from repro.flashsim.host import ParallelHost
-
+    merged round-robin program takes one window and matches the event
+    loop — trace bytes per process, queue counters, channel horizons,
+    credit.  The write programs cross GC watermarks."""
     profile = _tight_profile()
     kernel_dev = profile.build(4 * MIB)
     reference_dev = oracle_device(profile)
@@ -939,35 +959,131 @@ def test_parallel_processes_match_the_reference_loop(degree, write):
         programs = [
             _program(np.tile(p.lbas, reps), True, 0.0, page) for p in programs
         ]
+    total = sum(len(p) for p in programs)
     collections = kernel_dev.ftl.gc_collections
-    analytic.STATS.reset()
-    kernel_traces = ParallelHost(kernel_dev).run_programs(
-        programs, start_at=kernel_dev.busy_until
-    )
-    assert analytic.STATS.parallel_windows == 1
-    assert analytic.STATS.parallel_ios == sum(len(p) for p in programs)
-    assert analytic.STATS.declines == {}
+    stats, _traces = _parallel_twins(kernel_dev, reference_dev, programs)
+    windows = (stats.write_windows, stats.write_ios, stats.read_windows, stats.read_ios)
+    assert windows == ((1, total, 0, 0) if write else (0, 0, 1, total))
+    assert stats.declines == {}
     if write:
         assert kernel_dev.ftl.gc_collections > collections
     if degree > 1:
         assert kernel_dev.stats.queued_ios > 0
-    reference_traces = ParallelHost(reference_dev).run_programs(
-        programs, start_at=reference_dev.busy_until
-    )
-    _assert_twins(kernel_dev, reference_dev, kernel_traces, reference_traces)
+
+
+@pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
+@pytest.mark.parametrize("profile", ("kingston_dti", "memoright"))
+def test_parallel_processes_of_other_families_match_the_reference_loop(profile, write):
+    """The merged program runs on the block-map and the cached hybrid
+    family as any synchronous program does: block-map reads take one
+    read window and block-map writes decline one stretch
+    (``write:ftl-family``), the hybrid declines the program
+    (``program:ftl-family``); the per-IO step matches the event loop."""
+    kernel_dev = build_device(profile, logical_bytes=4 * MIB)
+    reference_dev = oracle_device(profile)
+    for device in (kernel_dev, reference_dev):
+        enforce_random_state(device, seed=2)
+    programs = _process_programs(3, write, 16 * KIB, 4 * MIB)
+    total = sum(len(p) for p in programs)
+    stats, _traces = _parallel_twins(kernel_dev, reference_dev, programs)
+    if profile == "memoright":
+        assert stats.declines == {"program:ftl-family": 1}
+        assert stats.read_ios == stats.write_ios == 0
+    elif write:
+        assert stats.declines == {"write:ftl-family": 1}
+        assert stats.write_ios == 0
+    else:
+        assert stats.declines == {}
+        assert (stats.read_windows, stats.read_ios) == (1, total)
+
+
+@pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
+def test_parallel_processes_with_measurement_noise_match_the_reference_loop(write):
+    """A jittered device declines the merged program (``program:noise``)
+    and its per-IO step draws the noise in the event loop's order."""
+    from repro.flashsim.device import NoiseSpec
+    from repro.flashsim.profiles import scaled_profile
+
+    profile = scaled_profile("ideal_pagemap", noise=NoiseSpec(jitter=0.05, seed=3))
+    kernel_dev = profile.build(4 * MIB)
+    reference_dev = oracle_device(profile)
+    for device in (kernel_dev, reference_dev):
+        enforce_random_state(device, seed=2)
+    programs = _process_programs(4, write, 16 * KIB, 4 * MIB)
+    stats, _traces = _parallel_twins(kernel_dev, reference_dev, programs)
+    assert stats.declines == {"program:noise": 1}
+    assert stats.read_ios == stats.write_ios == 0
+    assert kernel_dev.stats.queued_ios > 0
+
+
+@pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
+def test_parallel_empty_process_matches_the_reference_loop(write):
+    """A process with no IO drops out of the round robin at once: the
+    others' merged program still takes one window, and the empty
+    process gets an empty trace, as in the event loop."""
+    profile = _tight_profile()
+    kernel_dev = profile.build(4 * MIB)
+    reference_dev = oracle_device(profile)
+    for device in (kernel_dev, reference_dev):
+        enforce_random_state(device, seed=2)
+    page = 16 * KIB
+    programs = _process_programs(3, write, page, 4 * MIB)
+    programs.insert(1, _program([], write, 0.0, page))
+    stats, traces = _parallel_twins(kernel_dev, reference_dev, programs)
+    assert [len(trace) for trace in traces] == [len(p) for p in programs]
+    assert len(traces[1]) == 0
+    assert stats.write_windows + stats.read_windows == 1
+    assert stats.declines == {}
+
+
+def test_parallel_reads_with_background_pending_match_the_reference_loop():
+    """Parallel reads starting with background work pending: the merged
+    program's read window declines (``read:background-pending``) and
+    the reads run per IO, interfered with and granting the credit that
+    runs the work, until the window can take the rest."""
+    twins = _tight_twins()
+    _prime(twins, "pending")
+    units = twins[0].stats.background_units
+    programs = _process_programs(3, False, 16 * KIB, 4 * MIB)
+    stats, _traces = _parallel_twins(*twins, programs)
+    assert stats.declines.get("read:background-pending", 0) >= 1
+    assert twins[0].stats.interfered_reads > 0
+    assert twins[0].stats.background_units > units
+
+
+@pytest.mark.parametrize("reason", ("paced", "os-overhead", "attribution"))
+def test_parallel_runs_the_event_loop_where_a_merge_would_differ(reason):
+    """Gaps, host overhead and latency attribution make an IO's
+    submission time matter, so such runs take the event loop and count
+    one ``parallel:<reason>`` decline; the oracle twin runs the same
+    loop."""
+    kernel_dev = build_device("ideal_pagemap", logical_bytes=4 * MIB)
+    reference_dev = oracle_device("ideal_pagemap")
+    for device in (kernel_dev, reference_dev):
+        enforce_random_state(device, seed=2)
+        device.attribution = reason == "attribution"
+    page = 16 * KIB
+    programs = _process_programs(3, True, page, 4 * MIB)
+    if reason == "paced":
+        programs[1] = _program(programs[1].lbas, True, 500.0, page)
+    overhead = 20.0 if reason == "os-overhead" else 0.0
+    stats, _traces = _parallel_twins(kernel_dev, reference_dev, programs, overhead)
+    assert stats.declines == {f"parallel:{reason}": 1}
+    assert stats.write_ios == stats.read_ios == 0
 
 
 @pytest.mark.parametrize("write", (False, True), ids=("reads", "writes"))
 def test_parallel_out_of_range_io_raises_the_reference_error(write):
-    """An out-of-range IO in one process declines the whole merged
-    window with nothing committed; the reference loop raises the same
-    AddressError at the same IO, leaving the same state."""
+    """An out-of-range IO in one process: the merged program's window
+    stops before it and the per-IO step raises the event loop's
+    AddressError at the same IO, leaving the same state and counters."""
     from repro.errors import AddressError
     from repro.flashsim.host import ParallelHost
 
     page = 16 * KIB
     programs = _process_programs(4, write, page, 4 * MIB)
     programs[2].lbas[3] = 4 * MIB  # the first page past the end
+    op = "write" if write else "read"
     outcomes = []
     for device in (
         build_device("ideal_pagemap", logical_bytes=4 * MIB),
@@ -977,15 +1093,21 @@ def test_parallel_out_of_range_io_raises_the_reference_error(write):
         analytic.STATS.reset()
         with pytest.raises(AddressError) as raised:
             ParallelHost(device).run_programs(programs, start_at=device.busy_until)
-        outcomes.append((str(raised.value), device.fingerprint(), device.metrics()))
+        outcomes.append((
+            str(raised.value), device.fingerprint(), device.metrics(),
+            device.stats, device._bg_credit,
+        ))
         if not device.chip.reference:
-            assert analytic.STATS.declines == {"parallel:address": 1}
+            # merged row 3 * 4 + 2: position 3 of process 2
+            assert getattr(analytic.STATS, f"{op}_ios") == 14
+            assert analytic.STATS.declines == {f"{op}:address": 1}
     assert outcomes[0] == outcomes[1]
 
 
 def test_parallel_read_of_a_corrupted_page_raises_the_reference_error():
-    """A read that would fail read-your-writes verification declines
-    the merged window up front; the reference loop raises at that IO."""
+    """A read that would fail read-your-writes verification: the merged
+    read window stops before it and the per-IO step raises at that IO,
+    counting its queue wait as the event loop does."""
     from repro.flashsim.host import ParallelHost
 
     page = 16 * KIB
@@ -1002,35 +1124,52 @@ def test_parallel_read_of_a_corrupted_page_raises_the_reference_error():
         analytic.STATS.reset()
         with pytest.raises(Exception) as raised:
             ParallelHost(device).run_programs(programs, start_at=device.busy_until)
-        outcomes.append(
-            (type(raised.value), str(raised.value), device.fingerprint(), device.metrics())
-        )
+        outcomes.append((
+            type(raised.value), str(raised.value), device.fingerprint(),
+            device.metrics(), device.stats, device._bg_credit,
+        ))
         if not device.chip.reference:
-            assert analytic.STATS.declines == {"parallel:verify": 1}
+            assert analytic.STATS.read_windows == 1
+            assert analytic.STATS.declines == {"read:verify": 1}
     assert outcomes[0] == outcomes[1]
 
 
-def test_parallel_mix_of_modes_declines_but_matches_reference():
-    """A ParallelMixSpec of a reader and a writer has mixed modes: the
-    parallel kernel declines and the reference loop runs it."""
+@pytest.mark.parametrize("counts", ((48, 48), (16, 64)), ids=("even", "long-tail"))
+@pytest.mark.parametrize("profile", PROFILES)
+def test_parallel_mix_of_modes_runs_one_merged_program(profile, counts):
+    """A ParallelMixSpec of a reader and a writer merges into one
+    program of alternating modes: stretches of one IO run per IO, and
+    the writer's tail after the reader finishes is one long stretch,
+    which a page-map device writes as one window.  Every result matches
+    the event loop on the oracle twin."""
     from repro.core.patterns import ParallelMixSpec
 
     reader = PatternSpec(
         mode=Mode.READ,
         location=LocationKind.RANDOM,
         io_size=16 * KIB,
-        io_count=48,
+        io_count=counts[0],
         target_size=2 * MIB,
     )
     writer = reader.with_(
-        mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, target_offset=2 * MIB
+        mode=Mode.WRITE, location=LocationKind.SEQUENTIAL, target_offset=2 * MIB,
+        io_count=counts[1],
     )
     spec = ParallelMixSpec(components=(reader, writer))
-    kernel_engine = Engine(build_device("ideal_pagemap", logical_bytes=4 * MIB))
-    reference_engine = Engine(oracle_device("ideal_pagemap"))
+    kernel_engine = Engine(build_device(profile, logical_bytes=4 * MIB))
+    reference_engine = Engine(oracle_device(profile))
     kernel_run = kernel_engine.run(spec)
-    assert analytic.STATS.declines == {"parallel:mixed-modes": 1}
-    assert analytic.STATS.parallel_windows == 0
+    tail = counts[1] - counts[0] + 1
+    if profile == "memoright":
+        assert analytic.STATS.declines == {"program:ftl-family": 1}
+    elif counts[0] == counts[1]:
+        assert analytic.STATS.declines == {"program:short-stretch": 1}
+    else:
+        assert analytic.STATS.declines["program:short-stretch"] == 2 * counts[0] - 1
+    assert analytic.STATS.read_ios == 0
+    assert analytic.STATS.write_ios == (
+        tail if profile == "ideal_pagemap" and counts[0] < counts[1] else 0
+    )
     reference_run = reference_engine.run(spec)
     assert kernel_run.stats == reference_run.stats
     _assert_twins(
@@ -1042,9 +1181,9 @@ def test_parallel_mix_of_modes_declines_but_matches_reference():
 
 def test_parallel_writes_of_zero_cost_decline():
     """With no per-IO cost at all two processes are ready at the same
-    instant, and the reference serves the lower index again — not
-    round robin, so the pages land in another order.  The kernel
-    declines a device without per-IO overhead."""
+    instant, and the event loop serves the lower index again — not
+    round robin, so the pages land in another order.  A device without
+    per-IO overhead takes the event loop (``parallel:zero-overhead``)."""
     from repro.flashsim.host import ParallelHost
     from repro.flashsim.timing import TimingSpec
 
@@ -1066,13 +1205,13 @@ def test_parallel_writes_of_zero_cost_decline():
 def test_kernel_stats_counters_keep_their_layout():
     """``counters()`` lists the hit counters in declaration order, then
     the declines sorted; ``reset()`` zeroes every one of them."""
-    stats = analytic.KernelStats(write_ios=3, parallel_ios=2)
+    stats = analytic.KernelStats(write_ios=3, queued_ios=2)
     stats.decline("write:wear-levelling")
     stats.decline("read:reference")
     hits = (
         "write_windows", "write_ios", "read_windows", "read_ios",
         "epoch_windows", "epoch_ios", "epoch_collections",
-        "queued_windows", "queued_ios", "parallel_windows", "parallel_ios",
+        "queued_windows", "queued_ios",
     )
     counters = stats.counters()
     assert list(counters) == [f"core.analytic.{name}" for name in hits] + [
@@ -1080,6 +1219,6 @@ def test_kernel_stats_counters_keep_their_layout():
         "core.analytic.decline.write:wear-levelling",
     ]
     assert counters["core.analytic.write_ios"] == 3
-    assert counters["core.analytic.parallel_ios"] == 2
+    assert counters["core.analytic.queued_ios"] == 2
     stats.reset()
     assert stats == analytic.KernelStats()

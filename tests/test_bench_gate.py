@@ -110,5 +110,5 @@ def test_fallback_twins_run_no_kernel():
                 with bench._kernels_declined():
                     engine.run(specs[name])
             assert (bench._kernel_ios() > before) is kernels, (name, kernels)
-    for name in ("program_stretches", "run_program_queued", "run_programs_parallel"):
+    for name in ("program_stretches", "run_program_queued"):
         assert getattr(analytic, name).__name__ == name, name

@@ -162,12 +162,13 @@ def _decline_program(*args, **kwargs) -> None:
 def _kernels_declined():
     """Make every program decline the closed-form kernels, so the hosts
     run their per-IO loops (the ``/fallback`` twins): the synchronous
-    program check finds no stretch for a window, and the queued and
-    parallel kernels return no result.  The FTLs' and the chip's array
+    program check — which a parallel run's merged program goes through
+    too — finds no stretch for a window, and the queued kernel returns
+    no result.  The FTLs' and the chip's array
     paths below them stay on.  Enforcement runs its writes as a
     program through the same check, so the twins enforce outside this
     context."""
-    names = ("program_stretches", "run_program_queued", "run_programs_parallel")
+    names = ("program_stretches", "run_program_queued")
     saved = [getattr(analytic, name) for name in names]
     for name in names:
         setattr(analytic, name, _decline_program)
